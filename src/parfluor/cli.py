@@ -34,7 +34,7 @@ from . import phasematch as pmm
 from . import wigner as wg
 from .errors import ConfigError, ParfluorError
 
-DATA_DIR_ENV = "PARFLUOR_DATA_DIR"
+DATA_DIR_ENV = dm.DATA_DIR_ENV  # where crystal.material names are looked up first
 
 # the four crystal cuts crossed with the three pump settings of the
 # reference parameter matrix: (theta_deg, tau_fs, w_um)
@@ -140,18 +140,6 @@ def load_config(args) -> dict:
     return config
 
 
-def _resolve_material(name_or_path: str):
-    path = Path(name_or_path)
-    if path.suffix == ".json" and path.exists():
-        return path
-    data_dir = os.environ.get(DATA_DIR_ENV)
-    if data_dir:
-        candidate = Path(data_dir) / f"{name_or_path}.json"
-        if candidate.exists():
-            return candidate
-    return name_or_path  # falls through to the shipped data directory
-
-
 def build_crystal(config: dict) -> dm.CrystalSpec:
     c = config["crystal"]
     try:
@@ -159,7 +147,7 @@ def build_crystal(config: dict) -> dm.CrystalSpec:
             theta_cut=np.deg2rad(float(c["theta_deg"])),
             length=float(c["length_mm"]) * 1e-3,
             pump_wavelength=float(c["pump_wavelength_nm"]) * 1e-9,
-            material=_resolve_material(c["material"]),
+            material=c["material"],
         )
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         raise ConfigError(f"invalid 'crystal' settings: {exc}") from exc
@@ -267,7 +255,7 @@ def cmd_pert_flux(config: dict) -> int:
     pump = build_pump(config, crystal)
     s = config["pert_flux"]
     method = str(s["method"])
-    if method not in ("closed_form", "exact", "gaussianized"):
+    if method not in pt.METHODS:
         raise ConfigError(f"invalid 'pert_flux.method': {method!r}")
     quad = pt.QuadratureSpec(rel_tol=float(s["quad_rel_tol"]))
     lams = np.linspace(float(s["lambda_min_nm"]), float(s["lambda_max_nm"]),
@@ -423,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, help="parallel sweep cells")
         if pert_opts:
             p.add_argument("--method",
-                           choices=["closed_form", "exact", "gaussianized"],
+                           choices=pt.METHODS,
                            help="flux evaluation route")
 
     common(sub.add_parser("phasematch", help="tabulate the matched emission surface"))

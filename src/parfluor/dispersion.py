@@ -17,6 +17,7 @@ shipped BBO can be substituted.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -27,6 +28,9 @@ from scipy.constants import c as C_LIGHT
 from .errors import EvanescentMode, NoRealRoot, OutOfDispersionWindow
 
 TWO_PI = 2.0 * np.pi
+DATA_DIR_ENV = "PARFLUOR_DATA_DIR"
+# a point on a light cone can square to a radicand a few ulp below zero
+_CONE_RTOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,15 @@ class SellmeierSet:
         lam_um = TWO_PI * C_LIGHT / np.asarray(omega, dtype=float) * 1e6
         return self.index_at_wavelength_um(lam_um)
 
+    def slope_at_omega(self, omega):
+        """dn/d(omega) [s/rad] from the closed-form Sellmeier derivative."""
+        omega = np.asarray(omega, dtype=float)
+        lam_um = TWO_PI * C_LIGHT / omega * 1e6
+        n = self.index_at_wavelength_um(lam_um)
+        lam2 = lam_um * lam_um
+        # dn/dw = -(lam/w) dn/dlam, dn/dlam = -lam (b1/(lam^2-c1)^2 + b2) / n
+        return lam2 * (self.b1 / (lam2 - self.c1) ** 2 + self.b2) / (omega * n)
+
 
 @dataclass(frozen=True)
 class CrystalSpec:
@@ -108,16 +121,20 @@ class CrystalSpec:
 
 
 def load_material(source) -> dict:
-    """Read a crystal material document (dict, path, or shipped name).
+    """Read a crystal material document (dict, path, or material name).
 
     The document carries {"name", "sellmeier_o", "sellmeier_e", "window_nm"}.
-    Shipped materials live in parfluor/data; "bbo" resolves to the default
-    beta-barium-borate coefficient sets.
+    A name resolves to an existing ".json" path, then to
+    $PARFLUOR_DATA_DIR/<name>.json, then to the shipped parfluor/data; "bbo"
+    is the default beta-barium-borate coefficient sets.
     """
     if isinstance(source, dict):
         doc = source
     else:
         path = Path(source)
+        data_dir = os.environ.get(DATA_DIR_ENV)
+        if data_dir and not (path.suffix == ".json" and path.exists()):
+            path = Path(data_dir) / f"{source}.json"
         if path.suffix == ".json" and path.exists():
             doc = json.loads(path.read_text())
         else:
@@ -158,25 +175,21 @@ def index_extraordinary_principal(omega, crystal: CrystalSpec):
     return crystal.sellmeier_e.index_at_omega(omega)
 
 
-def index_extraordinary_effective(omega, crystal: CrystalSpec):
-    """Effective e-ray index for on-axis propagation at the cut angle:
-    1/n^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2."""
-    n_o = index_ordinary(omega, crystal)
-    n_e = index_extraordinary_principal(omega, crystal)
-    ct, st = np.cos(crystal.theta_cut), np.sin(crystal.theta_cut)
-    return 1.0 / np.sqrt(ct * ct / (n_o * n_o) + st * st / (n_e * n_e))
-
-
 def kz_signal_grid(omega, kx, ky, crystal: CrystalSpec, allow_evanescent=False):
     """o-ray longitudinal wavevector sqrt(n_o^2 w^2/c^2 - kx^2 - ky^2).
 
-    Broadcasts over array inputs.  Evanescent components (negative radicand)
-    raise EvanescentMode unless allow_evanescent is set, in which case they
-    come back as NaN so callers can mask them.
+    Broadcasts over array inputs.  Components on the light cone to within
+    rounding get k_z = 0.  Evanescent components (negative radicand) raise
+    EvanescentMode unless allow_evanescent is set, in which case they come
+    back as NaN so callers can mask them.
     """
     omega = np.asarray(omega, dtype=float)
     n_o = index_ordinary(omega, crystal)
-    radicand = (n_o * omega / C_LIGHT) ** 2 - np.asarray(kx) ** 2 - np.asarray(ky) ** 2
+    k2 = (n_o * omega / C_LIGHT) ** 2
+    radicand = k2 - np.asarray(kx) ** 2 - np.asarray(ky) ** 2
+    if np.any(radicand < 0):
+        radicand = np.where(radicand >= -_CONE_RTOL * k2, np.maximum(radicand, 0.0),
+                            radicand)
     if np.any(radicand < 0):
         if not allow_evanescent:
             raise EvanescentMode("transverse wavevector beyond the o-ray light cone")
@@ -229,58 +242,38 @@ def pump_dispersion_residual(kz, omega, kx, ky, crystal: CrystalSpec):
     return (a2 * kz * kz + a1 * kz + a0) / w2c2
 
 
-def kz_signal(kappa: SpectralPoint, crystal: CrystalSpec) -> float:
-    """o-ray k_z for a single fluorescence plane-wave component."""
-    return float(kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal))
+def kz_slopes(ray: str, omega, kx, ky, crystal: CrystalSpec):
+    """Group slowness d(kz)/d(omega) [s/m] and walk-off slopes d(kz)/d(kx),
+    d(kz)/d(ky) (dimensionless) of the o-ray ('signal') or e-ray ('pump').
 
-
-def kz_pump(kappa_p: SpectralPoint, crystal: CrystalSpec) -> float:
-    """e-ray k_z for a single pump plane-wave component."""
-    return float(kz_pump_grid(kappa_p.omega, kappa_p.kx, kappa_p.ky, crystal))
-
-
-def _kz_of_ray(ray: str):
-    if ray == "signal":
-        return kz_signal_grid
-    if ray == "pump":
-        return kz_pump_grid
-    raise ValueError(f"unknown ray {ray!r}, expected 'signal' or 'pump'")
-
-
-def _richardson(f, x0, h):
-    """Central difference with one Richardson extrapolation step, O(h^4)."""
-
-    def central(step):
-        return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-
-def d_kz_d_omega(ray: str, kappa: SpectralPoint, crystal: CrystalSpec,
-                 rel_step: float = 1e-6) -> float:
-    """Group slowness d(kz)/d(omega) [s/m] by Richardson-extrapolated
-    central differences with relative step rel_step of omega."""
-    kz = _kz_of_ray(ray)
-    h = rel_step * kappa.omega
-    return float(_richardson(lambda w: kz(w, kappa.kx, kappa.ky, crystal), kappa.omega, h))
-
-
-def d_kz_d_ktrans(ray: str, axis: str, kappa: SpectralPoint, crystal: CrystalSpec,
-                  rel_step: float = 1e-6) -> float:
-    """Walk-off slope d(kz)/d(k_axis) (dimensionless), axis in {'x', 'y'}.
-
-    The finite-difference step is scaled to the light-cone wavevector
-    n_o(omega)*omega/c so it stays meaningful at k = 0.
+    Closed form: the Sellmeier derivative for the frequency dependence, and
+    for the e-ray implicit differentiation of its dispersion quadratic.
+    Broadcasts over array inputs; returns the three slopes.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"unknown axis {axis!r}, expected 'x' or 'y'")
-    kz = _kz_of_ray(ray)
-    scale = float(index_ordinary(kappa.omega, crystal)) * kappa.omega / C_LIGHT
-    h = rel_step * scale
-    if axis == "x":
-        f = lambda k: kz(kappa.omega, k, kappa.ky, crystal)
-        x0 = kappa.kx
-    else:
-        f = lambda k: kz(kappa.omega, kappa.kx, k, crystal)
-        x0 = kappa.ky
-    return float(_richardson(f, x0, h))
+    omega = np.asarray(omega, dtype=float)
+    kx = np.asarray(kx, dtype=float)
+    ky = np.asarray(ky, dtype=float)
+    n_o = index_ordinary(omega, crystal)
+    dn_o = crystal.sellmeier_o.slope_at_omega(omega)
+    if ray == "signal":
+        kz = kz_signal_grid(omega, kx, ky, crystal)
+        beta1 = n_o * omega * (n_o + omega * dn_o) / (C_LIGHT**2 * kz)
+        return beta1, -kx / kz, -ky / kz
+    if ray != "pump":
+        raise ValueError(f"unknown ray {ray!r}, expected 'signal' or 'pump'")
+    n_e = index_extraordinary_principal(omega, crystal)
+    dn_e = crystal.sellmeier_e.slope_at_omega(omega)
+    kz = kz_pump_grid(omega, kx, ky, crystal)
+    # the quadratic is F = u^2/n_e^2 + (v^2 + ky^2)/n_o^2 - w^2/c^2 = 0, with
+    # u along the optic axis and v across it in the x-z plane
+    ct, st = np.cos(crystal.theta_cut), np.sin(crystal.theta_cut)
+    u = st * kz + ct * kx
+    v = ct * kz - st * kx
+    inv_ne2 = 1.0 / (n_e * n_e)
+    inv_no2 = 1.0 / (n_o * n_o)
+    f_kz = 2.0 * (inv_ne2 * u * st + inv_no2 * v * ct)
+    f_kx = 2.0 * (inv_ne2 * u * ct - inv_no2 * v * st)
+    f_ky = 2.0 * inv_no2 * ky
+    f_w = -2.0 * (dn_e * inv_ne2 / n_e * u * u + dn_o * inv_no2 / n_o * (v * v + ky * ky)
+                  + omega / C_LIGHT**2)
+    return -f_w / f_kz, -f_kx / f_kz, -f_ky / f_kz

@@ -93,9 +93,10 @@ def _pump_weight(omega_p, qx, qy, pump: PumpSpec):
     return pref**2 * np.exp(-pump.tau_p**2 * du**2 - pump.w_p**2 * (qx**2 + qy**2))
 
 
-def flux_from_coeffs(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
-                     pump: PumpSpec) -> float:
-    """Closed-form occupation on the matched surface from expansion coefficients.
+def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
+                     pump: PumpSpec):
+    """Closed-form occupation on the matched surface from expansion coefficients
+    (see phasematch.linearize), elementwise over array-valued coefficients.
 
     Exact Gaussian integral of the gaussianized quadrature integrand; the
     walk-off terms carry the 1/3 of the exp(-x^2/3) sinc^2 surrogate, so the
@@ -107,17 +108,6 @@ def flux_from_coeffs(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
     bracket = 4.0 + (spatial + temporal) / 3.0
     return (pump.a0**2 * pump.w_p**2 * pump.tau_p / (4.0 * np.pi**1.5)
             * (L / pump.l_nl) ** 2 / np.sqrt(bracket))
-
-
-def flux_closed_form(omega_obs: float, crystal: dm.CrystalSpec,
-                     pump: PumpSpec) -> FluxPoint:
-    """Closed-form flux at (omega_obs, k0(omega_obs), 0).
-
-    Raises NoPhaseMatch when the matched surface has no point at omega_obs.
-    """
-    coeffs = pmm.linearize(omega_obs, crystal)
-    return FluxPoint(omega_obs=omega_obs, k_trans=coeffs.k0,
-                     flux=flux_from_coeffs(coeffs, crystal, pump))
 
 
 def _kappa_prime_axes(kappa: dm.SpectralPoint, pump: PumpSpec, sigmas: float, n: int):
@@ -182,17 +172,16 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
                      flux=(L / pump.l_nl) ** 2 * value, err_rel=err)
 
 
-def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
-                                 pump: PumpSpec,
+def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.LinearizedCoeffs,
+                                 crystal: dm.CrystalSpec, pump: PumpSpec,
                                  quad: QuadratureSpec | None = None) -> FluxPoint:
     """Quadrature with linearized mismatch and the Gaussian sinc^2 surrogate.
 
-    Expands around the matched point at kappa's frequency; NoPhaseMatch
-    propagates from the linearization when that point does not exist.
+    Expands around the matched point at kappa's frequency, whose scalar
+    coefficients (one row of phasematch.linearize) are passed in.
     """
     quad = quad or QuadratureSpec()
     L = crystal.length
-    coeffs = pmm.linearize(kappa.omega, crystal)
 
     def eval_level(n):
         wp, kxp, kyp, dv = _kappa_prime_axes(kappa, pump, quad.support_sigma, n)
@@ -209,11 +198,7 @@ def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, crystal: dm.CrystalSpe
                      flux=(L / pump.l_nl) ** 2 * value, err_rel=err)
 
 
-_METHODS = {
-    "closed_form": None,
-    "exact": flux_quadrature_exact,
-    "gaussianized": flux_quadrature_gaussianized,
-}
+METHODS = ("closed_form", "exact", "gaussianized")
 
 
 @dataclass(frozen=True)
@@ -229,24 +214,31 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
                          quad: QuadratureSpec | None = None):
     """Flux along the matched surface over a wavelength grid [nm].
 
-    Rows where the surface has no point carry None entries.
+    The surface and its expansion coefficients are solved once for the whole
+    grid; the quadratures then run per matched wavelength.  Rows where the
+    surface has no point carry None entries.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; pick one of {sorted(_METHODS)}")
-    rows = []
-    for lam_nm in np.asarray(lambda_grid_nm, dtype=float):
-        omega = TWO_PI * C_LIGHT / (lam_nm * 1e-9)
-        point = pmm.perfect_curve(omega, crystal)
-        if point is None:
-            rows.append(SpectrumRow(lam_nm, None, None, None))
-            continue
-        alpha = pmm.exterior_angle(omega, point.k0)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; pick one of {sorted(METHODS)}")
+    lams = np.asarray(lambda_grid_nm, dtype=float)
+    omega = TWO_PI * C_LIGHT / (lams * 1e-9)
+    k0 = pmm.perfect_curve(omega, crystal)
+    ok = np.flatnonzero(np.isfinite(k0))
+    alpha = pmm.exterior_angle(omega[ok], k0[ok])
+    if method != "exact":
+        coeffs = pmm.linearize(omega[ok], k0[ok], crystal)
+    if method == "closed_form":
+        flux = flux_closed_form(coeffs, crystal, pump)
+    rows = [SpectrumRow(lam, None, None, None) for lam in lams]
+    for j, i in enumerate(ok):
+        kappa = dm.SpectralPoint(omega[i], k0[i], 0.0)
         if method == "closed_form":
-            fp = flux_closed_form(omega, crystal, pump)
+            fp = FluxPoint(omega[i], k0[i], float(flux[j]))
+        elif method == "exact":
+            fp = flux_quadrature_exact(kappa, crystal, pump, quad)
         else:
-            kappa = dm.SpectralPoint(omega, point.k0, 0.0)
-            fp = _METHODS[method](kappa, crystal, pump, quad)
-        rows.append(SpectrumRow(lam_nm, alpha, fp.flux, fp.err_rel))
+            fp = flux_quadrature_gaussianized(kappa, coeffs.row(j), crystal, pump, quad)
+        rows[i] = SpectrumRow(lams[i], float(alpha[j]), fp.flux, fp.err_rel)
     return rows
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
-from scipy.optimize import brentq
 
 from . import dispersion as dm
 from .errors import NoPhaseMatch, TotalInternalReflection
@@ -29,21 +28,14 @@ log = logging.getLogger(__name__)
 
 SCAN_POINTS = 512
 ROOT_TOL = 1e-3  # rad/m; dk*L stays far below the sinc width for mm crystals
-
-
-@dataclass(frozen=True)
-class PhaseMatchPoint:
-    """Transverse wavevector magnitude k0 [rad/m] at which the mismatch
-    vanishes for observation frequency omega_obs [rad/s]."""
-
-    omega_obs: float
-    k0: float
+ROOT_XTOL = 1e-6  # rad/m, bracket width at which the bisection stops
+_SCAN_ROWS = 256  # wavelengths per block of the scan, bounding its memory
 
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
     """First-order expansion coefficients of the mismatch around the matched
-    point at omega_obs.
+    points at omega_obs; every field is a scalar or an array of one shape.
 
     d_beta1   : pump-idler inverse-group-velocity difference [s/m]
     d_rho_x/y : pump-signal walk-off differences (dimensionless)
@@ -60,104 +52,128 @@ class LinearizedCoeffs:
     d_rho_px: float
     d_rho_py: float
 
+    def row(self, i) -> "LinearizedCoeffs":
+        """The coefficients of one matched point of an array of them."""
+        return LinearizedCoeffs(*(np.asarray(getattr(self, f.name))[i]
+                                  for f in fields(self)))
+
 
 def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
-            crystal: dm.CrystalSpec) -> float:
-    """Wavevector mismatch of the pair (kappa, kappa') with its pump component."""
-    pump = dm.SpectralPoint(kappa.omega + kappa_prime.omega,
+            crystal: dm.CrystalSpec):
+    """Wavevector mismatch of the pair (kappa, kappa') with its pump component;
+    broadcasts over array-valued points."""
+    return (dm.kz_pump_grid(kappa.omega + kappa_prime.omega,
                             kappa.kx + kappa_prime.kx,
-                            kappa.ky + kappa_prime.ky)
-    return (dm.kz_pump(pump, crystal)
-            - dm.kz_signal(kappa, crystal)
-            - dm.kz_signal(kappa_prime, crystal))
+                            kappa.ky + kappa_prime.ky, crystal)
+            - dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
+            - dm.kz_signal_grid(kappa_prime.omega, kappa_prime.kx, kappa_prime.ky,
+                                crystal))
 
 
-def _mismatch_on_ring(k, omega_obs, crystal):
-    """dk for the symmetric pair ((w, k, 0), (2w0 - w, -k, 0))."""
-    omega_idler = crystal.pump_center_omega - omega_obs
-    kz_p = dm.kz_pump_grid(crystal.pump_center_omega, 0.0, 0.0, crystal)
-    kz_s = dm.kz_signal_grid(omega_obs, k, 0.0, crystal)
-    kz_i = dm.kz_signal_grid(omega_idler, k, 0.0, crystal)
-    return kz_p - kz_s - kz_i
+def _mismatch_on_ring(k, omega_obs, omega_idler, kz_p, crystal):
+    """dk for the symmetric pairs ((w, k, 0), (2w0 - w, -k, 0)); kz_p is the
+    k_z of the central pump component."""
+    return (kz_p - dm.kz_signal_grid(omega_obs, k, 0.0, crystal)
+            - dm.kz_signal_grid(omega_idler, k, 0.0, crystal))
 
 
-def perfect_curve(omega_obs: float, crystal: dm.CrystalSpec) -> PhaseMatchPoint | None:
-    """Solve dk = 0 for the transverse wavevector at omega_obs.
+def _solve_block(omega, crystal, kz_p):
+    """perfect_curve for a 1D block of frequencies."""
+    omega_idler = crystal.pump_center_omega - omega
+    omega_lo = np.minimum(omega, omega_idler)
+    k_max = dm.index_ordinary(omega_lo, crystal) * omega_lo / C_LIGHT
+    ks = np.linspace(0.0, k_max, SCAN_POINTS, axis=-1)
+    f = _mismatch_on_ring(ks, omega[:, None], omega_idler[:, None], kz_p, crystal)
+
+    exact = np.abs(f) <= ROOT_TOL
+    change = np.sign(f[:, :-1]) * np.sign(f[:, 1:]) < 0
+    first_exact = np.where(exact.any(axis=1), exact.argmax(axis=1), SCAN_POINTS)
+    first_change = np.where(change.any(axis=1), change.argmax(axis=1), SCAN_POINTS)
+    k0 = np.full(omega.shape, np.nan)
+    on_point = (first_exact < SCAN_POINTS) & (first_exact <= first_change)
+    k0[on_point] = ks[on_point, first_exact[on_point]]
+
+    rows = np.flatnonzero(~on_point & (first_change < SCAN_POINTS))
+    cols = first_change[rows]
+    lo, hi, f_lo = ks[rows, cols], ks[rows, cols + 1], f[rows, cols]
+    w_s, w_i = omega[rows], omega_idler[rows]
+    n_steps = int(np.ceil(np.log2(np.max(hi - lo) / ROOT_XTOL))) if rows.size else 0
+    for _ in range(max(n_steps, 0)):
+        mid = 0.5 * (lo + hi)
+        f_mid = _mismatch_on_ring(mid, w_s, w_i, kz_p, crystal)
+        left = np.sign(f_mid) == np.sign(f_lo)
+        lo = np.where(left, mid, lo)
+        f_lo = np.where(left, f_mid, f_lo)
+        hi = np.where(left, hi, mid)
+    k0[rows] = 0.5 * (lo + hi)
+
+    found = np.flatnonzero(np.isfinite(k0))
+    residual = _mismatch_on_ring(k0[found], omega[found], omega_idler[found], kz_p,
+                                 crystal)
+    if np.any(np.abs(residual) > ROOT_TOL):
+        raise NoPhaseMatch(
+            f"root refinement stalled, |dk| = {np.max(np.abs(residual)):.3g} rad/m")
+    for w in omega[change.sum(axis=1) > 1]:
+        log.debug("multiple phase-matching roots at omega=%.6g, keeping smallest k", w)
+    return k0
+
+
+def perfect_curve(omega_obs, crystal: dm.CrystalSpec) -> np.ndarray:
+    """Solve dk = 0 for the transverse wavevector k0 [rad/m] at every omega_obs.
 
     Scans k in [0, k_max] (k_max the light-cone bound of the lower-frequency
-    photon of the pair) for sign changes, then bisects the first bracket to
-    |dk| < 1 mrad/m.  Returns None when no sign change exists; with multiple
-    sign changes the smallest root is returned and the rest are logged.
+    photon of the pair) at SCAN_POINTS points per frequency for sign changes,
+    then bisects the first bracket of every frequency at once to ROOT_XTOL.
+    Returns k0 with the shape of omega_obs, NaN where no sign change exists;
+    with multiple sign changes the smallest root is returned and the rest are
+    logged.
     """
-    omega_idler = crystal.pump_center_omega - omega_obs
-    omega_lo = min(omega_obs, omega_idler)
-    k_max = float(dm.index_ordinary(omega_lo, crystal)) * omega_lo / C_LIGHT
-    ks = np.linspace(0.0, k_max, SCAN_POINTS)
-    f = _mismatch_on_ring(ks, omega_obs, crystal)
-
-    exact = np.flatnonzero(np.abs(f) <= ROOT_TOL)
-    sign_change = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)
-    candidates = []
-    if exact.size:
-        candidates.append(("exact", exact[0]))
-    if sign_change.size:
-        candidates.append(("bracket", sign_change[0]))
-    if not candidates:
-        return None
-    kind, idx = min(candidates, key=lambda item: item[1])
-
-    if kind == "exact":
-        k_root = float(ks[idx])
-    else:
-        k_root = brentq(lambda k: float(_mismatch_on_ring(k, omega_obs, crystal)),
-                        ks[idx], ks[idx + 1], xtol=1e-6, rtol=8.9e-16)
-    residual = float(_mismatch_on_ring(k_root, omega_obs, crystal))
-    if abs(residual) > ROOT_TOL:
-        raise NoPhaseMatch(
-            f"root refinement stalled, |dk| = {abs(residual):.3g} rad/m")
-    if sign_change.size > 1:
-        log.debug("multiple phase-matching roots at omega=%.6g, keeping smallest k",
-                  omega_obs)
-    return PhaseMatchPoint(omega_obs=omega_obs, k0=k_root)
+    omega = np.asarray(omega_obs, dtype=float)
+    flat = omega.ravel()
+    kz_p = dm.kz_pump_grid(crystal.pump_center_omega, 0.0, 0.0, crystal)
+    k0 = [_solve_block(flat[i:i + _SCAN_ROWS], crystal, kz_p)
+          for i in range(0, flat.size, _SCAN_ROWS)]
+    return np.concatenate(k0).reshape(omega.shape) if k0 else np.full(omega.shape, np.nan)
 
 
-def exterior_angle(omega_obs: float, k_trans: float) -> float:
+def exterior_angle(omega_obs, k_trans):
     """Propagation angle [rad] outside the crystal after exit-face refraction."""
-    ratio = C_LIGHT * k_trans / omega_obs
-    if ratio > 1.0:
+    ratio = C_LIGHT * np.asarray(k_trans) / omega_obs
+    if np.any(ratio > 1.0):
         raise TotalInternalReflection(
-            f"c*k/omega = {ratio:.4f} > 1, component cannot leave the crystal")
-    return float(np.arcsin(ratio))
+            f"c*k/omega = {np.max(ratio):.4f} > 1, component cannot leave the crystal")
+    return np.arcsin(ratio)
 
 
-def linearize(omega_obs: float, crystal: dm.CrystalSpec) -> LinearizedCoeffs:
-    """Expansion coefficients of the mismatch at the matched point for omega_obs.
+def linearize(omega_obs, k0, crystal: dm.CrystalSpec) -> LinearizedCoeffs:
+    """Expansion coefficients of the mismatch at the matched points (omega_obs, k0).
 
-    Each coefficient is the difference of a pump derivative at the central
-    pump component and a fluorescence derivative at the signal point
-    (w, k0, 0) or the idler point (2w0 - w, -k0, 0).  Raises NoPhaseMatch when
-    the matched point does not exist.
+    Each coefficient is the difference of a pump slope at the central pump
+    component and a fluorescence slope at the signal point (w, k0, 0) or the
+    idler point (2w0 - w, -k0, 0), all in closed form (dispersion.kz_slopes).
+    Broadcasts over arrays; raises NoPhaseMatch where k0 is NaN (no matched
+    point, see perfect_curve).
     """
-    pm = perfect_curve(omega_obs, crystal)
-    if pm is None:
-        raise NoPhaseMatch(f"no matched transverse wavevector at omega={omega_obs:.6g}")
-    kappa0 = dm.SpectralPoint(omega_obs, pm.k0, 0.0)
-    kappa0p = dm.SpectralPoint(crystal.pump_center_omega - omega_obs, -pm.k0, 0.0)
-    pump0 = dm.SpectralPoint(crystal.pump_center_omega, 0.0, 0.0)
-
-    beta1_pump = dm.d_kz_d_omega("pump", pump0, crystal)
-    rho_pump_x = dm.d_kz_d_ktrans("pump", "x", pump0, crystal)
-    rho_pump_y = dm.d_kz_d_ktrans("pump", "y", pump0, crystal)
-
+    omega = np.asarray(omega_obs, dtype=float)
+    k0 = np.asarray(k0, dtype=float)
+    if np.any(np.isnan(k0)):
+        bad = np.broadcast_to(omega, k0.shape)[np.isnan(k0)].flat[0]
+        raise NoPhaseMatch(f"no matched transverse wavevector at omega={bad:.6g}")
+    omega_idler = crystal.pump_center_omega - omega
+    beta1_pump, rho_pump_x, rho_pump_y = dm.kz_slopes(
+        "pump", crystal.pump_center_omega, 0.0, 0.0, crystal)
+    _, rho_sig_x, rho_sig_y = dm.kz_slopes("signal", omega, k0, 0.0, crystal)
+    beta1_idl, rho_idl_x, rho_idl_y = dm.kz_slopes("signal", omega_idler, -k0, 0.0,
+                                                   crystal)
     return LinearizedCoeffs(
-        omega_obs=omega_obs,
-        omega_idler=kappa0p.omega,
-        k0=pm.k0,
-        d_beta1=beta1_pump - dm.d_kz_d_omega("signal", kappa0p, crystal),
-        d_rho_x=rho_pump_x - dm.d_kz_d_ktrans("signal", "x", kappa0, crystal),
-        d_rho_y=rho_pump_y - dm.d_kz_d_ktrans("signal", "y", kappa0, crystal),
-        d_rho_px=rho_pump_x - dm.d_kz_d_ktrans("signal", "x", kappa0p, crystal),
-        d_rho_py=rho_pump_y - dm.d_kz_d_ktrans("signal", "y", kappa0p, crystal),
+        omega_obs=omega,
+        omega_idler=omega_idler,
+        k0=k0,
+        d_beta1=beta1_pump - beta1_idl,
+        d_rho_x=rho_pump_x - rho_sig_x,
+        d_rho_y=rho_pump_y - rho_sig_y,
+        d_rho_px=rho_pump_x - rho_idl_x,
+        d_rho_py=rho_pump_y - rho_idl_y,
     )
 
 
@@ -175,32 +191,32 @@ def delta_k_linearized(coeffs: LinearizedCoeffs, kx, ky, omega_prime, kxp, kyp):
             + coeffs.d_rho_py * np.asarray(kyp))
 
 
+@dataclass(frozen=True)
+class ScanRow:
+    lambda_nm: float
+    k0: float | None
+    alpha_ext: float | None
+    coeffs: LinearizedCoeffs | None
+
+
 def scan_curve(lambda_lo_nm: float, lambda_hi_nm: float, n_points: int,
                crystal: dm.CrystalSpec):
     """Tabulate the matched surface over a wavelength grid [nm].
 
-    Returns one row per grid wavelength: (lambda_nm, PhaseMatchPoint or None,
-    exterior angle [rad] or None, LinearizedCoeffs or None).
+    One root solve and one linearization for the whole grid; returns one
+    ScanRow per grid wavelength, with None entries where the surface has no
+    point.
     """
-    rows = []
-    for lam_nm in np.linspace(lambda_lo_nm, lambda_hi_nm, n_points):
-        omega = 2.0 * np.pi * C_LIGHT / (lam_nm * 1e-9)
-        pm = perfect_curve(omega, crystal)
-        if pm is None:
-            rows.append(ScanRow(lam_nm, None, None, None))
-            continue
-        alpha = exterior_angle(omega, pm.k0)
-        coeffs = linearize(omega, crystal)
-        rows.append(ScanRow(lam_nm, pm, alpha, coeffs))
+    lams = np.linspace(lambda_lo_nm, lambda_hi_nm, n_points)
+    omega = 2.0 * np.pi * C_LIGHT / (lams * 1e-9)
+    k0 = perfect_curve(omega, crystal)
+    ok = np.flatnonzero(np.isfinite(k0))
+    alpha = exterior_angle(omega[ok], k0[ok])
+    coeffs = linearize(omega[ok], k0[ok], crystal)
+    rows = [ScanRow(lam, None, None, None) for lam in lams]
+    for j, i in enumerate(ok):
+        rows[i] = ScanRow(lams[i], float(k0[i]), float(alpha[j]), coeffs.row(j))
     return rows
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    lambda_nm: float
-    point: PhaseMatchPoint | None
-    alpha_ext: float | None
-    coeffs: LinearizedCoeffs | None
 
 
 def write_scan_csv(rows, fileobj) -> None:
@@ -209,12 +225,12 @@ def write_scan_csv(rows, fileobj) -> None:
     writer.writerow(["lambda_nm", "k0_rad_per_m", "alpha_ext_deg",
                      "d_beta1_s_per_m", "d_rho_px", "d_rho_py"])
     for row in rows:
-        if row.point is None:
+        if row.k0 is None:
             writer.writerow([f"{row.lambda_nm:.6f}", "", "", "", "", ""])
         else:
             writer.writerow([
                 f"{row.lambda_nm:.6f}",
-                f"{row.point.k0:.6e}",
+                f"{row.k0:.6e}",
                 f"{np.rad2deg(row.alpha_ext):.6f}",
                 f"{row.coeffs.d_beta1:.6e}",
                 f"{row.coeffs.d_rho_px:.6e}",

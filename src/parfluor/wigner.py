@@ -162,6 +162,16 @@ def _mode_frequencies(grid: SimulationGrid, carrier: float):
     return carrier + w_env, kx, ky
 
 
+def _pump_spectrum0(pump: pt.PumpSpec, grid: SimulationGrid) -> np.ndarray:
+    """Gaussian pump envelope at the entrance face, in the spectral domain."""
+    t, x, y = grid.position_axes()
+    envelope = (pump.a0
+                * np.exp(-0.5 * (t / pump.tau_p) ** 2)[:, None, None]
+                * np.exp(-0.5 * (x / pump.w_p) ** 2)[None, :, None]
+                * np.exp(-0.5 * (y / pump.w_p) ** 2)[None, None, :])
+    return to_spectral(envelope.astype(np.complex128))
+
+
 class _Propagator:
     """Precomputed phase tables and the split-step loop for one configuration."""
 
@@ -188,11 +198,8 @@ class _Propagator:
         # common reference: carrier wavevector plus the pump's group slowness
         # and transverse walk-off, one share per fluorescence photon; the
         # pair mismatch is invariant under this shift
-        carrier = dm.SpectralPoint(grid.omega_center, 0.0, 0.0)
-        pump_carrier = dm.SpectralPoint(pump.omega_center, 0.0, 0.0)
-        k_ref = dm.kz_signal(carrier, crystal)
-        beta_ref = dm.d_kz_d_omega("pump", pump_carrier, crystal)
-        rho_ref = dm.d_kz_d_ktrans("pump", "x", pump_carrier, crystal)
+        k_ref = dm.kz_signal_grid(grid.omega_center, 0.0, 0.0, crystal)
+        beta_ref, rho_ref, _ = dm.kz_slopes("pump", pump.omega_center, 0.0, 0.0, crystal)
 
         phase_sig = (kz_sig - k_ref
                      - beta_ref * (w_sig[:, None, None] - grid.omega_center)
@@ -206,13 +213,7 @@ class _Propagator:
         self.full_linear = np.exp(1.0j * phase_sig * self.dz).astype(cdtype)
         self.pump_step = np.exp(1.0j * phase_pmp * self.dz).astype(np.complex128)
         self.pump_half = np.exp(0.5j * phase_pmp * self.dz)
-
-        t, x, y = grid.position_axes()
-        envelope = (pump.a0
-                    * np.exp(-0.5 * (t / pump.tau_p) ** 2)[:, None, None]
-                    * np.exp(-0.5 * (x / pump.w_p) ** 2)[None, :, None]
-                    * np.exp(-0.5 * (y / pump.w_p) ** 2)[None, None, :])
-        self.pump_spectral0 = to_spectral(envelope.astype(np.complex128))
+        self.pump_spectral0 = _pump_spectrum0(pump, grid)
 
     def _bogoliubov_tables(self, pump_pos):
         """cosh and phased sinh of |g| dz for the pointwise two-quadrature step."""
@@ -265,12 +266,7 @@ def pump_field_at(z: float, pump: pt.PumpSpec, crystal: dm.CrystalSpec,
     w_pmp, kx, ky = _mode_frequencies(grid, pump.omega_center)
     kz = dm.kz_pump_grid(w_pmp[:, None, None], kx[None, :, None], ky[None, None, :],
                          crystal)
-    t, x, y = grid.position_axes()
-    envelope = (pump.a0
-                * np.exp(-0.5 * (t / pump.tau_p) ** 2)[:, None, None]
-                * np.exp(-0.5 * (x / pump.w_p) ** 2)[None, :, None]
-                * np.exp(-0.5 * (y / pump.w_p) ** 2)[None, None, :])
-    spec = to_spectral(envelope.astype(np.complex128)) * np.exp(1j * kz * z)
+    spec = _pump_spectrum0(pump, grid) * np.exp(1j * kz * z)
     return ComplexField(data=to_position(spec), domain="position", z=z)
 
 
@@ -291,41 +287,49 @@ def estimate_flux(fields) -> tuple[np.ndarray, np.ndarray]:
     Returns (flux, stderr); stderr is NaN with a single realization.
     Accepts a sequence of spectral ComplexFields or a stacked ndarray.
     """
-    if isinstance(fields, np.ndarray):
-        stack = fields
-    else:
-        stack = np.stack([f.data for f in fields])
-    mags = _mag_squared(stack)
-    n = mags.shape[0]
-    flux = mags.mean(axis=0) - 0.5
-    if n > 1:
-        stderr = mags.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        stderr = np.full(flux.shape, np.nan)
-    return flux, stderr
+    stack = fields if isinstance(fields, np.ndarray) else np.stack([f.data for f in fields])
+    acc = _FluxAccumulator(stack.shape[1:])
+    acc.add(_mag_squared(stack))
+    return acc.mean() - 0.5, acc.stderr()
 
 
 class _FluxAccumulator:
-    """Streaming per-mode mean and standard error over realizations."""
+    """Streaming per-mode mean and standard error over realizations.
+
+    Works on deviations from each mode's first value, whose per-chunk means
+    and sums of squared deviations (M2) are merged by Chan's parallel update.
+    sum(x^2) - sum(x)^2/n would instead cancel catastrophically where the
+    mean is large against the spread, as at high gain; the shift keeps the
+    merged means small there, so their rounding does not enter M2 either.
+    """
 
     def __init__(self, shape):
         self.n = 0
-        self.sum = np.zeros(shape)
-        self.sumsq = np.zeros(shape)
+        self.shift = None
+        self.dev_mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
 
     def add(self, values: np.ndarray) -> None:
-        self.n += values.shape[0]
-        self.sum += values.sum(axis=0)
-        self.sumsq += (values * values).sum(axis=0)
+        if self.shift is None:
+            self.shift = values[0].copy()
+        dev = values - self.shift
+        n_chunk = dev.shape[0]
+        mean_chunk = dev.mean(axis=0)
+        dev -= mean_chunk
+        m2_chunk = np.square(dev, out=dev).sum(axis=0)
+        n = self.n + n_chunk
+        delta = mean_chunk - self.dev_mean
+        self.dev_mean += delta * (n_chunk / n)
+        self.m2 += m2_chunk + delta * delta * (self.n * n_chunk / n)
+        self.n = n
 
     def mean(self):
-        return self.sum / self.n
+        return self.shift + self.dev_mean
 
     def stderr(self):
         if self.n < 2:
-            return np.full(self.sum.shape, np.nan)
-        var = (self.sumsq - self.sum**2 / self.n) / (self.n - 1)
-        return np.sqrt(np.maximum(var, 0.0) / self.n)
+            return np.full(self.m2.shape, np.nan)
+        return np.sqrt(self.m2 / (self.n - 1) / self.n)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parfluor import cli
@@ -86,6 +87,54 @@ class TestPhasematchCommand:
                     "wall_time_s", "outputs"):
             assert key in manifest
         assert manifest["outputs"] == ["phasematch.csv"]
+
+
+    @pytest.mark.parametrize("theta", [29.0, 31.3, 35.0, 40.0])
+    def test_dense_grid_reaches_light_cone_without_error(self, tmp_path, theta):
+        # 648.4989993328886 nm, point 318 of this grid, once put the end of
+        # the root scan a rounding error past the idler light cone
+        code = cli.main(["phasematch", "--set", f"crystal.theta_deg={theta}",
+                         "--set", "phasematch.n_points=1500", "--out", str(tmp_path)])
+        assert code == 0
+
+    def test_single_fault_wavelength(self, tmp_path):
+        lam = "648.4989993328886"
+        code = cli.main(["phasematch", "--set", "crystal.theta_deg=29.0",
+                         "--set", f"phasematch.lambda_min_nm={lam}",
+                         "--set", f"phasematch.lambda_max_nm={lam}",
+                         "--set", "phasematch.n_points=1", "--out", str(tmp_path)])
+        assert code == 0
+        assert read_csv(tmp_path / "phasematch.csv")[0]["k0_rad_per_m"]
+
+
+GOLDEN = Path(__file__).parent / "data"
+# the reference files were written with finite-difference slopes: k0 and the
+# angle come from a root solve to 1e-6 rad/m either way, while d_beta1, d_rho
+# and the flux carry the finite differences' error, about 1e-7 relative
+EXACT_COLUMNS = ("lambda_nm", "k0_rad_per_m", "alpha_ext_deg")
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("command, name", [
+        (["phasematch", "--set", "phasematch.n_points=41"], "phasematch.csv"),
+        (["pert-flux", "--method", "closed_form", "--set", "pert_flux.n_points=41"],
+         "pert_flux_closed_form.csv"),
+    ])
+    def test_matches_reference_output(self, tmp_path, command, name):
+        assert cli.main(command + ["--set", "crystal.theta_deg=31.3",
+                                   "--out", str(tmp_path)]) == 0
+        new = read_csv(tmp_path / name)
+        ref = read_csv(GOLDEN / name)
+        assert len(new) == len(ref) == 41
+        assert [list(r) for r in new] == [list(r) for r in ref]
+        for got, want in zip(new, ref):
+            for key, value in want.items():
+                if key == "method" or value == "":
+                    assert got[key] == value
+                    continue
+                rtol = 1e-9 if key in EXACT_COLUMNS else 1e-6
+                np.testing.assert_allclose(float(got[key]), float(value), rtol=rtol,
+                                           atol=0, err_msg=f"{name} {key}")
 
 
 class TestPertFluxCommand:

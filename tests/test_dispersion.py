@@ -53,20 +53,30 @@ class TestSellmeierIndices:
 class TestKzSignal:
     def test_collinear_identity(self, bbo29):
         w = omega_of_nm(800)
-        kz = dm.kz_signal(dm.SpectralPoint(w), bbo29)
+        kz = dm.kz_signal_grid(w, 0.0, 0.0, bbo29)
         assert kz == pytest.approx(float(dm.index_ordinary(w, bbo29)) * w / C_LIGHT, rel=1e-14)
 
     def test_grazing_limit(self, bbo29):
         w = omega_of_nm(800)
         kmax = float(dm.index_ordinary(w, bbo29)) * w / C_LIGHT
-        kz = dm.kz_signal(dm.SpectralPoint(w, kmax, 0.0), bbo29)
+        kz = dm.kz_signal_grid(w, kmax, 0.0, bbo29)
         assert kz == pytest.approx(0.0, abs=1e-3)
+
+    def test_light_cone_rounding_is_not_evanescent(self):
+        # the squares of an array and of a scalar can differ in the last ulp,
+        # so an array point exactly at k_max may round past the cone; this
+        # crystal and frequency (the CLI's 400.0 nm pump) are such a case
+        crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400.0 * 1e-9)
+        w = crystal.pump_center_omega - omega_of_nm(648.4989993328886)
+        kmax = float(dm.index_ordinary(w, crystal)) * w / C_LIGHT
+        kz = dm.kz_signal_grid(w, np.linspace(0.0, kmax, 512), 0.0, crystal)
+        assert kz[-1] == 0.0
 
     def test_evanescent_raises(self, bbo29):
         w = omega_of_nm(800)
         kmax = float(dm.index_ordinary(w, bbo29)) * w / C_LIGHT
         with pytest.raises(EvanescentMode):
-            dm.kz_signal(dm.SpectralPoint(w, 1.001 * kmax, 0.0), bbo29)
+            dm.kz_signal_grid(w, 1.001 * kmax, 0.0, bbo29)
 
     @given(st.floats(500, 1200), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
     @settings(max_examples=40, deadline=None)
@@ -74,9 +84,9 @@ class TestKzSignal:
         crystal = _session_crystal()
         w = omega_of_nm(lam_nm)
         kscale = w / C_LIGHT
-        kz0 = dm.kz_signal(dm.SpectralPoint(w, fx * kscale, fy * kscale), crystal)
-        assert dm.kz_signal(dm.SpectralPoint(w, -fx * kscale, fy * kscale), crystal) == kz0
-        assert dm.kz_signal(dm.SpectralPoint(w, fx * kscale, -fy * kscale), crystal) == kz0
+        kz0 = dm.kz_signal_grid(w, fx * kscale, fy * kscale, crystal)
+        assert dm.kz_signal_grid(w, -fx * kscale, fy * kscale, crystal) == kz0
+        assert dm.kz_signal_grid(w, fx * kscale, -fy * kscale, crystal) == kz0
 
 
 _CRYSTAL_CACHE = {}
@@ -93,12 +103,12 @@ class TestKzPump:
     def test_near_zero_cut_reduces_to_ordinary(self):
         crystal = dm.make_crystal(theta_cut=1e-9, length=2e-3, pump_wavelength=400e-9)
         w = omega_of_nm(400)
-        kz = dm.kz_pump(dm.SpectralPoint(w), crystal)
+        kz = dm.kz_pump_grid(w, 0.0, 0.0, crystal)
         assert kz == pytest.approx(float(dm.index_ordinary(w, crystal)) * w / C_LIGHT, rel=1e-9)
 
     def test_effective_index_at_29deg(self, bbo29):
         w = omega_of_nm(400)
-        kz = dm.kz_pump(dm.SpectralPoint(w), bbo29)
+        kz = dm.kz_pump_grid(w, 0.0, 0.0, bbo29)
         n_eff = kz * C_LIGHT / w
         assert n_eff == pytest.approx(1.6614, abs=2e-3)
         # degenerate collinear matching: effective pump index ~ n_o(800 nm)
@@ -120,8 +130,8 @@ class TestKzPump:
     def test_parity_in_ky(self, bbo29):
         w = omega_of_nm(400)
         k = 0.05 * w / C_LIGHT
-        up = dm.kz_pump(dm.SpectralPoint(w, 0.1 * k, k), bbo29)
-        dn = dm.kz_pump(dm.SpectralPoint(w, 0.1 * k, -k), bbo29)
+        up = dm.kz_pump_grid(w, 0.1 * k, k, bbo29)
+        dn = dm.kz_pump_grid(w, 0.1 * k, -k, bbo29)
         assert up == dn
 
     def test_forward_root_continuity_along_scan(self, bbo29):
@@ -133,30 +143,51 @@ class TestKzPump:
         assert np.max(steps) < 5 * np.median(steps) + 1e3
 
 
+def richardson(f, x0, h):
+    """Central difference with one Richardson extrapolation step, O(h^4)."""
+    def central(step):
+        return (f(x0 + step) - f(x0 - step)) / (2.0 * step)
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
 class TestDerivatives:
     def test_signal_slowness_vs_symbolic(self, bbo29):
         for lam in (600, 800, 1000):
-            fd = dm.d_kz_d_omega("signal", dm.SpectralPoint(omega_of_nm(lam)), bbo29)
+            beta1, _, _ = dm.kz_slopes("signal", omega_of_nm(lam), 0.0, 0.0, bbo29)
             sym = sympy_sellmeier_kz_derivative(bbo29.sellmeier_o, lam)
-            assert fd == pytest.approx(sym, rel=1e-6)
+            assert beta1 == pytest.approx(sym, rel=1e-6)
 
     def test_pump_vs_signal_slowness_gap_at_degeneracy(self, bbo29):
-        b1p = dm.d_kz_d_omega("pump", dm.SpectralPoint(omega_of_nm(400)), bbo29)
-        b1s = dm.d_kz_d_omega("signal", dm.SpectralPoint(omega_of_nm(800)), bbo29)
+        b1p = dm.kz_slopes("pump", omega_of_nm(400), 0.0, 0.0, bbo29)[0]
+        b1s = dm.kz_slopes("signal", omega_of_nm(800), 0.0, 0.0, bbo29)[0]
         diff = b1p - b1s
         assert np.isfinite(diff)
         assert abs(diff) > 1e-11  # slowness curves do not cross at 800 nm
 
     def test_richardson_step_stability(self, bbo29):
-        kappa = dm.SpectralPoint(omega_of_nm(800), 2e5, 1e5)
-        d1 = dm.d_kz_d_omega("signal", kappa, bbo29, rel_step=1e-6)
-        d2 = dm.d_kz_d_omega("signal", kappa, bbo29, rel_step=2e-6)
-        assert abs(d2 - d1) / abs(d1) < 1e-8
+        # closed-form slopes against Richardson-extrapolated central
+        # differences at two steps, off axis in both transverse directions
+        for ray, lam, kz in (("signal", 800, dm.kz_signal_grid),
+                             ("pump", 400, dm.kz_pump_grid)):
+            self._check_slopes_vs_richardson(ray, omega_of_nm(lam), kz, bbo29)
+
+    @staticmethod
+    def _check_slopes_vs_richardson(ray, w, kz, crystal):
+        kx, ky = 2e5, 1e5
+        beta1, rho_x, rho_y = dm.kz_slopes(ray, w, kx, ky, crystal)
+        kscale = float(dm.index_ordinary(w, crystal)) * w / C_LIGHT
+        for rel_step in (1e-6, 2e-6):
+            fd_w = richardson(lambda x: kz(x, kx, ky, crystal), w, rel_step * w)
+            fd_x = richardson(lambda x: kz(w, x, ky, crystal), kx, rel_step * kscale)
+            fd_y = richardson(lambda x: kz(w, kx, x, crystal), ky, rel_step * kscale)
+            assert beta1 == pytest.approx(fd_w, rel=1e-8)
+            assert rho_x == pytest.approx(fd_x, rel=1e-6)
+            assert rho_y == pytest.approx(fd_y, rel=1e-6)
 
     def test_signal_walkoff_zero_on_axis(self, bbo29):
-        kappa = dm.SpectralPoint(omega_of_nm(800))
-        assert dm.d_kz_d_ktrans("signal", "x", kappa, bbo29) == pytest.approx(0.0, abs=1e-12)
-        assert dm.d_kz_d_ktrans("signal", "y", kappa, bbo29) == pytest.approx(0.0, abs=1e-12)
+        _, rho_x, rho_y = dm.kz_slopes("signal", omega_of_nm(800), 0.0, 0.0, bbo29)
+        assert rho_x == pytest.approx(0.0, abs=1e-12)
+        assert rho_y == pytest.approx(0.0, abs=1e-12)
 
     def test_pump_walkoff_vs_implicit_differentiation(self, bbo29):
         # oracle: implicit differentiation of the e-ray relation at kx=ky=0
@@ -166,13 +197,13 @@ class TestDerivatives:
         A, B = 1.0 / n_e**2, 1.0 / n_o**2
         ct, st_ = np.cos(bbo29.theta_cut), np.sin(bbo29.theta_cut)
         oracle = -ct * st_ * (A - B) / (A * st_**2 + B * ct**2)
-        fd = dm.d_kz_d_ktrans("pump", "x", dm.SpectralPoint(w), bbo29)
-        assert fd == pytest.approx(oracle, rel=1e-6)
-        assert -0.08 < fd < -0.06
+        rho_x = dm.kz_slopes("pump", w, 0.0, 0.0, bbo29)[1]
+        assert rho_x == pytest.approx(oracle, rel=1e-12)
+        assert -0.08 < rho_x < -0.06
 
     def test_pump_walkoff_y_zero(self, bbo29):
-        fd = dm.d_kz_d_ktrans("pump", "y", dm.SpectralPoint(omega_of_nm(400)), bbo29)
-        assert fd == pytest.approx(0.0, abs=1e-12)
+        rho_y = dm.kz_slopes("pump", omega_of_nm(400), 0.0, 0.0, bbo29)[2]
+        assert rho_y == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMaterialLoading:
@@ -188,6 +219,21 @@ class TestMaterialLoading:
         crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9, material=path)
         w = omega_of_nm(800)
         assert dm.index_ordinary(w, crystal) == dm.index_ordinary(w, bbo29)
+
+    def test_data_dir_env_lookup(self, tmp_path, monkeypatch):
+        shipped = dm.load_material("bbo")
+        (tmp_path / "envbbo.json").write_text(json.dumps({
+            "name": "BBO-env",
+            "sellmeier_o": {"b0": 2.7405, "b1": 0.0184, "c1": 0.0179, "b2": 0.0155},
+            "sellmeier_e": {"b0": 2.3730, "b1": 0.0128, "c1": 0.0156, "b2": 0.0044},
+        }))
+        monkeypatch.setenv(dm.DATA_DIR_ENV, str(tmp_path))
+        assert dm.load_material("envbbo")["name"] == "BBO-env"
+        # names absent from the directory fall through to the shipped data
+        assert dm.load_material("bbo") == shipped
+        monkeypatch.delenv(dm.DATA_DIR_ENV)
+        with pytest.raises(FileNotFoundError):
+            dm.load_material("envbbo")
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -19,6 +19,16 @@ def pump60_80():
                        l_nl=20e-3)
 
 
+def coeffs_at(lam_nm, crystal):
+    omega = omega_of_nm(lam_nm)
+    return pmm.linearize(omega, pmm.perfect_curve(omega, crystal), crystal)
+
+
+def on_surface(lam_nm, crystal):
+    omega = omega_of_nm(lam_nm)
+    return dm.SpectralPoint(omega, float(pmm.perfect_curve(omega, crystal)), 0.0)
+
+
 def synthetic_coeffs(d_beta1=0.0, d_rho_px=0.0, d_rho_py=0.0):
     return pmm.LinearizedCoeffs(
         omega_obs=omega_of_nm(800), omega_idler=omega_of_nm(800), k0=0.0,
@@ -52,47 +62,46 @@ class TestPumpSpectrum:
 
 class TestClosedForm:
     def test_zero_walkoff_reduction(self, bbo29, pump60_80):
-        flux = pt.flux_from_coeffs(synthetic_coeffs(), bbo29, pump60_80)
+        flux = pt.flux_closed_form(synthetic_coeffs(), bbo29, pump60_80)
         expected = (pump60_80.w_p**2 * pump60_80.tau_p / (4 * np.pi**1.5)
                     * (bbo29.length / pump60_80.l_nl) ** 2 * 0.5)
         assert flux == pytest.approx(expected, rel=1e-14)
 
     def test_monotone_in_temporal_walkoff(self, bbo29, pump60_80):
         betas = np.linspace(0, 5e-10, 12)
-        fluxes = [pt.flux_from_coeffs(synthetic_coeffs(d_beta1=b), bbo29, pump60_80)
-                  for b in betas]
+        fluxes = pt.flux_closed_form(synthetic_coeffs(d_beta1=betas), bbo29, pump60_80)
+        assert fluxes.shape == betas.shape
         assert np.all(np.diff(fluxes) < 0)
-        down = pt.flux_from_coeffs(synthetic_coeffs(d_beta1=-3e-10), bbo29, pump60_80)
-        up = pt.flux_from_coeffs(synthetic_coeffs(d_beta1=3e-10), bbo29, pump60_80)
+        down = pt.flux_closed_form(synthetic_coeffs(d_beta1=-3e-10), bbo29, pump60_80)
+        up = pt.flux_closed_form(synthetic_coeffs(d_beta1=3e-10), bbo29, pump60_80)
         assert down == up  # depends on |d_beta1| only
 
     def test_gain_scaling_exact(self, bbo313, pump60_80):
         half = pt.PumpSpec(tau_p=pump60_80.tau_p, w_p=pump60_80.w_p,
                            omega_center=pump60_80.omega_center, l_nl=10e-3)
-        f1 = pt.flux_closed_form(omega_of_nm(700), bbo313, pump60_80).flux
-        f2 = pt.flux_closed_form(omega_of_nm(700), bbo313, half).flux
+        f1 = pt.flux_closed_form(coeffs_at(700, bbo313), bbo313, pump60_80)
+        f2 = pt.flux_closed_form(coeffs_at(700, bbo313), bbo313, half)
         assert f2 / f1 == pytest.approx(4.0, rel=1e-14)
 
     def test_no_phase_match_error(self, bbo29, pump60_80):
         # inside the theta=29.0 degeneracy gap the matched point is absent
         with pytest.raises(NoPhaseMatch):
-            pt.flux_closed_form(omega_of_nm(800), bbo29, pump60_80)
+            pt.flux_closed_form(coeffs_at(800, bbo29), bbo29, pump60_80)
 
 
 class TestQuadratures:
     def test_gaussianized_matches_closed_form(self, bbo313, pump60_80):
         for lam in (600, 760, 1000):
-            cf = pt.flux_closed_form(omega_of_nm(lam), bbo313, pump60_80).flux
-            point = pmm.perfect_curve(omega_of_nm(lam), bbo313)
-            kappa = dm.SpectralPoint(omega_of_nm(lam), point.k0, 0.0)
-            fg = pt.flux_quadrature_gaussianized(kappa, bbo313, pump60_80).flux
+            coeffs = coeffs_at(lam, bbo313)
+            cf = pt.flux_closed_form(coeffs, bbo313, pump60_80)
+            kappa = on_surface(lam, bbo313)
+            fg = pt.flux_quadrature_gaussianized(kappa, coeffs, bbo313, pump60_80).flux
             assert fg == pytest.approx(cf, rel=0.01)
 
     def test_exact_within_25pct_of_closed_form(self, bbo313, pump60_80):
         for lam in (600, 760, 1000):
-            cf = pt.flux_closed_form(omega_of_nm(lam), bbo313, pump60_80).flux
-            point = pmm.perfect_curve(omega_of_nm(lam), bbo313)
-            kappa = dm.SpectralPoint(omega_of_nm(lam), point.k0, 0.0)
+            cf = pt.flux_closed_form(coeffs_at(lam, bbo313), bbo313, pump60_80)
+            kappa = on_surface(lam, bbo313)
             fe = pt.flux_quadrature_exact(kappa, bbo313, pump60_80).flux
             assert abs(cf / fe - 1) < 0.25
 
@@ -100,25 +109,24 @@ class TestQuadratures:
         double = pt.PumpSpec(tau_p=pump60_80.tau_p, w_p=pump60_80.w_p,
                              omega_center=pump60_80.omega_center,
                              l_nl=pump60_80.l_nl, a0=2.0)
-        point = pmm.perfect_curve(omega_of_nm(700), bbo313)
-        kappa = dm.SpectralPoint(omega_of_nm(700), point.k0, 0.0)
+        kappa = on_surface(700, bbo313)
         f1 = pt.flux_quadrature_exact(kappa, bbo313, pump60_80).flux
         f2 = pt.flux_quadrature_exact(kappa, bbo313, double).flux
         assert f2 / f1 == pytest.approx(4.0, rel=1e-12)
 
     def test_far_off_surface_suppression(self, bbo313, pump60_80):
         lam = 700
-        point = pmm.perfect_curve(omega_of_nm(lam), bbo313)
+        k0 = float(pmm.perfect_curve(omega_of_nm(lam), bbo313))
         on = pt.flux_quadrature_exact(
-            dm.SpectralPoint(omega_of_nm(lam), point.k0, 0.0), bbo313, pump60_80).flux
+            dm.SpectralPoint(omega_of_nm(lam), k0, 0.0), bbo313, pump60_80).flux
         off = pt.flux_quadrature_exact(
-            dm.SpectralPoint(omega_of_nm(lam), 0.55 * point.k0, 0.0), bbo313,
+            dm.SpectralPoint(omega_of_nm(lam), 0.55 * k0, 0.0), bbo313,
             pump60_80).flux
         assert off < 1e-3 * on
 
     def test_mirror_symmetry_of_exact_quadrature(self, bbo313, pump60_80):
-        point = pmm.perfect_curve(omega_of_nm(760), bbo313)
-        kx, ky = point.k0 * 0.6, point.k0 * 0.8
+        k0 = float(pmm.perfect_curve(omega_of_nm(760), bbo313))
+        kx, ky = k0 * 0.6, k0 * 0.8
         f_up = pt.flux_quadrature_exact(dm.SpectralPoint(omega_of_nm(760), kx, ky),
                                         bbo313, pump60_80).flux
         f_dn = pt.flux_quadrature_exact(dm.SpectralPoint(omega_of_nm(760), -kx, -ky),
@@ -129,16 +137,15 @@ class TestQuadratures:
         # localized integrand: linearization exact, only the sinc mass ratio remains
         wide = pt.PumpSpec(tau_p=600e-15, w_p=800e-6, omega_center=omega_of_nm(400),
                            l_nl=20e-3)
-        point = pmm.perfect_curve(omega_of_nm(700), bbo313)
-        kappa = dm.SpectralPoint(omega_of_nm(700), point.k0, 0.0)
+        kappa = on_surface(700, bbo313)
         fe = pt.flux_quadrature_exact(kappa, bbo313, wide).flux
-        fg = pt.flux_quadrature_gaussianized(kappa, bbo313, wide).flux
+        fg = pt.flux_quadrature_gaussianized(kappa, coeffs_at(700, bbo313), bbo313,
+                                             wide).flux
         assert fg / fe == pytest.approx(1.0, abs=0.05)
 
     def test_not_converged(self, bbo313, pump60_80):
         strict = pt.QuadratureSpec(n_init=4, max_doublings=1, rel_tol=1e-12)
-        point = pmm.perfect_curve(omega_of_nm(700), bbo313)
-        kappa = dm.SpectralPoint(omega_of_nm(700), point.k0, 0.0)
+        kappa = on_surface(700, bbo313)
         with pytest.raises(NotConverged):
             pt.flux_quadrature_exact(kappa, bbo313, pump60_80, strict)
 

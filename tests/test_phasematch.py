@@ -39,31 +39,49 @@ class TestDeltaK:
         assert pm.delta_k(a, b, bbo313) == pm.delta_k(am, bm, bbo313)
 
 
+def linearize_at(omega, crystal):
+    return pm.linearize(omega, pm.perfect_curve(omega, crystal), crystal)
+
+
 class TestPerfectCurve:
     def test_degenerate_cut_touches_axis(self):
         # crystal cut exactly at the collinear degeneracy angle
         crystal = dm.make_crystal(_degenerate_angle() + 1e-8, 2e-3, 400e-9)
-        point = pm.perfect_curve(omega_of_nm(800), crystal)
-        assert point is not None
-        assert point.k0 < 1e4
+        k0 = pm.perfect_curve(omega_of_nm(800), crystal)
+        assert np.isfinite(k0)
+        assert k0 < 1e4
 
     def test_40deg_exterior_angle_range(self, bbo40):
-        point = pm.perfect_curve(omega_of_nm(800), bbo40)
-        alpha = np.rad2deg(pm.exterior_angle(omega_of_nm(800), point.k0))
+        k0 = pm.perfect_curve(omega_of_nm(800), bbo40)
+        alpha = np.rad2deg(pm.exterior_angle(omega_of_nm(800), k0))
         assert 15 < alpha < 25
 
     def test_gap_is_reported_as_none(self, bbo29):
         # theta = 29.00 deg sits just below degeneracy: no matched point at 800
-        assert pm.perfect_curve(omega_of_nm(800), bbo29) is None
+        assert np.isnan(pm.perfect_curve(omega_of_nm(800), bbo29))
 
     def test_residual_of_returned_roots(self, bbo313):
-        for lam in np.linspace(520, 1200, 15):
-            point = pm.perfect_curve(omega_of_nm(lam), bbo313)
-            assert point is not None
-            kappa = dm.SpectralPoint(point.omega_obs, point.k0, 0.0)
-            idler = dm.SpectralPoint(bbo313.pump_center_omega - point.omega_obs,
-                                     -point.k0, 0.0)
-            assert abs(pm.delta_k(kappa, idler, bbo313)) < 1e-3
+        omega = omega_of_nm(np.linspace(520, 1200, 15))
+        k0 = pm.perfect_curve(omega, bbo313)
+        assert k0.shape == omega.shape
+        assert np.all(np.isfinite(k0))
+        kappa = dm.SpectralPoint(omega, k0, 0.0)
+        idler = dm.SpectralPoint(bbo313.pump_center_omega - omega, -k0, 0.0)
+        assert np.max(np.abs(pm.delta_k(kappa, idler, bbo313))) < 1e-3
+
+    def test_array_solve_matches_one_wavelength_at_a_time(self, bbo29):
+        # the 29 deg cut has a gap around 800 nm, so both kinds of rows occur
+        omega = omega_of_nm(np.linspace(500, 1200, 57))
+        k0 = pm.perfect_curve(omega, bbo29)
+        single = np.array([pm.perfect_curve(w, bbo29) for w in omega])
+        assert np.isnan(k0).any() and np.isfinite(k0).any()
+        np.testing.assert_array_equal(np.isnan(k0), np.isnan(single))
+        np.testing.assert_allclose(k0, single, rtol=1e-12, atol=2 * pm.ROOT_XTOL)
+
+    def test_fault_wavelength_scans_to_the_light_cone(self):
+        # k_max at this wavelength once rounded past the idler light cone
+        crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400.0 * 1e-9)
+        assert np.isfinite(pm.perfect_curve(omega_of_nm(648.4989993328886), crystal))
 
 
 class TestExteriorAngle:
@@ -80,16 +98,26 @@ class TestExteriorAngle:
 
 class TestLinearize:
     def test_y_coefficients_vanish(self, bbo313):
-        coeffs = pm.linearize(omega_of_nm(700), bbo313)
+        coeffs = linearize_at(omega_of_nm(700), bbo313)
         assert coeffs.d_rho_y == pytest.approx(0.0, abs=1e-12)
         assert coeffs.d_rho_py == pytest.approx(0.0, abs=1e-12)
 
     def test_raises_without_matched_point(self, bbo29):
         with pytest.raises(NoPhaseMatch):
-            pm.linearize(omega_of_nm(800), bbo29)
+            linearize_at(omega_of_nm(800), bbo29)
+
+    def test_rows_match_scalar_linearization(self, bbo313):
+        omega = omega_of_nm(np.linspace(550, 1150, 9))
+        k0 = pm.perfect_curve(omega, bbo313)
+        coeffs = pm.linearize(omega, k0, bbo313)
+        for j, w in enumerate(omega):
+            single = pm.linearize(w, k0[j], bbo313)
+            for name in ("k0", "d_beta1", "d_rho_x", "d_rho_y", "d_rho_px", "d_rho_py"):
+                assert getattr(coeffs.row(j), name) == pytest.approx(
+                    getattr(single, name), rel=1e-12, abs=1e-300)
 
     def test_second_order_accuracy(self, bbo313):
-        coeffs = pm.linearize(omega_of_nm(700), bbo313)
+        coeffs = linearize_at(omega_of_nm(700), bbo313)
         w0, k0 = coeffs.omega_obs, coeffs.k0
         w0p = coeffs.omega_idler
         rng = np.random.default_rng(3)
@@ -104,7 +132,7 @@ class TestLinearize:
             assert abs(lin - exact) < 0.05 * abs(exact)
 
     def test_halving_perturbation_quarters_error(self, bbo313):
-        coeffs = pm.linearize(omega_of_nm(760), bbo313)
+        coeffs = linearize_at(omega_of_nm(760), bbo313)
         w0, k0, w0p = coeffs.omega_obs, coeffs.k0, coeffs.omega_idler
         rng = np.random.default_rng(11)
         direction = rng.uniform(-1, 1, size=5)
@@ -132,13 +160,13 @@ class TestScanCurve:
         crystal35 = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
         alphas = []
         for crystal in (bbo29, bbo313, crystal35, bbo40):
-            point = pm.perfect_curve(omega_of_nm(700), crystal)
-            alphas.append(pm.exterior_angle(omega_of_nm(700), point.k0))
+            k0 = pm.perfect_curve(omega_of_nm(700), crystal)
+            alphas.append(pm.exterior_angle(omega_of_nm(700), k0))
         assert alphas == sorted(alphas)
 
     def test_continuity_of_curve(self, bbo313):
         rows = pm.scan_curve(550, 1150, 121, bbo313)
-        k0s = np.array([r.point.k0 for r in rows if r.point is not None])
+        k0s = np.array([r.k0 for r in rows if r.k0 is not None])
         jumps = np.abs(np.diff(k0s))
         # each jump bounded by 3x the local slope estimate from its neighbors
         for i in range(1, len(jumps) - 1):

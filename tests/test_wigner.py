@@ -114,8 +114,7 @@ class TestPumpField:
         assert abs(sL - s0) / s0 < 1e-12
 
     def test_walkoff_drift_slope(self, crystal, pump, grid):
-        slope_oracle = -dm.d_kz_d_ktrans(
-            "pump", "x", dm.SpectralPoint(pump.omega_center), crystal)
+        slope_oracle = -dm.kz_slopes("pump", pump.omega_center, 0.0, 0.0, crystal)[1]
         _, x, _ = grid.position_axes()
         dx = x[1] - x[0]
         zs = np.linspace(0, 0.4e-3, 5)
@@ -195,6 +194,17 @@ class TestEstimateFlux:
         flux, stderr = wg.estimate_flux(
             [wg.sample_vacuum(grid, wg.vacuum_rng(1, 0))])
         assert np.all(np.isnan(stderr))
+
+    def test_accumulator_stable_at_large_mean(self):
+        # sum(x^2) - sum(x)^2/n loses every digit of a unit spread at 1e9
+        rng = np.random.default_rng(5)
+        values = 1e9 + rng.standard_normal((40, 6, 5))
+        acc = wg._FluxAccumulator(values.shape[1:])
+        for chunk in np.array_split(values, [7, 8, 25]):
+            acc.add(chunk)
+        expected = values.std(axis=0, ddof=1) / np.sqrt(len(values))
+        np.testing.assert_allclose(acc.stderr(), expected, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(acc.mean(), values.mean(axis=0), rtol=1e-15)
 
 
 class TestAzimuthalAverage:
