@@ -285,6 +285,13 @@ def cmd_wigner(config: dict) -> int:
         target_photons=None if target is None else float(target),
         paired_subtraction=bool(s["paired_subtraction"]),
     )
+    matched = fmap.metadata["matched_alpha_deg"]
+    window = fmap.metadata["window_max_alpha_deg"]
+    if matched is not None and matched > window:
+        print(f"warning: the phase-matched ring lies at {matched:.2f} deg at the grid "
+              f"center, outside the grid's angular window (up to {window:.2f} deg); "
+              "raise grid.n_x and grid.n_y or lower grid.span_xy_factor",
+              file=sys.stderr)
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()

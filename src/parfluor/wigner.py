@@ -33,6 +33,7 @@ from scipy.constants import c as C_LIGHT
 
 from . import dispersion as dm
 from . import perturbative as pt
+from . import phasematch as pmm
 from .errors import GridUnderresolved, NotConverged
 
 TWO_PI = 2.0 * np.pi
@@ -208,6 +209,9 @@ class _Propagator:
                      - beta_ref * (w_pmp[:, None, None] - pump.omega_center)
                      - rho_ref * kx3)
 
+        # largest signal phase one split step adds; it wraps at 2 pi
+        self.max_step_phase = float(np.max(np.abs(phase_sig))) * self.dz
+
         cdtype = np.dtype(grid.dtype)
         self.half_linear = np.exp(0.5j * phase_sig * self.dz).astype(cdtype)
         self.full_linear = np.exp(1.0j * phase_sig * self.dz).astype(cdtype)
@@ -216,30 +220,39 @@ class _Propagator:
         self.pump_spectral0 = _pump_spectrum0(pump, grid)
 
     def _bogoliubov_tables(self, pump_pos):
-        """cosh and phased sinh of |g| dz for the pointwise two-quadrature step."""
-        g = pump_pos / self.pump.l_nl
-        m = np.abs(g) * self.dz
+        """cosh(m) and g_dz sinh(m)/m for the pointwise two-quadrature step,
+        with g_dz = g dz and m = |g_dz|; the second is (g/|g|) sinh(|g| dz)."""
+        g_dz = pump_pos * (self.dz / self.pump.l_nl)
+        m = np.abs(g_dz)
         ch = np.cosh(m)
         sh = np.sinh(m)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            phase = np.where(m > 0, g / np.where(m > 0, np.abs(g), 1.0), 1.0 + 0j)
+        # where m = 0, g_dz is 0 too, so the skipped entries never matter
+        g_dz *= np.divide(sh, m, out=sh, where=m > 0)
         cdtype = np.dtype(self.grid.dtype)
-        return ch.astype(cdtype), (phase * sh).astype(cdtype)
+        real = np.finfo(cdtype).dtype
+        return ch.astype(real, copy=False), g_dz.astype(cdtype, copy=False)
 
     def run_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Propagate a (realizations, n_t, n_x, n_y) spectral batch to z = L."""
+        """Propagate a (realizations, n_t, n_x, n_y) spectral batch to z = L.
+
+        Besides the batch, a step holds one conjugate scratch buffer and the
+        two FFT outputs; the pointwise step runs in place.
+        """
         a = batch.astype(self.grid.dtype, copy=True)
+        conj = np.empty_like(a)
         pump_spec = self.pump_spectral0 * self.pump_half  # at z = dz/2
         a *= self.half_linear
         for step in range(self.grid.n_z):
-            pump_pos = to_position(pump_spec)
-            ch, psh = self._bogoliubov_tables(pump_pos)
+            ch, psh = self._bogoliubov_tables(to_position(pump_spec))
             pos = to_position(a)
-            pos = ch * pos + psh * np.conj(pos)
+            np.conjugate(pos, out=conj)
+            conj *= psh
+            pos *= ch
+            pos += conj
             a = to_spectral(pos)
             if step < self.grid.n_z - 1:
                 a *= self.full_linear
-                pump_spec = pump_spec * self.pump_step
+                pump_spec *= self.pump_step
         a *= self.half_linear
         return a
 
@@ -461,14 +474,15 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid
 # ensemble runs and gain calibration
 
 
-def _ensemble_flux(crystal, pump, grid, ensemble, paired=False, chunk_size=None):
-    """Propagate the ensemble, returning per-mode (flux, stderr, total).
+def _ensemble_flux(prop, ensemble, paired=False, chunk_size=None):
+    """Propagate the ensemble with a _Propagator, returning per-mode
+    (flux, stderr, total).
 
     paired=True subtracts each realization's own input |a|^2 instead of the
     ensemble constant 1/2; identical in expectation (dispersion preserves
     per-mode magnitudes), far lower variance at small gain.
     """
-    prop = _Propagator(crystal, pump, grid)
+    grid = prop.grid
     if chunk_size is None:
         bytes_per = grid.n_modes * np.dtype(grid.dtype).itemsize
         chunk_size = int(np.clip(256e6 // max(bytes_per, 1), 1, 32))
@@ -517,8 +531,8 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     def total_at(log_gain):
         gain = float(np.exp(log_gain))
         probe_pump = replace(pump, l_nl=crystal.length / gain)
-        _, _, total = _ensemble_flux(crystal, probe_pump, grid, probe_ens,
-                                     paired=True)
+        _, _, total = _ensemble_flux(_Propagator(crystal, probe_pump, grid),
+                                     probe_ens, paired=True)
         trace.append({"gain": gain, "l_nl": probe_pump.l_nl, "total": total})
         return total
 
@@ -563,8 +577,11 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         calibration = calibrate_gain(target_photons, crystal, pump, grid, ensemble)
         pump = replace(pump, l_nl=calibration.l_nl)
 
-    flux, stderr, total = _ensemble_flux(crystal, pump, grid, ensemble,
-                                         paired=paired_subtraction)
+    prop = _Propagator(crystal, pump, grid)
+    flux, stderr, total = _ensemble_flux(prop, ensemble, paired=paired_subtraction)
+    _, alpha = _mode_lambda_alpha(grid)
+    k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
+    ratio = C_LIGHT * k0 / grid.omega_center
     metadata = {
         "crystal": {
             "name": crystal.name,
@@ -590,6 +607,12 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
                      "seed": ensemble.seed},
         "estimator": "paired" if paired_subtraction else "vacuum-half",
         "total_photons": total,
+        "max_step_phase_rad": prop.max_step_phase,
+        "window_max_alpha_deg": float(np.nanmax(alpha)),
+        # exterior angle of the matched ring at the grid center; None where
+        # no matched mode there leaves the crystal (NaN fails the test)
+        "matched_alpha_deg": (float(np.degrees(np.arcsin(ratio))) if ratio <= 1.0
+                              else None),
     }
     if calibration is not None:
         metadata["calibration"] = {

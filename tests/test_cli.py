@@ -197,6 +197,21 @@ class TestWignerCommand:
         assert "total_photons" in manifest["run"]
         assert "pgm_flux_at_255" in manifest
 
+    @pytest.mark.parametrize("theta, warns", [(31.3, True), (29.0, False)])
+    def test_ring_outside_window_warns(self, tmp_path, capsys, theta, warns):
+        out = tmp_path / "out"
+        code = cli.main(["wigner", *TINY_GRID, "--realizations", "1",
+                         "--set", f"crystal.theta_deg={theta}",
+                         "--set", "wigner.lambda_bins=4",
+                         "--set", "wigner.alpha_bins=3", "--out", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: the phase-matched ring") == (1 if warns else 0)
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert run["window_max_alpha_deg"] < 1.0
+        assert (run["matched_alpha_deg"] is not None) == warns
+        assert run["max_step_phase_rad"] > 0
+
 
 class TestCalibrateCommand:
     def test_trace_recorded(self, tmp_path):

@@ -1,10 +1,14 @@
+import csv
 import io
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parfluor import dispersion as dm
 from parfluor import perturbative as pt
+from parfluor import phasematch as pmm
 from parfluor import wigner as wg
 from parfluor.errors import GridUnderresolved, NotConverged
 
@@ -40,8 +44,26 @@ def pump():
 
 
 def pump_off(pump):
-    from dataclasses import replace
     return replace(pump, a0=0.0)
+
+
+def _reference_strang(prop, batch):
+    """The split step written out of place, with the complex tables
+    (g/|g|) sinh(|g| dz) and cosh(|g| dz), at complex128."""
+    a = batch.astype(np.complex128) * prop.half_linear
+    pump_spec = prop.pump_spectral0 * prop.pump_half
+    for step in range(prop.grid.n_z):
+        g = wg.to_position(pump_spec) / prop.pump.l_nl
+        m = np.abs(g) * prop.dz
+        with np.errstate(invalid="ignore", divide="ignore"):
+            phase = np.where(m > 0, g / np.where(m > 0, np.abs(g), 1.0), 1.0 + 0j)
+        pos = wg.to_position(a)
+        pos = np.cosh(m) * pos + phase * np.sinh(m) * np.conj(pos)
+        a = wg.to_spectral(pos)
+        if step < prop.grid.n_z - 1:
+            a = a * prop.full_linear
+            pump_spec = pump_spec * prop.pump_step
+    return a * prop.half_linear
 
 
 class TestGrid:
@@ -148,14 +170,40 @@ class TestPropagate:
             wg.propagate(f, pump, crystal, grid)
 
     def test_bogoliubov_determinant(self, crystal, pump, grid):
-        prop = wg._Propagator(crystal, pump, grid)
+        # cosh is a real table in the real dtype of the grid
+        for dtype, real, tol in (("complex128", np.float64, 1e-12),
+                                 ("complex64", np.float32, 1e-6)):
+            prop = wg._Propagator(crystal, pump, replace(grid, dtype=dtype))
+            pump_pos = wg.to_position(prop.pump_spectral0 * prop.pump_half)
+            ch, psh = prop._bogoliubov_tables(pump_pos)
+            assert ch.dtype == real and psh.dtype == np.dtype(dtype)
+            det = ch.astype(np.float64) ** 2 - np.abs(psh.astype(np.complex128)) ** 2
+            assert np.max(np.abs(det - 1.0)) < tol
+
+    @pytest.mark.parametrize("dtype", ["complex128", "complex64"])
+    def test_bogoliubov_tables_at_zero_pump(self, crystal, pump, grid, dtype):
+        # m = 0 everywhere: the sinh(m)/m branch must not divide by zero
+        prop = wg._Propagator(crystal, pump_off(pump), replace(grid, dtype=dtype))
         pump_pos = wg.to_position(prop.pump_spectral0 * prop.pump_half)
-        ch, psh = prop._bogoliubov_tables(pump_pos)
-        det = np.abs(ch) ** 2 - np.abs(psh) ** 2
-        assert np.max(np.abs(det - 1.0)) < 1e-12
+        with np.errstate(all="raise"):
+            ch, psh = prop._bogoliubov_tables(pump_pos)
+        assert np.all(ch == 1.0)
+        assert np.all(psh == 0.0)
+
+    @pytest.mark.parametrize("dtype, rtol", [("complex128", 1e-12),
+                                             ("complex64", 1e-5)])
+    def test_run_batch_matches_reference_strang(self, crystal, pump, grid, dtype,
+                                                rtol):
+        strong = replace(pump, l_nl=2e-3)  # gain 1
+        batch = np.stack([wg.sample_vacuum(grid, wg.vacuum_rng(17, r)).data
+                          for r in range(2)])
+        want = _reference_strang(wg._Propagator(crystal, strong, grid), batch)
+        got = wg._Propagator(crystal, strong,
+                             replace(grid, dtype=dtype)).run_batch(batch)
+        assert got.dtype == np.dtype(dtype)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < rtol
 
     def test_amplification_grows_with_gain(self, crystal, pump, grid):
-        from dataclasses import replace
         f = wg.sample_vacuum(grid, wg.vacuum_rng(11, 0))
         totals = []
         for l_nl in (8e-3, 2e-3, 0.5e-3):
@@ -164,15 +212,16 @@ class TestPropagate:
         assert totals[0] < totals[1] < totals[2]
 
     def test_z_step_convergence(self, crystal, pump, grid):
-        from dataclasses import replace
         ens = wg.EnsembleSpec(n_realizations=2, seed=5)
         strong = replace(pump, l_nl=2e-3)  # gain 1
         fine_grid = wg.SimulationGrid(n_t=grid.n_t, n_x=grid.n_x, n_y=grid.n_y,
                                       span_t=grid.span_t, span_x=grid.span_x,
                                       span_y=grid.span_y, n_z=2 * grid.n_z,
                                       omega_center=grid.omega_center)
-        _, _, t_coarse = wg._ensemble_flux(crystal, strong, grid, ens, paired=True)
-        _, _, t_fine = wg._ensemble_flux(crystal, strong, fine_grid, ens, paired=True)
+        _, _, t_coarse = wg._ensemble_flux(wg._Propagator(crystal, strong, grid),
+                                           ens, paired=True)
+        _, _, t_fine = wg._ensemble_flux(wg._Propagator(crystal, strong, fine_grid),
+                                         ens, paired=True)
         assert abs(t_fine - t_coarse) / t_fine < 0.02
 
 
@@ -266,7 +315,8 @@ class TestRunSimulation:
 
     def test_mirror_symmetry_of_mode_flux(self, crystal, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=60, seed=13)
-        flux, stderr, _ = wg._ensemble_flux(crystal, pump, grid, ens, paired=True)
+        flux, stderr, _ = wg._ensemble_flux(wg._Propagator(crystal, pump, grid), ens,
+                                            paired=True)
         mirrored = flux[:, ::-1, :][:, : grid.n_x - 1, :]
         mirrored = np.roll(mirrored, 0, axis=1)
         # compare kx -> -kx pairs (FFT layout: index i <-> index n-i)
@@ -278,6 +328,30 @@ class TestRunSimulation:
         bound = 3 * np.sqrt(se_pos**2 + se_neg**2) + 1e-6
         assert np.mean(diff < bound) > 0.99
 
+    def test_step_phase_halves_with_n_z(self, crystal, pump, grid):
+        ens = wg.EnsembleSpec(n_realizations=1, seed=3)
+        phases = [wg.run_simulation(crystal, pump, replace(grid, n_z=n_z), ens,
+                                    n_lambda=4, n_alpha=3).metadata["max_step_phase_rad"]
+                  for n_z in (10, 20)]
+        assert phases[0] > 0
+        assert phases[1] == pytest.approx(phases[0] / 2, rel=1e-12)
+
+    def test_window_and_matched_angle_recorded(self, pump, grid):
+        ens = wg.EnsembleSpec(n_realizations=1, seed=3)
+        crystal = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
+        meta = wg.run_simulation(crystal, pump, replace(grid, n_z=4), ens,
+                                 n_lambda=4, n_alpha=3).metadata
+        _, alpha = wg._mode_lambda_alpha(grid)
+        assert meta["window_max_alpha_deg"] == pytest.approx(np.nanmax(alpha))
+        k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
+        expected = np.degrees(pmm.exterior_angle(grid.omega_center, k0))
+        assert meta["matched_alpha_deg"] == pytest.approx(expected, rel=1e-12)
+        # the cut below the degenerate angle has no ring at the grid center
+        below = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9)
+        meta = wg.run_simulation(below, pump, replace(grid, n_z=4), ens,
+                                 n_lambda=4, n_alpha=3).metadata
+        assert meta["matched_alpha_deg"] is None
+
     def test_pgm_output(self, crystal, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=2, seed=3)
         fmap = wg.run_simulation(crystal, pump, grid, ens, n_lambda=8, n_alpha=5)
@@ -287,6 +361,29 @@ class TestRunSimulation:
         assert raw.startswith(b"P5\n8 5\n255\n")
         assert len(raw) == len(b"P5\n8 5\n255\n") + 8 * 5
         assert scale > 0
+
+
+GOLDEN_MAP = Path(__file__).parent / "data" / "wigner_small.csv"
+
+
+class TestGoldenOutput:
+    def test_matches_reference_map(self, crystal, pump, grid):
+        # written with the out-of-place split step and complex tables, floats
+        # as repr; the in-place step only reorders rounding
+        fmap = wg.run_simulation(crystal, replace(pump, l_nl=2e-3), grid,
+                                 wg.EnsembleSpec(n_realizations=4, seed=20260),
+                                 n_lambda=8, n_alpha=5)
+        with open(GOLDEN_MAP, newline="") as fh:
+            ref = list(csv.DictReader(fh))
+        assert len(ref) == fmap.flux.size
+        lam, alpha = np.meshgrid(fmap.lambda_centers_nm, fmap.alpha_centers_deg,
+                                 indexing="ij")
+        for key, got in (("lambda_nm", lam), ("alpha_deg", alpha),
+                         ("flux", fmap.flux), ("stderr", fmap.stderr)):
+            want = np.array([float(r[key]) for r in ref])
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-10, atol=0,
+                                       err_msg=key)
+        assert [int(r["n_modes"]) for r in ref] == fmap.n_modes.ravel().tolist()
 
 
 class TestLowGainOracle:
