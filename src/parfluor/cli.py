@@ -237,12 +237,12 @@ def cmd_phasematch(config: dict) -> int:
     t0 = time.perf_counter()
     crystal = build_crystal(config)
     s = config["phasematch"]
-    rows = pmm.scan_curve(float(s["lambda_min_nm"]), float(s["lambda_max_nm"]),
+    scan = pmm.scan_curve(float(s["lambda_min_nm"]), float(s["lambda_max_nm"]),
                           int(s["n_points"]), crystal)
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
-    pmm.write_scan_csv(rows, buf)
+    pmm.write_scan_csv(*scan, buf)
     atomic_write_text(out_dir / "phasematch.csv", buf.getvalue())
     write_manifest(out_dir, "phasematch", config, time.perf_counter() - t0,
                    ["phasematch.csv"])
@@ -260,11 +260,11 @@ def cmd_pert_flux(config: dict) -> int:
     quad = pt.QuadratureSpec(rel_tol=float(s["quad_rel_tol"]))
     lams = np.linspace(float(s["lambda_min_nm"]), float(s["lambda_max_nm"]),
                        int(s["n_points"]))
-    rows = pt.spectrum_along_curve(lams, crystal, pump, method=method, quad=quad)
+    columns = pt.spectrum_along_curve(lams, crystal, pump, method=method, quad=quad)
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
-    pt.write_spectrum_csv(rows, method, buf)
+    pt.write_spectrum_csv(lams, *columns, method, buf)
     name = f"pert_flux_{method}.csv"
     atomic_write_text(out_dir / name, buf.getvalue())
     write_manifest(out_dir, "pert-flux", config, time.perf_counter() - t0, [name])

@@ -54,24 +54,15 @@ class PumpSpec:
 
 
 @dataclass(frozen=True)
-class FluxPoint:
-    """Mean mode occupation at one spectral point; err_rel carries the
-    quadrature convergence estimate where applicable."""
-
-    omega_obs: float
-    k_trans: float
-    flux: float
-    err_rel: float | None = None
-
-
-@dataclass(frozen=True)
 class QuadratureSpec:
     """Midpoint tensor-product quadrature with refinement by doubling."""
 
     n_init: int = 16
     max_doublings: int = 3
     rel_tol: float = 0.01
-    support_sigma: float = 5.0
+
+
+SUPPORT_SIGMA = 5.0  # half-width of the idler box in pump-envelope sigmas
 
 
 def pump_spectrum(kappa_p: dm.SpectralPoint, pump: PumpSpec):
@@ -110,15 +101,16 @@ def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
             * (L / pump.l_nl) ** 2 / np.sqrt(bracket))
 
 
-def _kappa_prime_axes(kappa: dm.SpectralPoint, pump: PumpSpec, sigmas: float, n: int):
-    """Midpoint nodes and cell volume of the idler box around the pump support.
+def _kappa_prime_axes(kappa: dm.SpectralPoint, pump: PumpSpec, n: int):
+    """Midpoint nodes (broadcast over three axes) and cell volume of the idler
+    box around the pump support.
 
     The squared pump envelope has standard deviations 1/(sqrt(2) tau_p) in
-    frequency and 1/(sqrt(2) w_p) transversally; the box spans +-sigmas of
-    those around the conjugate point of kappa.
+    frequency and 1/(sqrt(2) w_p) transversally; the box spans +-SUPPORT_SIGMA
+    of those around the conjugate point of kappa.
     """
-    half_u = sigmas / (np.sqrt(2.0) * pump.tau_p)
-    half_k = sigmas / (np.sqrt(2.0) * pump.w_p)
+    half_u = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
+    half_k = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p)
 
     def midpoints(center, half, m):
         h = 2.0 * half / m
@@ -127,86 +119,77 @@ def _kappa_prime_axes(kappa: dm.SpectralPoint, pump: PumpSpec, sigmas: float, n:
     wp_nodes, dw = midpoints(pump.omega_center - kappa.omega, half_u, n)
     kx_nodes, dkx = midpoints(-kappa.kx, half_k, n)
     ky_nodes, dky = midpoints(-kappa.ky, half_k, n)
-    return wp_nodes, kx_nodes, ky_nodes, dw * dkx * dky
+    return (wp_nodes[:, None, None], kx_nodes[None, :, None], ky_nodes[None, None, :],
+            dw * dkx * dky)
 
 
-def _refine(eval_level, quad: QuadratureSpec):
-    """Double the grid until the Richardson-extrapolated value settles."""
+def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | None,
+                factor, length: float):
+    """Integral over the idler box of the squared pump amplitude times the
+    phase-matching factor(w_i, kx_i, ky_i), a function of the broadcast idler
+    nodes whose NaN values (evanescent idlers) count as zero.
+
+    Midpoint rule, doubled until the Richardson-extrapolated value settles
+    within quad.rel_tol; returns ((length / l_nl)^2 * integral, err_rel).
+    """
+    quad = quad or QuadratureSpec()
+
+    def integral(n):
+        w_i, kx_i, ky_i, dv = _kappa_prime_axes(kappa, pump, n)
+        weight = _pump_weight(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i, pump)
+        return float(np.nansum(weight * factor(w_i, kx_i, ky_i))) * dv
+
     n = quad.n_init
-    coarse = eval_level(n)
+    coarse = integral(n)
     for _ in range(quad.max_doublings):
         n *= 2
-        fine = eval_level(n)
+        fine = integral(n)
         extrap = fine + (fine - coarse) / 3.0
         scale = abs(extrap) if extrap != 0.0 else 1.0
         err = abs(fine - coarse) / (3.0 * scale)
         if err <= quad.rel_tol:
-            return extrap, err
+            return (length / pump.l_nl) ** 2 * extrap, err
         coarse = fine
     raise NotConverged(
         f"quadrature not within {quad.rel_tol:.2g} after {quad.max_doublings} doublings")
 
 
 def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
-                          pump: PumpSpec, quad: QuadratureSpec | None = None) -> FluxPoint:
-    """Exact-sinc^2 quadrature of the pair-generation integral at kappa."""
-    quad = quad or QuadratureSpec()
+                          pump: PumpSpec, quad: QuadratureSpec | None = None):
+    """Exact-sinc^2 quadrature of the pair-generation integral at kappa;
+    returns (flux, err_rel)."""
     L = crystal.length
     kz_s = dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
 
-    def eval_level(n):
-        wp, kxp, kyp, dv = _kappa_prime_axes(kappa, pump, quad.support_sigma, n)
-        w_i = wp[:, None, None]
-        kx_i = kxp[None, :, None]
-        ky_i = kyp[None, None, :]
+    def sinc2(w_i, kx_i, ky_i):
         kz_i = dm.kz_signal_grid(w_i, kx_i, ky_i, crystal, allow_evanescent=True)
         kz_p = dm.kz_pump_grid(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i,
                                crystal)
         dk = kz_p - kz_s - kz_i
-        weight = _pump_weight(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i, pump)
-        integrand = weight * np.sinc(L * dk / (2.0 * np.pi)) ** 2
-        return float(np.nansum(integrand)) * dv
+        return np.sinc(L * dk / (2.0 * np.pi)) ** 2
 
-    value, err = _refine(eval_level, quad)
-    return FluxPoint(omega_obs=kappa.omega, k_trans=float(np.hypot(kappa.kx, kappa.ky)),
-                     flux=(L / pump.l_nl) ** 2 * value, err_rel=err)
+    return _quadrature(kappa, pump, quad, sinc2, L)
 
 
 def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.LinearizedCoeffs,
                                  crystal: dm.CrystalSpec, pump: PumpSpec,
-                                 quad: QuadratureSpec | None = None) -> FluxPoint:
-    """Quadrature with linearized mismatch and the Gaussian sinc^2 surrogate.
+                                 quad: QuadratureSpec | None = None):
+    """Quadrature with linearized mismatch and the Gaussian sinc^2 surrogate;
+    returns (flux, err_rel).
 
     Expands around the matched point at kappa's frequency, whose scalar
     coefficients (one row of phasematch.linearize) are passed in.
     """
-    quad = quad or QuadratureSpec()
     L = crystal.length
 
-    def eval_level(n):
-        wp, kxp, kyp, dv = _kappa_prime_axes(kappa, pump, quad.support_sigma, n)
-        w_i = wp[:, None, None]
-        kx_i = kxp[None, :, None]
-        ky_i = kyp[None, None, :]
+    def surrogate(w_i, kx_i, ky_i):
         dk_lin = pmm.delta_k_linearized(coeffs, kappa.kx, kappa.ky, w_i, kx_i, ky_i)
-        weight = _pump_weight(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i, pump)
-        integrand = weight * np.exp(-(L * dk_lin) ** 2 / 12.0)
-        return float(np.sum(integrand)) * dv
+        return np.exp(-(L * dk_lin) ** 2 / 12.0)
 
-    value, err = _refine(eval_level, quad)
-    return FluxPoint(omega_obs=kappa.omega, k_trans=float(np.hypot(kappa.kx, kappa.ky)),
-                     flux=(L / pump.l_nl) ** 2 * value, err_rel=err)
+    return _quadrature(kappa, pump, quad, surrogate, L)
 
 
 METHODS = ("closed_form", "exact", "gaussianized")
-
-
-@dataclass(frozen=True)
-class SpectrumRow:
-    lambda_nm: float
-    alpha_ext: float | None
-    flux: float | None
-    err_rel: float | None
 
 
 def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec,
@@ -215,8 +198,9 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     """Flux along the matched surface over a wavelength grid [nm].
 
     The surface and its expansion coefficients are solved once for the whole
-    grid; the quadratures then run per matched wavelength.  Rows where the
-    surface has no point carry None entries.
+    grid; the quadratures then run per matched wavelength.  Returns the
+    arrays (alpha_ext [rad], flux, err_rel) over the grid, NaN where the
+    surface has no point; err_rel is NaN throughout for closed_form.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {sorted(METHODS)}")
@@ -224,36 +208,31 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     omega = TWO_PI * C_LIGHT / (lams * 1e-9)
     k0 = pmm.perfect_curve(omega, crystal)
     ok = np.flatnonzero(np.isfinite(k0))
-    alpha = pmm.exterior_angle(omega[ok], k0[ok])
+    alpha, flux, err = np.full((3,) + lams.shape, np.nan)
+    alpha[ok] = pmm.exterior_angle(omega[ok], k0[ok])
     if method != "exact":
         coeffs = pmm.linearize(omega[ok], k0[ok], crystal)
     if method == "closed_form":
-        flux = flux_closed_form(coeffs, crystal, pump)
-    rows = [SpectrumRow(lam, None, None, None) for lam in lams]
+        flux[ok] = flux_closed_form(coeffs, crystal, pump)
+        return alpha, flux, err
     for j, i in enumerate(ok):
         kappa = dm.SpectralPoint(omega[i], k0[i], 0.0)
-        if method == "closed_form":
-            fp = FluxPoint(omega[i], k0[i], float(flux[j]))
-        elif method == "exact":
-            fp = flux_quadrature_exact(kappa, crystal, pump, quad)
+        if method == "exact":
+            flux[i], err[i] = flux_quadrature_exact(kappa, crystal, pump, quad)
         else:
-            fp = flux_quadrature_gaussianized(kappa, coeffs.row(j), crystal, pump, quad)
-        rows[i] = SpectrumRow(lams[i], float(alpha[j]), fp.flux, fp.err_rel)
-    return rows
+            flux[i], err[i] = flux_quadrature_gaussianized(kappa, coeffs.row(j), crystal,
+                                                           pump, quad)
+    return alpha, flux, err
 
 
-def write_spectrum_csv(rows, method: str, fileobj) -> None:
+def write_spectrum_csv(lams, alpha, flux, err, method: str, fileobj) -> None:
+    """Emit spectrum_along_curve columns as CSV; NaN becomes an empty field."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["lambda_nm", "alpha_ext_deg", "flux", "method",
                      "quad_error_estimate"])
-    for row in rows:
-        if row.flux is None:
-            writer.writerow([f"{row.lambda_nm:.6f}", "", "", method, ""])
+    for lam, a, f, e in zip(lams, alpha, flux, err):
+        if np.isnan(f):
+            writer.writerow([f"{lam:.6f}", "", "", method, ""])
         else:
-            writer.writerow([
-                f"{row.lambda_nm:.6f}",
-                f"{np.rad2deg(row.alpha_ext):.6f}",
-                f"{row.flux:.8e}",
-                method,
-                "" if row.err_rel is None else f"{row.err_rel:.3e}",
-            ])
+            writer.writerow([f"{lam:.6f}", f"{np.rad2deg(a):.6f}", f"{f:.8e}", method,
+                             "" if np.isnan(e) else f"{e:.3e}"])

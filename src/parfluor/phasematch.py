@@ -191,48 +191,33 @@ def delta_k_linearized(coeffs: LinearizedCoeffs, kx, ky, omega_prime, kxp, kyp):
             + coeffs.d_rho_py * np.asarray(kyp))
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    lambda_nm: float
-    k0: float | None
-    alpha_ext: float | None
-    coeffs: LinearizedCoeffs | None
-
-
 def scan_curve(lambda_lo_nm: float, lambda_hi_nm: float, n_points: int,
                crystal: dm.CrystalSpec):
     """Tabulate the matched surface over a wavelength grid [nm].
 
-    One root solve and one linearization for the whole grid; returns one
-    ScanRow per grid wavelength, with None entries where the surface has no
-    point.
+    One root solve and one linearization for the whole grid; returns
+    (lams, k0, alpha, coeffs): k0 over the grid, NaN where the surface has
+    no point, and the exterior angles [rad] and LinearizedCoeffs of the
+    matched points only, in grid order.
     """
     lams = np.linspace(lambda_lo_nm, lambda_hi_nm, n_points)
     omega = 2.0 * np.pi * C_LIGHT / (lams * 1e-9)
     k0 = perfect_curve(omega, crystal)
-    ok = np.flatnonzero(np.isfinite(k0))
-    alpha = exterior_angle(omega[ok], k0[ok])
-    coeffs = linearize(omega[ok], k0[ok], crystal)
-    rows = [ScanRow(lam, None, None, None) for lam in lams]
-    for j, i in enumerate(ok):
-        rows[i] = ScanRow(lams[i], float(k0[i]), float(alpha[j]), coeffs.row(j))
-    return rows
+    ok = np.isfinite(k0)
+    return (lams, k0, exterior_angle(omega[ok], k0[ok]),
+            linearize(omega[ok], k0[ok], crystal))
 
 
-def write_scan_csv(rows, fileobj) -> None:
-    """Emit scan_curve rows as CSV; empty fields mark unmatched wavelengths."""
+def write_scan_csv(lams, k0, alpha, coeffs: LinearizedCoeffs, fileobj) -> None:
+    """Emit scan_curve columns as CSV; empty fields mark unmatched wavelengths."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["lambda_nm", "k0_rad_per_m", "alpha_ext_deg",
                      "d_beta1_s_per_m", "d_rho_px", "d_rho_py"])
-    for row in rows:
-        if row.k0 is None:
-            writer.writerow([f"{row.lambda_nm:.6f}", "", "", "", "", ""])
+    matched = zip(alpha, coeffs.d_beta1, coeffs.d_rho_px, coeffs.d_rho_py)
+    for lam, k in zip(lams, k0):
+        if np.isnan(k):
+            writer.writerow([f"{lam:.6f}", "", "", "", "", ""])
         else:
-            writer.writerow([
-                f"{row.lambda_nm:.6f}",
-                f"{row.k0:.6e}",
-                f"{np.rad2deg(row.alpha_ext):.6f}",
-                f"{row.coeffs.d_beta1:.6e}",
-                f"{row.coeffs.d_rho_px:.6e}",
-                f"{row.coeffs.d_rho_py:.6e}",
-            ])
+            a, d_beta1, d_rho_px, d_rho_py = next(matched)
+            writer.writerow([f"{lam:.6f}", f"{k:.6e}", f"{np.rad2deg(a):.6f}",
+                             f"{d_beta1:.6e}", f"{d_rho_px:.6e}", f"{d_rho_py:.6e}"])

@@ -109,19 +109,6 @@ class SimulationGrid:
         return t, x, y
 
 
-@dataclass
-class ComplexField:
-    """Discretized complex amplitude with its domain tag and z position."""
-
-    data: np.ndarray
-    domain: str  # 'spectral' | 'position'
-    z: float = 0.0
-
-    def __post_init__(self):
-        if self.domain not in ("spectral", "position"):
-            raise ValueError("domain must be 'spectral' or 'position'")
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     n_realizations: int
@@ -146,12 +133,11 @@ def vacuum_rng(seed: int, realization: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, realization])))
 
 
-def sample_vacuum(grid: SimulationGrid, rng: np.random.Generator) -> ComplexField:
-    """Half a photon of complex-Gaussian noise per mode: <|a|^2> = 1/2,
-    real and imaginary quadratures each with variance 1/4."""
+def sample_vacuum(grid: SimulationGrid, rng: np.random.Generator) -> np.ndarray:
+    """Spectral field of half a photon of complex-Gaussian noise per mode:
+    <|a|^2> = 1/2, real and imaginary quadratures each with variance 1/4."""
     draw = rng.standard_normal(size=(2,) + grid.shape)
-    data = (0.5 * (draw[0] + 1j * draw[1])).astype(grid.dtype)
-    return ComplexField(data=data, domain="spectral", z=0.0)
+    return (0.5 * (draw[0] + 1j * draw[1])).astype(grid.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +243,14 @@ class _Propagator:
         return a
 
 
-def propagate(field: ComplexField, pump: pt.PumpSpec, crystal: dm.CrystalSpec,
-              grid: SimulationGrid) -> ComplexField:
+def propagate(spectral: np.ndarray, pump: pt.PumpSpec, crystal: dm.CrystalSpec,
+              grid: SimulationGrid) -> np.ndarray:
     """Propagate one spectral field from z = 0 to the crystal exit face."""
-    if field.domain != "spectral":
-        raise ValueError("propagate expects a spectral-domain field at z = 0")
-    prop = _Propagator(crystal, pump, grid)
-    out = prop.run_batch(field.data[None, ...])[0]
-    return ComplexField(data=out, domain="spectral", z=crystal.length)
+    return _Propagator(crystal, pump, grid).run_batch(spectral[None, ...])[0]
 
 
 def pump_field_at(z: float, pump: pt.PumpSpec, crystal: dm.CrystalSpec,
-                  grid: SimulationGrid) -> ComplexField:
+                  grid: SimulationGrid) -> np.ndarray:
     """Pump envelope at depth z in the (t, x, y) domain.
 
     Pure dispersive phase evolution of the entrance-face Gaussian; the full
@@ -279,8 +261,7 @@ def pump_field_at(z: float, pump: pt.PumpSpec, crystal: dm.CrystalSpec,
     w_pmp, kx, ky = _mode_frequencies(grid, pump.omega_center)
     kz = dm.kz_pump_grid(w_pmp[:, None, None], kx[None, :, None], ky[None, None, :],
                          crystal)
-    spec = _pump_spectrum0(pump, grid) * np.exp(1j * kz * z)
-    return ComplexField(data=to_position(spec), domain="position", z=z)
+    return to_position(_pump_spectrum0(pump, grid) * np.exp(1j * kz * z))
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +275,14 @@ def _mag_squared(data: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def estimate_flux(fields) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode mean photon number from output fields: <|a|^2> - 1/2.
+def estimate_flux(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode mean photon number <|a|^2> - 1/2 from a stacked
+    (realizations, ...) array of output spectral fields.
 
     Returns (flux, stderr); stderr is NaN with a single realization.
-    Accepts a sequence of spectral ComplexFields or a stacked ndarray.
     """
-    stack = fields if isinstance(fields, np.ndarray) else np.stack([f.data for f in fields])
-    acc = _FluxAccumulator(stack.shape[1:])
-    acc.add(_mag_squared(stack))
+    acc = _FluxAccumulator(fields.shape[1:])
+    acc.add(_mag_squared(fields))
     return acc.mean() - 0.5, acc.stderr()
 
 
@@ -416,48 +396,50 @@ def _mode_lambda_alpha(grid: SimulationGrid):
     return lam_nm, alpha_deg
 
 
+def _bin_of_modes(grid: SimulationGrid, lam_edges, alpha_edges) -> np.ndarray:
+    """Flat (wavelength, angle) bin index of every grid mode, raveled, and -1
+    for modes outside the edges or beyond the vacuum light cone.  The top
+    edge of each axis belongs to its last bin."""
+    lam, alpha = (a.ravel() for a in _mode_lambda_alpha(grid))
+    n_lambda = len(lam_edges) - 1
+    n_alpha = len(alpha_edges) - 1
+    li = np.digitize(lam, lam_edges) - 1
+    ai = np.digitize(alpha, alpha_edges) - 1
+    li[lam == lam_edges[-1]] = n_lambda - 1
+    ai[alpha == alpha_edges[-1]] = n_alpha - 1
+    inside = ~np.isnan(alpha) & (li >= 0) & (li < n_lambda) & (ai >= 0) & (ai < n_alpha)
+    return np.where(inside, li * n_alpha + ai, -1)
+
+
 def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid,
                       n_lambda: int = 48, n_alpha: int = 40,
-                      lambda_range_nm=None, alpha_range_deg=None,
                       metadata: dict | None = None) -> FluxMap:
     """Bin per-mode flux over (wavelength, exterior angle).
 
-    Bin value is the mean over member modes; per-mode standard errors
-    propagate as independent contributions.  Modes beyond the vacuum light
-    cone (cannot refract out) are excluded.
+    The bins span the wavelengths of the grid's modes and the angles from 0
+    to the largest exterior angle among them.  Bin value is the mean over
+    member modes; per-mode standard errors propagate as independent
+    contributions.  Modes beyond the vacuum light cone (cannot refract out)
+    are excluded.
     """
     lam, alpha = _mode_lambda_alpha(grid)
-    lam = lam.ravel()
-    alpha = alpha.ravel()
-    flux = flux.ravel()
-    stderr = stderr.ravel()
     ok = ~np.isnan(alpha)
+    lam_edges = np.linspace(lam[ok].min(), lam[ok].max(), n_lambda + 1)
+    alpha_edges = np.linspace(0.0, alpha[ok].max(), n_alpha + 1)
+    bins = _bin_of_modes(grid, lam_edges, alpha_edges)
+    inside = bins >= 0
+    flat = bins[inside]
+    stderr = stderr.ravel()[inside]
 
-    if lambda_range_nm is None:
-        lambda_range_nm = (lam[ok].min(), lam[ok].max())
-    if alpha_range_deg is None:
-        alpha_range_deg = (0.0, alpha[ok].max())
-    lam_edges = np.linspace(*lambda_range_nm, n_lambda + 1)
-    alpha_edges = np.linspace(*alpha_range_deg, n_alpha + 1)
-
-    li = np.digitize(lam, lam_edges) - 1
-    ai = np.digitize(alpha, alpha_edges) - 1
-    # top edge belongs to the last bin
-    li[lam == lam_edges[-1]] = n_lambda - 1
-    ai[alpha == alpha_edges[-1]] = n_alpha - 1
-    inside = ok & (li >= 0) & (li < n_lambda) & (ai >= 0) & (ai < n_alpha)
-
-    flat = li[inside] * n_alpha + ai[inside]
     size = n_lambda * n_alpha
     counts = np.bincount(flat, minlength=size)
-    sums = np.bincount(flat, weights=flux[inside], minlength=size)
-    errsq = np.bincount(flat, weights=np.nan_to_num(stderr[inside]) ** 2,
-                        minlength=size)
+    sums = np.bincount(flat, weights=flux.ravel()[inside], minlength=size)
+    errsq = np.bincount(flat, weights=np.nan_to_num(stderr) ** 2, minlength=size)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         err = np.where(counts > 0, np.sqrt(errsq) / np.maximum(counts, 1), np.nan)
-    if np.any(np.isnan(stderr[inside])):
+    if np.any(np.isnan(stderr)):
         err = np.full(size, np.nan)
 
     return FluxMap(
@@ -474,25 +456,26 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid
 # ensemble runs and gain calibration
 
 
-def _ensemble_flux(prop, ensemble, paired=False, chunk_size=None):
+def _ensemble_flux(prop, ensemble, paired=False):
     """Propagate the ensemble with a _Propagator, returning per-mode
     (flux, stderr, total).
 
-    paired=True subtracts each realization's own input |a|^2 instead of the
-    ensemble constant 1/2; identical in expectation (dispersion preserves
-    per-mode magnitudes), far lower variance at small gain.
+    Realizations go through in batches of up to 32 and at most about
+    256 MB.  paired=True subtracts each realization's own input |a|^2
+    instead of the ensemble constant 1/2; identical in expectation
+    (dispersion preserves per-mode magnitudes), far lower variance at small
+    gain.
     """
     grid = prop.grid
-    if chunk_size is None:
-        bytes_per = grid.n_modes * np.dtype(grid.dtype).itemsize
-        chunk_size = int(np.clip(256e6 // max(bytes_per, 1), 1, 32))
+    bytes_per = grid.n_modes * np.dtype(grid.dtype).itemsize
+    chunk_size = int(np.clip(256e6 // max(bytes_per, 1), 1, 32))
     acc = _FluxAccumulator(grid.shape)
     r = 0
     while r < ensemble.n_realizations:
         n_chunk = min(chunk_size, ensemble.n_realizations - r)
         batch = np.empty((n_chunk,) + grid.shape, dtype=grid.dtype)
         for i in range(n_chunk):
-            batch[i] = sample_vacuum(grid, vacuum_rng(ensemble.seed, r + i)).data
+            batch[i] = sample_vacuum(grid, vacuum_rng(ensemble.seed, r + i))
         out = prop.run_batch(batch)
         mags = _mag_squared(out)
         if paired:
@@ -501,6 +484,9 @@ def _ensemble_flux(prop, ensemble, paired=False, chunk_size=None):
         r += n_chunk
     flux = acc.mean() - (0.0 if paired else 0.5)
     return flux, acc.stderr(), float(flux.sum())
+
+
+_PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe
 
 
 @dataclass(frozen=True)
@@ -513,18 +499,19 @@ class CalibrationResult:
 
 def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
                    pump: pt.PumpSpec, grid: SimulationGrid,
-                   ensemble: EnsembleSpec, probe_realizations: int = 2,
-                   rel_tol: float = 0.2, max_probes: int = 30) -> CalibrationResult:
+                   ensemble: EnsembleSpec, rel_tol: float = 0.2,
+                   max_probes: int = 30) -> CalibrationResult:
     """Adjust the nonlinear length until the total photon number meets the
     target within rel_tol.
 
-    Probes use a reduced ensemble with common random numbers, so the total
-    is deterministic and monotone in the gain; the search brackets in
-    log-gain and bisects.  Raises NotConverged after max_probes.
+    Probes use the first _PROBE_REALIZATIONS realizations of the ensemble
+    (common random numbers), so the total is deterministic and monotone in
+    the gain; the search brackets in log-gain and bisects.  Raises
+    NotConverged after max_probes.
     """
     if target_photons <= 0:
         raise ValueError("target_photons must be positive")
-    probe_ens = EnsembleSpec(min(probe_realizations, ensemble.n_realizations),
+    probe_ens = EnsembleSpec(min(_PROBE_REALIZATIONS, ensemble.n_realizations),
                              ensemble.seed)
     trace = []
 
@@ -564,7 +551,6 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
 def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
                    grid: SimulationGrid, ensemble: EnsembleSpec,
                    n_lambda: int = 48, n_alpha: int = 40,
-                   lambda_range_nm=None, alpha_range_deg=None,
                    target_photons: float | None = None,
                    paired_subtraction: bool = False) -> FluxMap:
     """Full pipeline: (calibrate,) sample, propagate, estimate, bin.
@@ -623,56 +609,44 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
             "trace": list(calibration.trace),
         }
     return azimuthal_average(flux, stderr, grid, n_lambda=n_lambda,
-                             n_alpha=n_alpha, lambda_range_nm=lambda_range_nm,
-                             alpha_range_deg=alpha_range_deg, metadata=metadata)
+                             n_alpha=n_alpha, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
 # oracle bridge
 
 
+_ORACLE_QUAD = pt.QuadratureSpec(n_init=12, max_doublings=2, rel_tol=0.05)
+
+
 def perturbative_bin_means(fmap: FluxMap, grid: SimulationGrid,
                            crystal: dm.CrystalSpec, pump: pt.PumpSpec,
-                           quad: pt.QuadratureSpec | None = None,
                            modes_per_bin: int = 6,
                            min_modes: int = 20) -> np.ndarray:
     """Single-pair quadrature prediction for each bin of a FluxMap.
 
-    Evaluates the exact-sinc^2 quadrature at a deterministic subsample of
-    each bin's member modes, converts to per-mode occupation with the grid's
-    spectral cell volume, and averages.  Bins with fewer than min_modes
-    members come back NaN.  This is the independent low-gain reference the
-    stochastic flux is checked against.
+    Evaluates the exact-sinc^2 quadrature (at _ORACLE_QUAD) at a
+    deterministic subsample of each bin's member modes, converts to per-mode
+    occupation with the grid's spectral cell volume, and averages.  Bins
+    with fewer than min_modes members come back NaN.  This is the
+    independent low-gain reference the stochastic flux is checked against.
     """
-    quad = quad or pt.QuadratureSpec(n_init=12, max_doublings=2, rel_tol=0.05)
-    lam, alpha = _mode_lambda_alpha(grid)
     w, kx, ky = _mode_frequencies(grid, grid.omega_center)
-    w3 = (w[:, None, None] * np.ones_like(alpha)).ravel()
-    kx3 = (kx[None, :, None] * np.ones_like(alpha)).ravel()
-    ky3 = (ky[None, None, :] * np.ones_like(alpha)).ravel()
-    lam = lam.ravel()
-    alpha = alpha.ravel()
+    w3, kx3, ky3 = (a.ravel() for a in np.meshgrid(w, kx, ky, indexing="ij"))
 
-    n_lambda = len(fmap.lambda_edges_nm) - 1
-    n_alpha = len(fmap.alpha_edges_deg) - 1
-    li = np.digitize(lam, fmap.lambda_edges_nm) - 1
-    ai = np.digitize(alpha, fmap.alpha_edges_deg) - 1
-    inside = (~np.isnan(alpha)) & (li >= 0) & (li < n_lambda) & (ai >= 0) & (ai < n_alpha)
+    bins = _bin_of_modes(grid, fmap.lambda_edges_nm, fmap.alpha_edges_deg)
+    order = np.argsort(bins, kind="stable")  # each bin's members in mode order
+    bounds = np.searchsorted(bins[order], np.arange(fmap.flux.size + 1))
 
-    pred = np.full((n_lambda, n_alpha), np.nan)
-    flat = li * n_alpha + ai
-    order = np.argsort(flat[inside], kind="stable")
-    idx_inside = np.flatnonzero(inside)[order]
-    boundaries = np.searchsorted(flat[idx_inside], np.arange(n_lambda * n_alpha + 1))
-    for b in range(n_lambda * n_alpha):
-        members = idx_inside[boundaries[b]:boundaries[b + 1]]
+    pred = np.full(fmap.flux.shape, np.nan)
+    for b in range(pred.size):
+        members = order[bounds[b]:bounds[b + 1]]
         if members.size < min_modes:
             continue
         take = members[np.linspace(0, members.size - 1, min(modes_per_bin, members.size),
                                    dtype=int)]
-        vals = []
-        for m in take:
-            kappa = dm.SpectralPoint(w3[m], kx3[m], ky3[m])
-            vals.append(pt.flux_quadrature_exact(kappa, crystal, pump, quad).flux)
-        pred[b // n_alpha, b % n_alpha] = grid.mode_volume * float(np.mean(vals))
+        vals = [pt.flux_quadrature_exact(dm.SpectralPoint(w3[m], kx3[m], ky3[m]),
+                                         crystal, pump, _ORACLE_QUAD)[0]
+                for m in take]
+        pred.flat[b] = grid.mode_volume * float(np.mean(vals))
     return pred

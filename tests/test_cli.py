@@ -108,9 +108,11 @@ class TestPhasematchCommand:
 
 
 GOLDEN = Path(__file__).parent / "data"
-# the reference files were written with finite-difference slopes: k0 and the
-# angle come from a root solve to 1e-6 rad/m either way, while d_beta1, d_rho
-# and the flux carry the finite differences' error, about 1e-7 relative
+# phasematch.csv and pert_flux_closed_form.csv were written with
+# finite-difference slopes: k0 and the angle come from a root solve to
+# 1e-6 rad/m either way, while d_beta1, d_rho and the flux carry the finite
+# differences' error, about 1e-7 relative; the gaussianized and exact files
+# were written with the closed-form slopes and per-row result objects
 EXACT_COLUMNS = ("lambda_nm", "k0_rad_per_m", "alpha_ext_deg")
 
 
@@ -119,6 +121,10 @@ class TestGoldenOutputs:
         (["phasematch", "--set", "phasematch.n_points=41"], "phasematch.csv"),
         (["pert-flux", "--method", "closed_form", "--set", "pert_flux.n_points=41"],
          "pert_flux_closed_form.csv"),
+        (["pert-flux", "--method", "gaussianized", "--set", "pert_flux.n_points=41"],
+         "pert_flux_gaussianized.csv"),
+        (["pert-flux", "--method", "exact", "--set", "pert_flux.n_points=41"],
+         "pert_flux_exact.csv"),
     ])
     def test_matches_reference_output(self, tmp_path, command, name):
         assert cli.main(command + ["--set", "crystal.theta_deg=31.3",

@@ -95,14 +95,14 @@ class TestQuadratures:
             coeffs = coeffs_at(lam, bbo313)
             cf = pt.flux_closed_form(coeffs, bbo313, pump60_80)
             kappa = on_surface(lam, bbo313)
-            fg = pt.flux_quadrature_gaussianized(kappa, coeffs, bbo313, pump60_80).flux
+            fg = pt.flux_quadrature_gaussianized(kappa, coeffs, bbo313, pump60_80)[0]
             assert fg == pytest.approx(cf, rel=0.01)
 
     def test_exact_within_25pct_of_closed_form(self, bbo313, pump60_80):
         for lam in (600, 760, 1000):
             cf = pt.flux_closed_form(coeffs_at(lam, bbo313), bbo313, pump60_80)
             kappa = on_surface(lam, bbo313)
-            fe = pt.flux_quadrature_exact(kappa, bbo313, pump60_80).flux
+            fe = pt.flux_quadrature_exact(kappa, bbo313, pump60_80)[0]
             assert abs(cf / fe - 1) < 0.25
 
     def test_amplitude_scaling(self, bbo313, pump60_80):
@@ -110,27 +110,27 @@ class TestQuadratures:
                              omega_center=pump60_80.omega_center,
                              l_nl=pump60_80.l_nl, a0=2.0)
         kappa = on_surface(700, bbo313)
-        f1 = pt.flux_quadrature_exact(kappa, bbo313, pump60_80).flux
-        f2 = pt.flux_quadrature_exact(kappa, bbo313, double).flux
+        f1 = pt.flux_quadrature_exact(kappa, bbo313, pump60_80)[0]
+        f2 = pt.flux_quadrature_exact(kappa, bbo313, double)[0]
         assert f2 / f1 == pytest.approx(4.0, rel=1e-12)
 
     def test_far_off_surface_suppression(self, bbo313, pump60_80):
         lam = 700
         k0 = float(pmm.perfect_curve(omega_of_nm(lam), bbo313))
         on = pt.flux_quadrature_exact(
-            dm.SpectralPoint(omega_of_nm(lam), k0, 0.0), bbo313, pump60_80).flux
+            dm.SpectralPoint(omega_of_nm(lam), k0, 0.0), bbo313, pump60_80)[0]
         off = pt.flux_quadrature_exact(
             dm.SpectralPoint(omega_of_nm(lam), 0.55 * k0, 0.0), bbo313,
-            pump60_80).flux
+            pump60_80)[0]
         assert off < 1e-3 * on
 
     def test_mirror_symmetry_of_exact_quadrature(self, bbo313, pump60_80):
         k0 = float(pmm.perfect_curve(omega_of_nm(760), bbo313))
         kx, ky = k0 * 0.6, k0 * 0.8
         f_up = pt.flux_quadrature_exact(dm.SpectralPoint(omega_of_nm(760), kx, ky),
-                                        bbo313, pump60_80).flux
+                                        bbo313, pump60_80)[0]
         f_dn = pt.flux_quadrature_exact(dm.SpectralPoint(omega_of_nm(760), -kx, -ky),
-                                        bbo313, pump60_80).flux
+                                        bbo313, pump60_80)[0]
         assert f_dn == pytest.approx(f_up, rel=0.02)
 
     def test_wide_pump_limit_gaussian_vs_exact(self, bbo313):
@@ -138,9 +138,10 @@ class TestQuadratures:
         wide = pt.PumpSpec(tau_p=600e-15, w_p=800e-6, omega_center=omega_of_nm(400),
                            l_nl=20e-3)
         kappa = on_surface(700, bbo313)
-        fe = pt.flux_quadrature_exact(kappa, bbo313, wide).flux
-        fg = pt.flux_quadrature_gaussianized(kappa, coeffs_at(700, bbo313), bbo313,
-                                             wide).flux
+        fe, err_e = pt.flux_quadrature_exact(kappa, bbo313, wide)
+        fg, err_g = pt.flux_quadrature_gaussianized(kappa, coeffs_at(700, bbo313), bbo313,
+                                                    wide)
+        assert err_e <= 0.01 and err_g <= 0.01
         assert fg / fe == pytest.approx(1.0, abs=0.05)
 
     def test_not_converged(self, bbo313, pump60_80):
@@ -153,11 +154,11 @@ class TestQuadratures:
 class TestSpectrumAlongCurve:
     def test_row_count_and_positivity(self, bbo313, pump60_80):
         lams = np.linspace(550, 1150, 25)
-        rows = pt.spectrum_along_curve(lams, bbo313, pump60_80)
-        assert len(rows) == 25
-        for row in rows:
-            if row.flux is not None:
-                assert row.flux >= 0
+        alpha, flux, err = pt.spectrum_along_curve(lams, bbo313, pump60_80)
+        assert alpha.shape == flux.shape == err.shape == (25,)
+        np.testing.assert_array_equal(np.isnan(alpha), np.isnan(flux))
+        assert np.all(np.isnan(err))  # closed_form carries no quadrature error
+        assert np.all(flux[~np.isnan(flux)] >= 0)
 
     def test_longer_pulse_flattens_spectrum(self, bbo313):
         lams = np.linspace(520, 1200, 60)
@@ -165,9 +166,8 @@ class TestSpectrumAlongCurve:
         for tau_fs in (60, 120):
             pump = pt.PumpSpec(tau_p=tau_fs * 1e-15, w_p=80e-6,
                                omega_center=omega_of_nm(400), l_nl=20e-3)
-            vals = [r.flux for r in pt.spectrum_along_curve(lams, bbo313, pump)
-                    if r.flux is not None]
-            flux[tau_fs] = np.array(vals)
+            vals = pt.spectrum_along_curve(lams, bbo313, pump)[1]
+            flux[tau_fs] = vals[~np.isnan(vals)]
         ratio60 = flux[60].max() / np.median(flux[60])
         ratio120 = flux[120].max() / np.median(flux[120])
         assert ratio120 < ratio60
@@ -178,20 +178,30 @@ class TestSpectrumAlongCurve:
                              omega_center=omega_of_nm(400), l_nl=20e-3)
         wide = pt.PumpSpec(tau_p=60e-15, w_p=160e-6,
                            omega_center=omega_of_nm(400), l_nl=20e-3)
-        f_n = [r.flux for r in pt.spectrum_along_curve(lams, bbo313, narrow)]
-        f_w = [r.flux for r in pt.spectrum_along_curve(lams, bbo313, wide)]
-        for a, b in zip(f_n, f_w):
-            if a is not None:
-                assert b > a
+        f_n = pt.spectrum_along_curve(lams, bbo313, narrow)[1]
+        f_w = pt.spectrum_along_curve(lams, bbo313, wide)[1]
+        matched = ~np.isnan(f_n)
+        assert np.all(f_w[matched] > f_n[matched])
 
     def test_csv_emission(self, bbo313, pump60_80):
-        rows = pt.spectrum_along_curve(np.linspace(700, 900, 5), bbo313, pump60_80,
-                                       method="closed_form")
+        lams = np.linspace(700, 900, 5)
+        columns = pt.spectrum_along_curve(lams, bbo313, pump60_80, method="closed_form")
         buf = io.StringIO()
-        pt.write_spectrum_csv(rows, "closed_form", buf)
+        pt.write_spectrum_csv(lams, *columns, "closed_form", buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "lambda_nm,alpha_ext_deg,flux,method,quad_error_estimate"
         assert len(lines) == 6
+
+    def test_csv_gap_and_error_fields(self, bbo29, pump60_80):
+        # the 29 deg cut has no matched point near 800 nm
+        lams = np.linspace(780, 820, 5)
+        columns = pt.spectrum_along_curve(lams, bbo29, pump60_80, method="gaussianized")
+        buf = io.StringIO()
+        pt.write_spectrum_csv(lams, *columns, "gaussianized", buf)
+        fields = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        gaps = [f for f in fields if f[1] == ""]
+        assert gaps and all(f[2:] == ["", "gaussianized", ""] for f in gaps)
+        assert all(f[2] and f[4] for f in fields if f[1])
 
     def test_unknown_method_rejected(self, bbo313, pump60_80):
         with pytest.raises(ValueError):

@@ -153,8 +153,11 @@ class TestLinearize:
 
 class TestScanCurve:
     def test_row_count(self, bbo313):
-        rows = pm.scan_curve(500, 1200, 41, bbo313)
-        assert len(rows) == 41
+        lams, k0, alpha, coeffs = pm.scan_curve(500, 1200, 41, bbo313)
+        assert lams.shape == k0.shape == (41,)
+        n_matched = np.count_nonzero(np.isfinite(k0))
+        assert alpha.shape == coeffs.k0.shape == (n_matched,)
+        np.testing.assert_array_equal(coeffs.k0, k0[np.isfinite(k0)])
 
     def test_angle_ordering_by_cut(self, bbo29, bbo313, bbo40):
         crystal35 = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
@@ -165,8 +168,8 @@ class TestScanCurve:
         assert alphas == sorted(alphas)
 
     def test_continuity_of_curve(self, bbo313):
-        rows = pm.scan_curve(550, 1150, 121, bbo313)
-        k0s = np.array([r.k0 for r in rows if r.k0 is not None])
+        k0 = pm.scan_curve(550, 1150, 121, bbo313)[1]
+        k0s = k0[np.isfinite(k0)]
         jumps = np.abs(np.diff(k0s))
         # each jump bounded by 3x the local slope estimate from its neighbors
         for i in range(1, len(jumps) - 1):
@@ -175,9 +178,8 @@ class TestScanCurve:
 
     def test_csv_format_with_gap(self):
         crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9)
-        rows = pm.scan_curve(780, 820, 5, crystal)
         buf = io.StringIO()
-        pm.write_scan_csv(rows, buf)
+        pm.write_scan_csv(*pm.scan_curve(780, 820, 5, crystal), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0].split(",") == ["lambda_nm", "k0_rad_per_m", "alpha_ext_deg",
                                        "d_beta1_s_per_m", "d_rho_px", "d_rho_py"]
