@@ -329,15 +329,15 @@ def cmd_calibrate(config: dict) -> int:
     return 0
 
 
-def _run_sweep_cell(cell_config: dict) -> tuple[str, int, str]:
-    name = cell_config["output_dir"]
+def _run_sweep_cell(cell_config: dict) -> tuple[str, int, str, float]:
+    t0 = time.perf_counter()
     try:
-        code = cmd_wigner(cell_config)
-        return name, code, ""
+        code, err = cmd_wigner(cell_config), ""
     except ParfluorError as exc:
-        return name, 3, str(exc)
+        code, err = 3, str(exc)
     except Exception as exc:  # cell isolation: never kill the coordinator
-        return name, 3, f"{type(exc).__name__}: {exc}"
+        code, err = 3, f"{type(exc).__name__}: {exc}"
+    return cell_config["output_dir"], code, err, round(time.perf_counter() - t0, 3)
 
 
 def cmd_sweep(config: dict) -> int:
@@ -378,12 +378,12 @@ def cmd_sweep(config: dict) -> int:
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "cells": [
             {"dir": str(Path(name).relative_to(out_root)), "exit_code": code,
-             "error": err}
-            for name, code, err in results
+             "error": err, "wall_time_s": wall}
+            for name, code, err, wall in results
         ],
     }
     atomic_write_text(out_root / "index.json", json.dumps(index, indent=2) + "\n")
-    n_failed = sum(1 for _, code, _ in results if code != 0)
+    n_failed = sum(1 for _, code, *_ in results if code != 0)
     if n_failed:
         print(f"sweep: {n_failed} of {len(results)} cells failed", file=sys.stderr)
         return 1

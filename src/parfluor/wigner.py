@@ -160,12 +160,11 @@ def _pump_spectrum0(pump: pt.PumpSpec, grid: SimulationGrid) -> np.ndarray:
 
 
 class _Propagator:
-    """Precomputed phase tables and the split-step loop for one configuration."""
+    """Precomputed phase tables and the split-step loop for one configuration;
+    they do not depend on pump.l_nl, which each propagation passes."""
 
     def __init__(self, crystal: dm.CrystalSpec, pump: pt.PumpSpec,
                  grid: SimulationGrid):
-        self.crystal = crystal
-        self.pump = pump
         self.grid = grid
         self.dz = crystal.length / grid.n_z
 
@@ -205,10 +204,10 @@ class _Propagator:
         self.pump_half = np.exp(0.5j * phase_pmp * self.dz)
         self.pump_spectral0 = _pump_spectrum0(pump, grid)
 
-    def _bogoliubov_tables(self, pump_pos):
+    def _bogoliubov_tables(self, pump_pos, l_nl):
         """cosh(m) and g_dz sinh(m)/m for the pointwise two-quadrature step,
         with g_dz = g dz and m = |g_dz|; the second is (g/|g|) sinh(|g| dz)."""
-        g_dz = pump_pos * (self.dz / self.pump.l_nl)
+        g_dz = pump_pos * (self.dz / l_nl)
         m = np.abs(g_dz)
         ch = np.cosh(m)
         sh = np.sinh(m)
@@ -218,8 +217,9 @@ class _Propagator:
         real = np.finfo(cdtype).dtype
         return ch.astype(real, copy=False), g_dz.astype(cdtype, copy=False)
 
-    def run_batch(self, batch: np.ndarray) -> np.ndarray:
-        """Propagate a (realizations, n_t, n_x, n_y) spectral batch to z = L.
+    def run_batch(self, batch: np.ndarray, l_nl: float) -> np.ndarray:
+        """Propagate a (realizations, n_t, n_x, n_y) spectral batch to z = L
+        at nonlinear length l_nl.
 
         Besides the batch, a step holds one conjugate scratch buffer and the
         two FFT outputs; the pointwise step runs in place.
@@ -229,7 +229,7 @@ class _Propagator:
         pump_spec = self.pump_spectral0 * self.pump_half  # at z = dz/2
         a *= self.half_linear
         for step in range(self.grid.n_z):
-            ch, psh = self._bogoliubov_tables(to_position(pump_spec))
+            ch, psh = self._bogoliubov_tables(to_position(pump_spec), l_nl)
             pos = to_position(a)
             np.conjugate(pos, out=conj)
             conj *= psh
@@ -246,7 +246,7 @@ class _Propagator:
 def propagate(spectral: np.ndarray, pump: pt.PumpSpec, crystal: dm.CrystalSpec,
               grid: SimulationGrid) -> np.ndarray:
     """Propagate one spectral field from z = 0 to the crystal exit face."""
-    return _Propagator(crystal, pump, grid).run_batch(spectral[None, ...])[0]
+    return _Propagator(crystal, pump, grid).run_batch(spectral[None, ...], pump.l_nl)[0]
 
 
 def pump_field_at(z: float, pump: pt.PumpSpec, crystal: dm.CrystalSpec,
@@ -385,7 +385,7 @@ class FluxMap:
 
 
 def _mode_lambda_alpha(grid: SimulationGrid):
-    """Wavelength [nm] and exterior angle [deg] of every grid mode."""
+    """Wavelength [nm] and exterior angle [deg] of every grid mode, raveled."""
     w, kx, ky = _mode_frequencies(grid, grid.omega_center)
     w3 = w[:, None, None]
     kperp = np.sqrt(kx[None, :, None] ** 2 + ky[None, None, :] ** 2)
@@ -393,14 +393,13 @@ def _mode_lambda_alpha(grid: SimulationGrid):
     ratio = C_LIGHT * kperp / w3
     alpha_deg = np.where(ratio <= 1.0, np.degrees(np.arcsin(np.minimum(ratio, 1.0))),
                          np.nan)
-    return lam_nm, alpha_deg
+    return lam_nm.ravel(), alpha_deg.ravel()
 
 
-def _bin_of_modes(grid: SimulationGrid, lam_edges, alpha_edges) -> np.ndarray:
-    """Flat (wavelength, angle) bin index of every grid mode, raveled, and -1
+def _bin_of_modes(lam, alpha, lam_edges, alpha_edges) -> np.ndarray:
+    """Flat bin index of every grid mode from its _mode_lambda_alpha, and -1
     for modes outside the edges or beyond the vacuum light cone.  The top
     edge of each axis belongs to its last bin."""
-    lam, alpha = (a.ravel() for a in _mode_lambda_alpha(grid))
     n_lambda = len(lam_edges) - 1
     n_alpha = len(alpha_edges) - 1
     li = np.digitize(lam, lam_edges) - 1
@@ -413,20 +412,20 @@ def _bin_of_modes(grid: SimulationGrid, lam_edges, alpha_edges) -> np.ndarray:
 
 def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid,
                       n_lambda: int = 48, n_alpha: int = 40,
-                      metadata: dict | None = None) -> FluxMap:
+                      metadata: dict | None = None, modes=None) -> FluxMap:
     """Bin per-mode flux over (wavelength, exterior angle).
 
     The bins span the wavelengths of the grid's modes and the angles from 0
     to the largest exterior angle among them.  Bin value is the mean over
     member modes; per-mode standard errors propagate as independent
     contributions.  Modes beyond the vacuum light cone (cannot refract out)
-    are excluded.
+    are excluded.  modes: the grid's _mode_lambda_alpha, if the caller has it.
     """
-    lam, alpha = _mode_lambda_alpha(grid)
+    lam, alpha = modes or _mode_lambda_alpha(grid)
     ok = ~np.isnan(alpha)
     lam_edges = np.linspace(lam[ok].min(), lam[ok].max(), n_lambda + 1)
     alpha_edges = np.linspace(0.0, alpha[ok].max(), n_alpha + 1)
-    bins = _bin_of_modes(grid, lam_edges, alpha_edges)
+    bins = _bin_of_modes(lam, alpha, lam_edges, alpha_edges)
     inside = bins >= 0
     flat = bins[inside]
     stderr = stderr.ravel()[inside]
@@ -456,32 +455,40 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid
 # ensemble runs and gain calibration
 
 
-def _ensemble_flux(prop, ensemble, paired=False):
-    """Propagate the ensemble with a _Propagator, returning per-mode
-    (flux, stderr, total).
+def _propagated(prop, l_nl, seed, indices):
+    """Exit-face |a|^2 (float64) and entrance spectral fields of the given
+    realizations at nonlinear length l_nl, each stacked on a leading axis."""
+    batch = np.empty((len(indices),) + prop.grid.shape, dtype=prop.grid.dtype)
+    for i, r in enumerate(indices):
+        batch[i] = sample_vacuum(prop.grid, vacuum_rng(seed, r))
+    return _mag_squared(prop.run_batch(batch, l_nl) if len(batch) else batch), batch
+
+
+def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
+    """Propagate the ensemble at nonlinear length l_nl with a _Propagator,
+    returning per-mode (flux, stderr, total).
 
     Realizations go through in batches of up to 32 and at most about
-    256 MB.  paired=True subtracts each realization's own input |a|^2
-    instead of the ensemble constant 1/2; identical in expectation
-    (dispersion preserves per-mode magnitudes), far lower variance at small
-    gain.
+    256 MB.  first, the ensemble's leading realizations _propagated at l_nl
+    before (by a calibration probe), opens the first batch instead.
+    paired=True subtracts each realization's own input |a|^2 instead of the
+    ensemble constant 1/2; identical in expectation (dispersion preserves
+    per-mode magnitudes), far lower variance at small gain.
     """
     grid = prop.grid
     bytes_per = grid.n_modes * np.dtype(grid.dtype).itemsize
     chunk_size = int(np.clip(256e6 // max(bytes_per, 1), 1, 32))
+    n_first = 0 if first is None else len(first[0])
     acc = _FluxAccumulator(grid.shape)
-    r = 0
-    while r < ensemble.n_realizations:
-        n_chunk = min(chunk_size, ensemble.n_realizations - r)
-        batch = np.empty((n_chunk,) + grid.shape, dtype=grid.dtype)
-        for i in range(n_chunk):
-            batch[i] = sample_vacuum(grid, vacuum_rng(ensemble.seed, r + i))
-        out = prop.run_batch(batch)
-        mags = _mag_squared(out)
+    for r in range(0, ensemble.n_realizations, chunk_size):
+        stop = min(r + chunk_size, ensemble.n_realizations)
+        mags, batch = _propagated(prop, l_nl, ensemble.seed, range(max(r, n_first), stop))
+        if r < n_first:
+            mags, batch = (np.concatenate([old[r:stop], new])
+                           for old, new in zip(first, (mags, batch)))
         if paired:
             mags -= _mag_squared(batch)
         acc.add(mags)
-        r += n_chunk
     flux = acc.mean() - (0.0 if paired else 0.5)
     return flux, acc.stderr(), float(flux.sum())
 
@@ -495,6 +502,9 @@ class CalibrationResult:
     total_photons: float
     n_probes: int
     trace: tuple
+    # the _Propagator of all probes, and the last probe's _propagated output
+    propagator: _Propagator = field(repr=False, compare=False)
+    probe: tuple = field(repr=False, compare=False)
 
 
 def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
@@ -506,37 +516,40 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
 
     Probes use the first _PROBE_REALIZATIONS realizations of the ensemble
     (common random numbers), so the total is deterministic and monotone in
-    the gain; the search brackets in log-gain and bisects.  Raises
-    NotConverged after max_probes.
+    the gain; the search brackets in log-gain and bisects.  All probes share
+    one _Propagator, and the returned l_nl is the last probe's, so its
+    realizations are the ensemble's at that gain.  Raises NotConverged after
+    max_probes.
     """
     if target_photons <= 0:
         raise ValueError("target_photons must be positive")
+    prop = _Propagator(crystal, pump, grid)
     probe_ens = EnsembleSpec(min(_PROBE_REALIZATIONS, ensemble.n_realizations),
                              ensemble.seed)
     trace = []
 
-    def total_at(log_gain):
+    def probe_at(log_gain):
         gain = float(np.exp(log_gain))
-        probe_pump = replace(pump, l_nl=crystal.length / gain)
-        _, _, total = _ensemble_flux(_Propagator(crystal, probe_pump, grid),
-                                     probe_ens, paired=True)
-        trace.append({"gain": gain, "l_nl": probe_pump.l_nl, "total": total})
-        return total
+        l_nl = crystal.length / gain
+        probe = _propagated(prop, l_nl, ensemble.seed, range(probe_ens.n_realizations))
+        _, _, total = _ensemble_flux(prop, l_nl, probe_ens, paired=True, first=probe)
+        trace.append({"gain": gain, "l_nl": l_nl, "total": total})
+        return total, probe
 
     x = 0.0  # log(L / l_nl) = log-gain, starting at gain 1
-    total = total_at(x)
+    total, probe = probe_at(x)
     if total > 0 and abs(total - target_photons) <= rel_tol * target_photons:
-        return CalibrationResult(crystal.length / np.exp(x), total, len(trace),
-                                 tuple(trace))
+        return CalibrationResult(trace[-1]["l_nl"], total, len(trace), tuple(trace),
+                                 prop, probe)
     # quadratic low-gain scaling gives a useful first jump
     if total > 0:
         x = float(np.clip(x + 0.5 * np.log(target_photons / total), x - 2.0, x + 2.0))
     lo = hi = None
     for _ in range(max_probes - 1):
-        total = total_at(x)
+        total, probe = probe_at(x)
         if total > 0 and abs(total - target_photons) <= rel_tol * target_photons:
-            return CalibrationResult(crystal.length / np.exp(x), total, len(trace),
-                                     tuple(trace))
+            return CalibrationResult(trace[-1]["l_nl"], total, len(trace),
+                                     tuple(trace), prop, probe)
         if total < target_photons:
             lo = x
             x = 0.5 * (lo + hi) if hi is not None else x + np.log(4.0)
@@ -557,15 +570,18 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
 
     Deterministic for a fixed EnsembleSpec; the returned map's metadata
     records the configuration, achieved totals and any calibration trace.
+    A calibrated run reuses the calibration's _Propagator and last probe.
     """
-    calibration = None
-    if target_photons is not None:
+    calibration = first = None
+    if target_photons is None:
+        prop = _Propagator(crystal, pump, grid)
+    else:
         calibration = calibrate_gain(target_photons, crystal, pump, grid, ensemble)
         pump = replace(pump, l_nl=calibration.l_nl)
-
-    prop = _Propagator(crystal, pump, grid)
-    flux, stderr, total = _ensemble_flux(prop, ensemble, paired=paired_subtraction)
-    _, alpha = _mode_lambda_alpha(grid)
+        prop, first = calibration.propagator, calibration.probe
+    flux, stderr, total = _ensemble_flux(prop, pump.l_nl, ensemble, paired_subtraction,
+                                         first)
+    modes = _mode_lambda_alpha(grid)
     k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
     ratio = C_LIGHT * k0 / grid.omega_center
     metadata = {
@@ -594,7 +610,7 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         "estimator": "paired" if paired_subtraction else "vacuum-half",
         "total_photons": total,
         "max_step_phase_rad": prop.max_step_phase,
-        "window_max_alpha_deg": float(np.nanmax(alpha)),
+        "window_max_alpha_deg": float(np.nanmax(modes[1])),
         # exterior angle of the matched ring at the grid center; None where
         # no matched mode there leaves the crystal (NaN fails the test)
         "matched_alpha_deg": (float(np.degrees(np.arcsin(ratio))) if ratio <= 1.0
@@ -606,10 +622,11 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
             "achieved_total": calibration.total_photons,
             "l_nl_mm": calibration.l_nl * 1e3,
             "n_probes": calibration.n_probes,
+            "reused_realizations": len(calibration.probe[0]),
             "trace": list(calibration.trace),
         }
     return azimuthal_average(flux, stderr, grid, n_lambda=n_lambda,
-                             n_alpha=n_alpha, metadata=metadata)
+                             n_alpha=n_alpha, metadata=metadata, modes=modes)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +651,8 @@ def perturbative_bin_means(fmap: FluxMap, grid: SimulationGrid,
     w, kx, ky = _mode_frequencies(grid, grid.omega_center)
     w3, kx3, ky3 = (a.ravel() for a in np.meshgrid(w, kx, ky, indexing="ij"))
 
-    bins = _bin_of_modes(grid, fmap.lambda_edges_nm, fmap.alpha_edges_deg)
+    bins = _bin_of_modes(*_mode_lambda_alpha(grid), fmap.lambda_edges_nm,
+                         fmap.alpha_edges_deg)
     order = np.argsort(bins, kind="stable")  # each bin's members in mode order
     bounds = np.searchsorted(bins[order], np.arange(fmap.flux.size + 1))
 

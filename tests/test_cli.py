@@ -219,6 +219,18 @@ class TestWignerCommand:
         assert run["max_step_phase_rad"] > 0
 
 
+    def test_calibrated_run_records_reused_realizations(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main(["wigner", *TINY_GRID, "--realizations", "3",
+                         "--target-photons", "500",
+                         "--set", "wigner.lambda_bins=4",
+                         "--set", "wigner.alpha_bins=3", "--out", str(out)])
+        assert code == 0
+        cal = json.loads((out / "manifest.json").read_text())["run"]["calibration"]
+        assert cal["reused_realizations"] == 2
+        assert len(cal["trace"]) == cal["n_probes"]
+
+
 class TestCalibrateCommand:
     def test_trace_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -250,6 +262,10 @@ class TestSweepCommand:
         for cell in index["cells"]:
             assert cell["exit_code"] == 0
             assert (out / cell["dir"] / "wigner.csv").exists()
+            assert cell["wall_time_s"] > 0
+        # each time is rounded to 1 ms
+        cell_times = sum(c["wall_time_s"] for c in index["cells"])
+        assert cell_times <= index["wall_time_s"] + 0.012
 
     def test_empty_sweep_exits_2(self, tmp_path):
         assert cli.main(["sweep", "--set", "sweep.cells=[]",

@@ -47,13 +47,13 @@ def pump_off(pump):
     return replace(pump, a0=0.0)
 
 
-def _reference_strang(prop, batch):
+def _reference_strang(prop, batch, l_nl):
     """The split step written out of place, with the complex tables
     (g/|g|) sinh(|g| dz) and cosh(|g| dz), at complex128."""
     a = batch.astype(np.complex128) * prop.half_linear
     pump_spec = prop.pump_spectral0 * prop.pump_half
     for step in range(prop.grid.n_z):
-        g = wg.to_position(pump_spec) / prop.pump.l_nl
+        g = wg.to_position(pump_spec) / l_nl
         m = np.abs(g) * prop.dz
         with np.errstate(invalid="ignore", divide="ignore"):
             phase = np.where(m > 0, g / np.where(m > 0, np.abs(g), 1.0), 1.0 + 0j)
@@ -169,7 +169,7 @@ class TestPropagate:
                                  ("complex64", np.float32, 1e-6)):
             prop = wg._Propagator(crystal, pump, replace(grid, dtype=dtype))
             pump_pos = wg.to_position(prop.pump_spectral0 * prop.pump_half)
-            ch, psh = prop._bogoliubov_tables(pump_pos)
+            ch, psh = prop._bogoliubov_tables(pump_pos, pump.l_nl)
             assert ch.dtype == real and psh.dtype == np.dtype(dtype)
             det = ch.astype(np.float64) ** 2 - np.abs(psh.astype(np.complex128)) ** 2
             assert np.max(np.abs(det - 1.0)) < tol
@@ -180,7 +180,7 @@ class TestPropagate:
         prop = wg._Propagator(crystal, pump_off(pump), replace(grid, dtype=dtype))
         pump_pos = wg.to_position(prop.pump_spectral0 * prop.pump_half)
         with np.errstate(all="raise"):
-            ch, psh = prop._bogoliubov_tables(pump_pos)
+            ch, psh = prop._bogoliubov_tables(pump_pos, pump.l_nl)
         assert np.all(ch == 1.0)
         assert np.all(psh == 0.0)
 
@@ -191,9 +191,10 @@ class TestPropagate:
         strong = replace(pump, l_nl=2e-3)  # gain 1
         batch = np.stack([wg.sample_vacuum(grid, wg.vacuum_rng(17, r))
                           for r in range(2)])
-        want = _reference_strang(wg._Propagator(crystal, strong, grid), batch)
+        want = _reference_strang(wg._Propagator(crystal, strong, grid), batch,
+                                 strong.l_nl)
         got = wg._Propagator(crystal, strong,
-                             replace(grid, dtype=dtype)).run_batch(batch)
+                             replace(grid, dtype=dtype)).run_batch(batch, strong.l_nl)
         assert got.dtype == np.dtype(dtype)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < rtol
 
@@ -213,9 +214,9 @@ class TestPropagate:
                                       span_y=grid.span_y, n_z=2 * grid.n_z,
                                       omega_center=grid.omega_center)
         _, _, t_coarse = wg._ensemble_flux(wg._Propagator(crystal, strong, grid),
-                                           ens, paired=True)
+                                           strong.l_nl, ens, paired=True)
         _, _, t_fine = wg._ensemble_flux(wg._Propagator(crystal, strong, fine_grid),
-                                         ens, paired=True)
+                                         strong.l_nl, ens, paired=True)
         assert abs(t_fine - t_coarse) / t_fine < 0.02
 
 
@@ -296,6 +297,80 @@ class TestCalibration:
                               rel_tol=1e-6)
 
 
+class TestCalibratedReuse:
+    """A calibrated run propagates on the calibration's one _Propagator and
+    takes the ensemble's leading realizations from the last probe."""
+
+    TARGET = 2e3
+
+    @pytest.fixture
+    def small(self, grid):
+        return replace(grid, n_t=16, n_x=8, n_y=8, n_z=10)
+
+    def _counted_run(self, monkeypatch, crystal, pump, grid, ens):
+        """A calibrated run_simulation, with the _Propagator builds and the
+        fields each run_batch propagated."""
+        builds, fields = [], []
+
+        class Counting(wg._Propagator):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+            def run_batch(self, batch, l_nl):
+                fields.append(len(batch))
+                return super().run_batch(batch, l_nl)
+
+        monkeypatch.setattr(wg, "_Propagator", Counting)
+        fmap = wg.run_simulation(crystal, pump, grid, ens, n_lambda=6, n_alpha=4,
+                                 target_photons=self.TARGET)
+        return fmap, builds, fields
+
+    def test_probe_is_a_fresh_propagation_at_the_returned_l_nl(self, crystal, pump,
+                                                                small):
+        ens = wg.EnsembleSpec(n_realizations=5, seed=41)
+        cal = wg.calibrate_gain(self.TARGET, crystal, pump, small, ens)
+        batch = np.stack([wg.sample_vacuum(small, wg.vacuum_rng(41, r))
+                          for r in range(2)])
+        fresh = wg._Propagator(crystal, pump, small).run_batch(batch, cal.l_nl)
+        np.testing.assert_array_equal(cal.probe[1], batch)
+        np.testing.assert_array_equal(cal.probe[0], wg._mag_squared(fresh))
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("n_real", [1, 2, 5])
+    def test_matches_uncalibrated_run_at_the_returned_l_nl(self, crystal, pump, small,
+                                                            paired, n_real):
+        ens = wg.EnsembleSpec(n_realizations=n_real, seed=41)
+        opts = dict(n_lambda=6, n_alpha=4, paired_subtraction=paired)
+        got = wg.run_simulation(crystal, pump, small, ens, target_photons=self.TARGET,
+                                **opts)
+        cal = wg.calibrate_gain(self.TARGET, crystal, pump, small, ens)
+        want = wg.run_simulation(crystal, replace(pump, l_nl=cal.l_nl), small, ens,
+                                 **opts)
+        for key in ("flux", "stderr"):
+            np.testing.assert_allclose(getattr(got, key), getattr(want, key),
+                                       rtol=1e-12, atol=0, err_msg=key)
+        np.testing.assert_array_equal(got.n_modes, want.n_modes)
+        assert got.metadata["total_photons"] == pytest.approx(
+            want.metadata["total_photons"], rel=1e-12)
+        assert got.metadata["calibration"]["reused_realizations"] == min(2, n_real)
+
+    @pytest.mark.parametrize("n_real", [1, 2, 5])
+    def test_propagates_each_realization_once(self, monkeypatch, crystal, pump, small,
+                                              n_real):
+        ens = wg.EnsembleSpec(n_realizations=n_real, seed=41)
+        fmap, _, fields = self._counted_run(monkeypatch, crystal, pump, small, ens)
+        n_probes = fmap.metadata["calibration"]["n_probes"]
+        assert n_probes >= 2
+        reused = min(2, n_real)
+        assert sum(fields) == n_probes * reused + n_real - reused
+
+    def test_builds_one_propagator(self, monkeypatch, crystal, pump, small):
+        ens = wg.EnsembleSpec(n_realizations=3, seed=41)
+        _, builds, _ = self._counted_run(monkeypatch, crystal, pump, small, ens)
+        assert len(builds) == 1
+
+
 class TestRunSimulation:
     def test_fixed_seed_reproducibility(self, crystal, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=3, seed=7)
@@ -309,8 +384,8 @@ class TestRunSimulation:
 
     def test_mirror_symmetry_of_mode_flux(self, crystal, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=60, seed=13)
-        flux, stderr, _ = wg._ensemble_flux(wg._Propagator(crystal, pump, grid), ens,
-                                            paired=True)
+        flux, stderr, _ = wg._ensemble_flux(wg._Propagator(crystal, pump, grid),
+                                            pump.l_nl, ens, paired=True)
         mirrored = flux[:, ::-1, :][:, : grid.n_x - 1, :]
         mirrored = np.roll(mirrored, 0, axis=1)
         # compare kx -> -kx pairs (FFT layout: index i <-> index n-i)
