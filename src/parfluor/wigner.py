@@ -412,16 +412,16 @@ def _bin_of_modes(lam, alpha, lam_edges, alpha_edges) -> np.ndarray:
 
 def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid,
                       n_lambda: int = 48, n_alpha: int = 40,
-                      metadata: dict | None = None, modes=None) -> FluxMap:
+                      metadata: dict | None = None) -> FluxMap:
     """Bin per-mode flux over (wavelength, exterior angle).
 
     The bins span the wavelengths of the grid's modes and the angles from 0
     to the largest exterior angle among them.  Bin value is the mean over
     member modes; per-mode standard errors propagate as independent
     contributions.  Modes beyond the vacuum light cone (cannot refract out)
-    are excluded.  modes: the grid's _mode_lambda_alpha, if the caller has it.
+    are excluded.
     """
-    lam, alpha = modes or _mode_lambda_alpha(grid)
+    lam, alpha = _mode_lambda_alpha(grid)
     ok = ~np.isnan(alpha)
     lam_edges = np.linspace(lam[ok].min(), lam[ok].max(), n_lambda + 1)
     alpha_edges = np.linspace(0.0, alpha[ok].max(), n_alpha + 1)
@@ -455,22 +455,16 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid
 # ensemble runs and gain calibration
 
 
-def _propagated(prop, l_nl, seed, indices):
-    """Exit-face |a|^2 (float64) and entrance spectral fields of the given
-    realizations at nonlinear length l_nl, each stacked on a leading axis."""
-    batch = np.empty((len(indices),) + prop.grid.shape, dtype=prop.grid.dtype)
-    for i, r in enumerate(indices):
-        batch[i] = sample_vacuum(prop.grid, vacuum_rng(seed, r))
-    return _mag_squared(prop.run_batch(batch, l_nl) if len(batch) else batch), batch
-
-
 def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     """Propagate the ensemble at nonlinear length l_nl with a _Propagator,
-    returning per-mode (flux, stderr, total).
+    returning per-mode (flux, stderr, total, raw).
 
     Realizations go through in batches of up to 32 and at most about
-    256 MB.  first, the ensemble's leading realizations _propagated at l_nl
-    before (by a calibration probe), opens the first batch instead.
+    256 MB.  raw is the exit-face |a|^2 (float64) and the entrance spectral
+    fields of the first batch, stacked on a leading axis, if that batch is
+    the whole ensemble, else None.  first, the raw of a smaller ensemble
+    with the same seed at the same l_nl (a calibration probe), opens the
+    first batch in place of propagating those realizations again.
     paired=True subtracts each realization's own input |a|^2 instead of the
     ensemble constant 1/2; identical in expectation (dispersion preserves
     per-mode magnitudes), far lower variance at small gain.
@@ -482,15 +476,21 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     acc = _FluxAccumulator(grid.shape)
     for r in range(0, ensemble.n_realizations, chunk_size):
         stop = min(r + chunk_size, ensemble.n_realizations)
-        mags, batch = _propagated(prop, l_nl, ensemble.seed, range(max(r, n_first), stop))
+        new = range(max(r, n_first), stop)
+        batch = np.empty((len(new),) + grid.shape, dtype=grid.dtype)
+        for i, k in enumerate(new):
+            batch[i] = sample_vacuum(grid, vacuum_rng(ensemble.seed, k))
+        mags = _mag_squared(prop.run_batch(batch, l_nl) if len(new) else batch)
         if r < n_first:
-            mags, batch = (np.concatenate([old[r:stop], new])
-                           for old, new in zip(first, (mags, batch)))
+            mags, batch = (np.concatenate([old[r:stop], now])
+                           for old, now in zip(first, (mags, batch)))
+        raw = (mags, batch) if r == 0 else None
         if paired:
-            mags -= _mag_squared(batch)
+            sq = _mag_squared(batch)
+            mags = np.subtract(mags, sq, out=sq)
         acc.add(mags)
     flux = acc.mean() - (0.0 if paired else 0.5)
-    return flux, acc.stderr(), float(flux.sum())
+    return flux, acc.stderr(), float(flux.sum()), raw
 
 
 _PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe
@@ -502,9 +502,9 @@ class CalibrationResult:
     total_photons: float
     n_probes: int
     trace: tuple
-    # the _Propagator of all probes, and the last probe's _propagated output
+    # the _Propagator of all probes, and the last probe's raw _ensemble_flux
     propagator: _Propagator = field(repr=False, compare=False)
-    probe: tuple = field(repr=False, compare=False)
+    probe: tuple | None = field(repr=False, compare=False)
 
 
 def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
@@ -531,8 +531,7 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     def probe_at(log_gain):
         gain = float(np.exp(log_gain))
         l_nl = crystal.length / gain
-        probe = _propagated(prop, l_nl, ensemble.seed, range(probe_ens.n_realizations))
-        _, _, total = _ensemble_flux(prop, l_nl, probe_ens, paired=True, first=probe)
+        _, _, total, probe = _ensemble_flux(prop, l_nl, probe_ens, paired=True)
         trace.append({"gain": gain, "l_nl": l_nl, "total": total})
         return total, probe
 
@@ -579,9 +578,8 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         calibration = calibrate_gain(target_photons, crystal, pump, grid, ensemble)
         pump = replace(pump, l_nl=calibration.l_nl)
         prop, first = calibration.propagator, calibration.probe
-    flux, stderr, total = _ensemble_flux(prop, pump.l_nl, ensemble, paired_subtraction,
-                                         first)
-    modes = _mode_lambda_alpha(grid)
+    flux, stderr, total, _ = _ensemble_flux(prop, pump.l_nl, ensemble,
+                                            paired_subtraction, first)
     k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
     ratio = C_LIGHT * k0 / grid.omega_center
     metadata = {
@@ -610,7 +608,7 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         "estimator": "paired" if paired_subtraction else "vacuum-half",
         "total_photons": total,
         "max_step_phase_rad": prop.max_step_phase,
-        "window_max_alpha_deg": float(np.nanmax(modes[1])),
+        "window_max_alpha_deg": None,  # set below from the map's top angle edge
         # exterior angle of the matched ring at the grid center; None where
         # no matched mode there leaves the crystal (NaN fails the test)
         "matched_alpha_deg": (float(np.degrees(np.arcsin(ratio))) if ratio <= 1.0
@@ -622,11 +620,13 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
             "achieved_total": calibration.total_photons,
             "l_nl_mm": calibration.l_nl * 1e3,
             "n_probes": calibration.n_probes,
-            "reused_realizations": len(calibration.probe[0]),
+            "reused_realizations": 0 if first is None else len(first[0]),
             "trace": list(calibration.trace),
         }
-    return azimuthal_average(flux, stderr, grid, n_lambda=n_lambda,
-                             n_alpha=n_alpha, metadata=metadata, modes=modes)
+    fmap = azimuthal_average(flux, stderr, grid, n_lambda=n_lambda, n_alpha=n_alpha,
+                             metadata=metadata)
+    metadata["window_max_alpha_deg"] = float(fmap.alpha_edges_deg[-1])
+    return fmap
 
 
 # ---------------------------------------------------------------------------

@@ -213,10 +213,10 @@ class TestPropagate:
                                       span_t=grid.span_t, span_x=grid.span_x,
                                       span_y=grid.span_y, n_z=2 * grid.n_z,
                                       omega_center=grid.omega_center)
-        _, _, t_coarse = wg._ensemble_flux(wg._Propagator(crystal, strong, grid),
-                                           strong.l_nl, ens, paired=True)
-        _, _, t_fine = wg._ensemble_flux(wg._Propagator(crystal, strong, fine_grid),
-                                         strong.l_nl, ens, paired=True)
+        _, _, t_coarse, _ = wg._ensemble_flux(wg._Propagator(crystal, strong, grid),
+                                              strong.l_nl, ens, paired=True)
+        _, _, t_fine, _ = wg._ensemble_flux(wg._Propagator(crystal, strong, fine_grid),
+                                            strong.l_nl, ens, paired=True)
         assert abs(t_fine - t_coarse) / t_fine < 0.02
 
 
@@ -384,8 +384,8 @@ class TestRunSimulation:
 
     def test_mirror_symmetry_of_mode_flux(self, crystal, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=60, seed=13)
-        flux, stderr, _ = wg._ensemble_flux(wg._Propagator(crystal, pump, grid),
-                                            pump.l_nl, ens, paired=True)
+        flux, stderr, _, _ = wg._ensemble_flux(wg._Propagator(crystal, pump, grid),
+                                               pump.l_nl, ens, paired=True)
         mirrored = flux[:, ::-1, :][:, : grid.n_x - 1, :]
         mirrored = np.roll(mirrored, 0, axis=1)
         # compare kx -> -kx pairs (FFT layout: index i <-> index n-i)
@@ -411,7 +411,7 @@ class TestRunSimulation:
         meta = wg.run_simulation(crystal, pump, replace(grid, n_z=4), ens,
                                  n_lambda=4, n_alpha=3).metadata
         _, alpha = wg._mode_lambda_alpha(grid)
-        assert meta["window_max_alpha_deg"] == pytest.approx(np.nanmax(alpha))
+        assert meta["window_max_alpha_deg"] == np.nanmax(alpha)
         k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
         expected = np.degrees(pmm.exterior_angle(grid.omega_center, k0))
         assert meta["matched_alpha_deg"] == pytest.approx(expected, rel=1e-12)
