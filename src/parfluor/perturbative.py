@@ -77,13 +77,6 @@ def pump_spectrum(kappa_p: dm.SpectralPoint, pump: PumpSpec):
     return pref * np.exp(-0.5 * pump.tau_p**2 * du**2 - 0.5 * pump.w_p**2 * kperp2)
 
 
-def _pump_weight(omega_p, qx, qy, pump: PumpSpec):
-    """|spectral amplitude|^2 evaluated without object wrapping (hot path)."""
-    pref = pump.a0 * pump.w_p**2 * pump.tau_p / TWO_PI**1.5
-    du = omega_p - pump.omega_center
-    return pref**2 * np.exp(-pump.tau_p**2 * du**2 - pump.w_p**2 * (qx**2 + qy**2))
-
-
 def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
                      pump: PumpSpec):
     """Closed-form occupation on the matched surface from expansion coefficients
@@ -136,7 +129,8 @@ def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | 
 
     def integral(n):
         w_i, kx_i, ky_i, dv = _kappa_prime_axes(kappa, pump, n)
-        weight = _pump_weight(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i, pump)
+        kappa_p = dm.SpectralPoint(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i)
+        weight = pump_spectrum(kappa_p, pump) ** 2
         return float(np.nansum(weight * factor(w_i, kx_i, ky_i))) * dv
 
     n = quad.n_init
@@ -159,13 +153,9 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
     """Exact-sinc^2 quadrature of the pair-generation integral at kappa;
     returns (flux, err_rel)."""
     L = crystal.length
-    kz_s = dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
 
     def sinc2(w_i, kx_i, ky_i):
-        kz_i = dm.kz_signal_grid(w_i, kx_i, ky_i, crystal, allow_evanescent=True)
-        kz_p = dm.kz_pump_grid(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i,
-                               crystal)
-        dk = kz_p - kz_s - kz_i
+        dk = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), crystal)
         return np.sinc(L * dk / (2.0 * np.pi)) ** 2
 
     return _quadrature(kappa, pump, quad, sinc2, L)

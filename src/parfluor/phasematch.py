@@ -61,13 +61,14 @@ class LinearizedCoeffs:
 def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
             crystal: dm.CrystalSpec):
     """Wavevector mismatch of the pair (kappa, kappa') with its pump component;
-    broadcasts over array-valued points."""
+    broadcasts over array-valued points.  NaN where the idler kappa' is
+    evanescent; an evanescent signal kappa raises EvanescentMode."""
     return (dm.kz_pump_grid(kappa.omega + kappa_prime.omega,
                             kappa.kx + kappa_prime.kx,
                             kappa.ky + kappa_prime.ky, crystal)
             - dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
             - dm.kz_signal_grid(kappa_prime.omega, kappa_prime.kx, kappa_prime.ky,
-                                crystal))
+                                crystal, allow_evanescent=True))
 
 
 def _mismatch_on_ring(k, omega_obs, omega_idler, kz_p, crystal):

@@ -50,6 +50,13 @@ class TestConfigHandling:
         assert "OutOfDispersionWindow" in capsys.readouterr().err
         assert not (out / "phasematch.csv").exists()
 
+    def test_readme_configuration_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Configuration"):]
+        start = section.index("```json\n") + len("```json\n")
+        block = section[start:section.index("```", start)]
+        assert json.loads(block) == cli.DEFAULTS
+
     def test_env_var_data_dir(self, tmp_path, monkeypatch):
         material = {
             "name": "BBO-local",

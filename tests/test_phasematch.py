@@ -6,7 +6,7 @@ from scipy.constants import c as C_LIGHT
 
 from parfluor import dispersion as dm
 from parfluor import phasematch as pm
-from parfluor.errors import NoPhaseMatch, TotalInternalReflection
+from parfluor.errors import EvanescentMode, NoPhaseMatch, TotalInternalReflection
 
 from conftest import omega_of_nm
 
@@ -37,6 +37,16 @@ class TestDeltaK:
         am = dm.SpectralPoint(omega_of_nm(700), 2e5, -4e5)
         bm = dm.SpectralPoint(omega_of_nm(950), -2e5, 4e5)
         assert pm.delta_k(a, b, bbo313) == pm.delta_k(am, bm, bbo313)
+
+    def test_evanescent_idler_is_nan(self, bbo313):
+        # the exact quadrature's idler box can reach past the light cone,
+        # where the idler carries no pair; an evanescent signal is an error
+        signal = dm.SpectralPoint(omega_of_nm(700), 2e5, 0.0)
+        idlers = dm.SpectralPoint(omega_of_nm(950), np.array([-2e5, -2e7]), 0.0)
+        dk = pm.delta_k(signal, idlers, bbo313)
+        assert np.isfinite(dk[0]) and np.isnan(dk[1])
+        with pytest.raises(EvanescentMode):
+            pm.delta_k(idlers, signal, bbo313)
 
 
 def linearize_at(omega, crystal):
