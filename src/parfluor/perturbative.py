@@ -25,7 +25,7 @@ from scipy.constants import c as C_LIGHT
 
 from . import dispersion as dm
 from . import phasematch as pmm
-from .errors import NotConverged
+from .errors import NotConverged, OutOfDispersionWindow
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,8 +73,9 @@ def pump_spectrum(kappa_p: dm.SpectralPoint, pump: PumpSpec):
     """
     pref = pump.a0 * pump.w_p**2 * pump.tau_p / TWO_PI**1.5
     du = np.asarray(kappa_p.omega) - pump.omega_center
-    kperp2 = np.asarray(kappa_p.kx) ** 2 + np.asarray(kappa_p.ky) ** 2
-    return pref * np.exp(-0.5 * pump.tau_p**2 * du**2 - 0.5 * pump.w_p**2 * kperp2)
+    return (pref * np.exp(-0.5 * pump.tau_p**2 * du**2)
+            * np.exp(-0.5 * pump.w_p**2 * np.asarray(kappa_p.kx) ** 2)
+            * np.exp(-0.5 * pump.w_p**2 * np.asarray(kappa_p.ky) ** 2))
 
 
 def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
@@ -95,15 +96,20 @@ def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
 
 
 def _kappa_prime_axes(kappa: dm.SpectralPoint, pump: PumpSpec, n: int):
-    """Midpoint nodes (broadcast over three axes) and cell volume of the idler
-    box around the pump support.
+    """Midpoint nodes (broadcast over three axes) of the idler box around the
+    pump support, and the cell volume times each ky' node's count.
 
     The squared pump envelope has standard deviations 1/(sqrt(2) tau_p) in
     frequency and 1/(sqrt(2) w_p) transversally; the box spans +-SUPPORT_SIGMA
-    of those around the conjugate point of kappa.
+    of those around the conjugate point of kappa.  At ky = 0 the integrand is
+    even in ky', so only the ky' >= 0 nodes are kept, each counted twice but
+    the ky' = 0 node of an odd n.
     """
     half_u = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
     half_k = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p)
+    if pump.omega_center - kappa.omega <= half_u:
+        raise OutOfDispersionWindow(f"the idler box of the signal at omega="
+                                    f"{kappa.omega:.6g} reaches omega' <= 0")
 
     def midpoints(center, half, m):
         h = 2.0 * half / m
@@ -112,15 +118,20 @@ def _kappa_prime_axes(kappa: dm.SpectralPoint, pump: PumpSpec, n: int):
     wp_nodes, dw = midpoints(pump.omega_center - kappa.omega, half_u, n)
     kx_nodes, dkx = midpoints(-kappa.kx, half_k, n)
     ky_nodes, dky = midpoints(-kappa.ky, half_k, n)
+    counts = np.ones(n)
+    if kappa.ky == 0:
+        ky_nodes = (np.arange(n // 2, n) + 0.5 - 0.5 * n) * dky
+        counts = np.where(ky_nodes == 0.0, 1.0, 2.0)
     return (wp_nodes[:, None, None], kx_nodes[None, :, None], ky_nodes[None, None, :],
-            dw * dkx * dky)
+            dw * dkx * dky * counts)
 
 
 def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | None,
                 factor, length: float):
     """Integral over the idler box of the squared pump amplitude times the
     phase-matching factor(w_i, kx_i, ky_i), a function of the broadcast idler
-    nodes whose NaN values (evanescent idlers) count as zero.
+    nodes whose NaN values (evanescent idlers) count as zero.  At kappa.ky = 0
+    it sees only ky_i >= 0, so it must be even in ky_i there.
 
     Midpoint rule, doubled until the Richardson-extrapolated value settles
     within quad.rel_tol; returns ((length / l_nl)^2 * integral, err_rel).
@@ -128,10 +139,10 @@ def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | 
     quad = quad or QuadratureSpec()
 
     def integral(n):
-        w_i, kx_i, ky_i, dv = _kappa_prime_axes(kappa, pump, n)
+        w_i, kx_i, ky_i, cells = _kappa_prime_axes(kappa, pump, n)
         kappa_p = dm.SpectralPoint(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i)
-        weight = pump_spectrum(kappa_p, pump) ** 2
-        return float(np.nansum(weight * factor(w_i, kx_i, ky_i))) * dv
+        weight = pump_spectrum(kappa_p, pump) ** 2 * cells
+        return float(np.nansum(weight * factor(w_i, kx_i, ky_i)))
 
     n = quad.n_init
     coarse = integral(n)
@@ -155,8 +166,8 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
     L = crystal.length
 
     def sinc2(w_i, kx_i, ky_i):
-        dk = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), crystal)
-        return np.sinc(L * dk / (2.0 * np.pi)) ** 2
+        h = 0.5 * L * pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), crystal)
+        return np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0) ** 2
 
     return _quadrature(kappa, pump, quad, sinc2, L)
 

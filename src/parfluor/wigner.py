@@ -426,6 +426,7 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid
 # ensemble runs and gain calibration
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the total is checked instead
 def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     """Propagate the ensemble at nonlinear length l_nl with a _Propagator,
     returning per-mode (flux, stderr, total, raw).
@@ -440,6 +441,7 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     paired=True subtracts each realization's own input |a|^2 instead of the
     ensemble constant 1/2; identical in expectation (dispersion preserves
     per-mode magnitudes), far lower variance at small gain.
+    Raises NotConverged when the photon numbers are not finite.
     """
     grid = prop.grid
     bytes_per = grid.n_modes * np.dtype(grid.dtype).itemsize
@@ -461,7 +463,11 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
             mags = np.subtract(mags, sq, out=sq)
         acc.add(mags)
     flux = acc.mean() - (0.0 if paired else 0.5)
-    return flux, acc.stderr(), float(flux.sum()), raw
+    total = float(flux.sum())
+    if not np.isfinite(total):  # NaN or inf in any mode mean reaches the total
+        raise NotConverged(f"gain L/l_nl = {prop.dz * grid.n_z / l_nl:.4g} overflows "
+                           "the amplified field: the photon numbers are not finite")
+    return flux, acc.stderr(), total, raw
 
 
 _PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe

@@ -226,6 +226,18 @@ class TestWignerCommand:
         assert run["max_step_phase_rad"] > 0
 
 
+    def test_non_finite_output_exits_3(self, tmp_path, capsys):
+        # gain L/l_nl = 800 overflows the amplified field
+        out = tmp_path / "out"
+        code = cli.main(["wigner", "--set", "crystal.theta_deg=35",
+                         "--set", "pump.tau_fs=120", "--set", "pump.l_nl_mm=0.0025",
+                         "--set", "grid.n_t=32", "--set", "grid.n_x=16",
+                         "--set", "grid.n_y=16", "--set", "grid.n_z=50",
+                         "--realizations", "2", "--out", str(out)])
+        assert code == 3
+        assert "gain L/l_nl = 800" in capsys.readouterr().err
+        assert not (out / "wigner.csv").exists()
+
     def test_calibrated_run_records_reused_realizations(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["wigner", *TINY_GRID, "--realizations", "3",

@@ -2,13 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 from scipy.integrate import quad as scipy_quad
 
 from parfluor import dispersion as dm
 from parfluor import perturbative as pt
 from parfluor import phasematch as pmm
-from parfluor.errors import NoPhaseMatch, NotConverged
+from parfluor.errors import NoPhaseMatch, NotConverged, OutOfDispersionWindow
 
 from conftest import omega_of_nm
 
@@ -149,6 +151,87 @@ class TestQuadratures:
         kappa = on_surface(700, bbo313)
         with pytest.raises(NotConverged):
             pt.flux_quadrature_exact(kappa, bbo313, pump60_80, strict)
+
+    def test_signal_near_pump_frequency_is_out_of_window(self, bbo313, pump60_80):
+        # the idler box would reach omega' <= 0
+        w = pump60_80.omega_center - 2.5 / (np.sqrt(2.0) * pump60_80.tau_p)
+        with pytest.raises(OutOfDispersionWindow):
+            pt.flux_quadrature_exact(dm.SpectralPoint(w, 0.0, 0.0), bbo313, pump60_80)
+
+
+def full_box_level(kappa, pump, n, factor):
+    """Midpoint sum over the whole idler box at n nodes per axis, with the
+    squared pump written out as one Gaussian."""
+    half_u = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
+    half_k = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p)
+    s = (2.0 * np.arange(n) + 1.0) / n - 1.0
+    w_i = (pump.omega_center - kappa.omega + half_u * s)[:, None, None]
+    kx_i = (-kappa.kx + half_k * s)[None, :, None]
+    ky_i = (-kappa.ky + half_k * s)[None, None, :]
+    peak = pump.a0 * pump.w_p**2 * pump.tau_p / (2.0 * np.pi) ** 1.5
+    weight = peak**2 * np.exp(
+        -pump.tau_p**2 * (kappa.omega + w_i - pump.omega_center) ** 2
+        - pump.w_p**2 * ((kappa.kx + kx_i) ** 2 + (kappa.ky + ky_i) ** 2))
+    return np.nansum(weight * factor(w_i, kx_i, ky_i)) * (2.0 * half_u / n) * (
+        2.0 * half_k / n) ** 2
+
+
+class TestHalfBox:
+    """At ky = 0 the quadratures sum only the ky' >= 0 half of the idler box."""
+
+    @pytest.mark.parametrize("n_init", [16, 15])
+    @pytest.mark.parametrize("route", ["exact", "gaussianized"])
+    def test_matches_full_box_midpoint_sum(self, bbo313, pump60_80, route, n_init):
+        lam, L = 760, bbo313.length
+        kappa = on_surface(lam, bbo313)
+        coeffs = coeffs_at(lam, bbo313)
+        if route == "exact":
+            def factor(w_i, kx_i, ky_i):
+                dk = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), bbo313)
+                return np.sinc(L * dk / (2.0 * np.pi)) ** 2
+        else:
+            def factor(w_i, kx_i, ky_i):
+                dk = pmm.delta_k_linearized(coeffs, kappa.kx, kappa.ky, w_i, kx_i, ky_i)
+                return np.exp(-(L * dk) ** 2 / 12.0)
+        coarse, fine = (full_box_level(kappa, pump60_80, n, factor)
+                        for n in (n_init, 2 * n_init))
+        expected = (L / pump60_80.l_nl) ** 2 * (fine + (fine - coarse) / 3.0)
+        quad = pt.QuadratureSpec(n_init=n_init, max_doublings=1, rel_tol=1.0)
+        if route == "exact":
+            got = pt.flux_quadrature_exact(kappa, bbo313, pump60_80, quad)[0]
+        else:
+            got = pt.flux_quadrature_gaussianized(kappa, coeffs, bbo313, pump60_80, quad)[0]
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("ky_frac, half", [(0.0, True), (0.3, False)])
+    def test_factor_sees_half_box_only_at_ky_zero(self, bbo313, pump60_80, ky_frac, half):
+        k0 = on_surface(760, bbo313).kx
+        kappa = dm.SpectralPoint(omega_of_nm(760), k0, ky_frac * k0)
+        seen = []
+
+        def factor(w_i, kx_i, ky_i):
+            seen.append(ky_i.ravel() + kappa.ky)  # ky' relative to the box center
+            return np.ones(np.broadcast(w_i, kx_i, ky_i).shape)
+
+        quad = pt.QuadratureSpec(n_init=15, max_doublings=1, rel_tol=1.0)
+        pt._quadrature(kappa, pump60_80, quad, factor, bbo313.length)
+        assert [len(k) for k in seen] == ([8, 15] if half else [15, 30])
+        for k in seen:
+            assert np.all(k >= 0) if half else (k.min() < 0 < k.max())
+
+    @given(lam=st.floats(550, 1150), u=st.floats(-1, 1), s=st.floats(-1, 1),
+           t=st.floats(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_delta_k_even_in_idler_ky(self, bbo313, pump60_80, lam, u, s, t):
+        # over the idler box around the conjugate point of a matched signal
+        kappa = on_surface(lam, bbo313)
+        half_u = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump60_80.tau_p)
+        half_k = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump60_80.w_p)
+        w_i = pump60_80.omega_center - kappa.omega + u * half_u
+        kx_i, ky_i = -kappa.kx + s * half_k, t * half_k
+        up = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), bbo313)
+        down = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, -ky_i), bbo313)
+        np.testing.assert_array_equal(up, down)
 
 
 class TestSpectrumAlongCurve:

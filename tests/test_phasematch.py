@@ -112,6 +112,17 @@ class TestLinearize:
         assert coeffs.d_rho_y == pytest.approx(0.0, abs=1e-12)
         assert coeffs.d_rho_py == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [29.0, 31.3, 35.0, 40.0])
+    def test_y_walkoffs_exactly_zero_on_surface(self, theta):
+        # the quadratures' half idler box relies on these being exact zeros
+        crystal = dm.make_crystal(np.deg2rad(theta), 2e-3, 400e-9)
+        omega = omega_of_nm(np.linspace(500, 1200, 141))
+        k0 = pm.perfect_curve(omega, crystal)
+        ok = np.isfinite(k0)
+        coeffs = pm.linearize(omega[ok], k0[ok], crystal)
+        assert ok.sum() > 10
+        assert np.all(coeffs.d_rho_y == 0.0) and np.all(coeffs.d_rho_py == 0.0)
+
     def test_raises_without_matched_point(self, bbo29):
         with pytest.raises(NoPhaseMatch):
             linearize_at(omega_of_nm(800), bbo29)
