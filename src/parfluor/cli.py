@@ -76,42 +76,54 @@ DEFAULTS = {
 # configuration handling
 
 
-def _merge(base: dict, override: dict, path="") -> dict:
-    out = copy.deepcopy(base)
+# the types a setting may take for each type of its default, and their name
+_KINDS = {bool: (bool, "true or false"), int: (int, "an integer"),
+          float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"),
+          type(None): ((int, float, type(None)), "a number or null")}
+
+
+def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
+    """Raise ConfigError unless each setting of override is a key of defaults
+    with a value of its default's type; an int stands for a float, a number
+    for a null, and counts are >= 1 (seeds >= 0)."""
     for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
+        here = f"{path}{key}"
+        if key not in defaults:
             raise ConfigError(f"unknown configuration key '{here}'")
-        if isinstance(base[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"'{here}' must be a table of settings")
-            out[key] = _merge(base[key], value, here)
+            _check(value, default, here + ".")
+            continue
+        kind = type(default)
+        allowed, name = _KINDS[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise ConfigError(f"'{here}' must be {name}, got {value!r}")
+        low = 0 if key == "seed" else 1
+        if kind is int and value < low:
+            raise ConfigError(f"'{here}' must be an integer >= {low}, got {value}")
+
+
+def _merge(config: dict, override: dict) -> None:
+    for key, value in override.items():
+        if isinstance(value, dict):
+            _merge(config[key], value)
         else:
-            out[key] = value
-    return out
+            config[key] = value
 
 
-def _apply_set(config: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
-    key, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown configuration key '{key}'")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"unknown configuration key '{key}'")
-    node[parts[-1]] = value
+def _setting(key: str, value) -> dict:
+    """The override {"a": {"b": value}} of the dotted key "a.b"."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
 def load_config(args) -> dict:
-    config = copy.deepcopy(DEFAULTS)
+    """DEFAULTS overridden by the config file, then each --set in order, then
+    the shorthand flags, whose argparse dests are their dotted keys."""
+    overrides = []
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -122,21 +134,22 @@ def load_config(args) -> dict:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"config root in {path} must be a JSON object")
-        config = _merge(config, user)
+        overrides.append(user)
     for assignment in args.set or []:
-        _apply_set(config, assignment)
-    if args.out:
-        config["output_dir"] = args.out
-    if args.seed is not None:
-        config["ensemble"]["seed"] = args.seed
-    if getattr(args, "realizations", None) is not None:
-        config["ensemble"]["realizations"] = args.realizations
-    if getattr(args, "target_photons", None) is not None:
-        config["wigner"]["target_photons"] = args.target_photons
-    if getattr(args, "method", None) is not None:
-        config["pert_flux"]["method"] = args.method
-    if getattr(args, "jobs", None) is not None:
-        config["sweep"]["jobs"] = args.jobs
+        if "=" not in assignment:
+            raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
+        key, raw = assignment.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        overrides.append(_setting(key, value))
+    overrides += [_setting(key, value) for key, value in vars(args).items()
+                  if value is not None and key not in ("command", "config", "set")]
+    config = copy.deepcopy(DEFAULTS)
+    for override in overrides:
+        _check(override)
+        _merge(config, override)
     return config
 
 
@@ -144,9 +157,9 @@ def build_crystal(config: dict) -> dm.CrystalSpec:
     c = config["crystal"]
     try:
         return dm.make_crystal(
-            theta_cut=np.deg2rad(float(c["theta_deg"])),
-            length=float(c["length_mm"]) * 1e-3,
-            pump_wavelength=float(c["pump_wavelength_nm"]) * 1e-9,
+            theta_cut=np.deg2rad(c["theta_deg"]),
+            length=c["length_mm"] * 1e-3,
+            pump_wavelength=c["pump_wavelength_nm"] * 1e-9,
             material=c["material"],
         )
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
@@ -157,11 +170,11 @@ def build_pump(config: dict, crystal: dm.CrystalSpec) -> pt.PumpSpec:
     p = config["pump"]
     try:
         return pt.PumpSpec(
-            tau_p=float(p["tau_fs"]) * 1e-15,
-            w_p=float(p["w_um"]) * 1e-6,
+            tau_p=p["tau_fs"] * 1e-15,
+            w_p=p["w_um"] * 1e-6,
             omega_center=crystal.pump_center_omega,
-            l_nl=float(p["l_nl_mm"]) * 1e-3,
-            a0=float(p["a0"]),
+            l_nl=p["l_nl_mm"] * 1e-3,
+            a0=float(p["a0"]),  # run metadata records it
         )
     except ValueError as exc:
         raise ConfigError(f"invalid 'pump' settings: {exc}") from exc
@@ -171,13 +184,13 @@ def build_grid(config: dict, crystal: dm.CrystalSpec, pump: pt.PumpSpec) -> wg.S
     g = config["grid"]
     try:
         return wg.SimulationGrid(
-            n_t=int(g["n_t"]), n_x=int(g["n_x"]), n_y=int(g["n_y"]),
-            span_t=float(g["span_t_factor"]) * pump.tau_p,
-            span_x=float(g["span_xy_factor"]) * pump.w_p,
-            span_y=float(g["span_xy_factor"]) * pump.w_p,
-            n_z=int(g["n_z"]),
+            n_t=g["n_t"], n_x=g["n_x"], n_y=g["n_y"],
+            span_t=g["span_t_factor"] * pump.tau_p,
+            span_x=g["span_xy_factor"] * pump.w_p,
+            span_y=g["span_xy_factor"] * pump.w_p,
+            n_z=g["n_z"],
             omega_center=crystal.pump_center_omega / 2.0,
-            dtype=str(g["dtype"]),
+            dtype=g["dtype"],
         )
     except ValueError as exc:
         raise ConfigError(f"invalid 'grid' settings: {exc}") from exc
@@ -185,11 +198,7 @@ def build_grid(config: dict, crystal: dm.CrystalSpec, pump: pt.PumpSpec) -> wg.S
 
 def build_ensemble(config: dict) -> wg.EnsembleSpec:
     e = config["ensemble"]
-    try:
-        return wg.EnsembleSpec(n_realizations=int(e["realizations"]),
-                               seed=int(e["seed"]))
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'ensemble' settings: {exc}") from exc
+    return wg.EnsembleSpec(n_realizations=e["realizations"], seed=e["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +222,25 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, wall_time: float,
-                   outputs: list[str], extra: dict | None = None) -> None:
+def write_manifest(command: str, config: dict, t0: float,
+                   outputs: dict[str, str | bytes], extra: dict | None = None) -> None:
+    """Write each named output into config's output_dir, then the manifest;
+    the wall time runs from t0 (perf_counter) to the last output."""
+    out_dir = Path(config["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in outputs.items():
+        if isinstance(data, bytes):
+            atomic_write_bytes(out_dir / name, data)
+        else:
+            atomic_write_text(out_dir / name, data)
     manifest = {
         "command": command,
         "version": __version__,
         "config": config,
         "config_sha256": config_hash(config),
         "seed": config["ensemble"]["seed"],
-        "wall_time_s": round(wall_time, 3),
-        "outputs": outputs,
+        "wall_time_s": round(time.perf_counter() - t0, 3),
+        "outputs": list(outputs),
     }
     if extra:
         manifest.update(extra)
@@ -237,15 +255,10 @@ def cmd_phasematch(config: dict) -> int:
     t0 = time.perf_counter()
     crystal = build_crystal(config)
     s = config["phasematch"]
-    scan = pmm.scan_curve(float(s["lambda_min_nm"]), float(s["lambda_max_nm"]),
-                          int(s["n_points"]), crystal)
-    out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    scan = pmm.scan_curve(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"], crystal)
     buf = io.StringIO()
     pmm.write_scan_csv(*scan, buf)
-    atomic_write_text(out_dir / "phasematch.csv", buf.getvalue())
-    write_manifest(out_dir, "phasematch", config, time.perf_counter() - t0,
-                   ["phasematch.csv"])
+    write_manifest("phasematch", config, t0, {"phasematch.csv": buf.getvalue()})
     return 0
 
 
@@ -254,20 +267,15 @@ def cmd_pert_flux(config: dict) -> int:
     crystal = build_crystal(config)
     pump = build_pump(config, crystal)
     s = config["pert_flux"]
-    method = str(s["method"])
+    method = s["method"]
     if method not in pt.METHODS:
         raise ConfigError(f"invalid 'pert_flux.method': {method!r}")
-    quad = pt.QuadratureSpec(rel_tol=float(s["quad_rel_tol"]))
-    lams = np.linspace(float(s["lambda_min_nm"]), float(s["lambda_max_nm"]),
-                       int(s["n_points"]))
+    quad = pt.QuadratureSpec(rel_tol=s["quad_rel_tol"])
+    lams = np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
     columns = pt.spectrum_along_curve(lams, crystal, pump, method=method, quad=quad)
-    out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     pt.write_spectrum_csv(lams, *columns, method, buf)
-    name = f"pert_flux_{method}.csv"
-    atomic_write_text(out_dir / name, buf.getvalue())
-    write_manifest(out_dir, "pert-flux", config, time.perf_counter() - t0, [name])
+    write_manifest("pert-flux", config, t0, {f"pert_flux_{method}.csv": buf.getvalue()})
     return 0
 
 
@@ -281,9 +289,9 @@ def cmd_wigner(config: dict) -> int:
     target = s["target_photons"]
     fmap = wg.run_simulation(
         crystal, pump, grid, ensemble,
-        n_lambda=int(s["lambda_bins"]), n_alpha=int(s["alpha_bins"]),
+        n_lambda=s["lambda_bins"], n_alpha=s["alpha_bins"],
         target_photons=None if target is None else float(target),
-        paired_subtraction=bool(s["paired_subtraction"]),
+        paired_subtraction=s["paired_subtraction"],
     )
     matched = fmap.metadata["matched_alpha_deg"]
     window = fmap.metadata["window_max_alpha_deg"]
@@ -292,16 +300,12 @@ def cmd_wigner(config: dict) -> int:
               f"center, outside the grid's angular window (up to {window:.2f} deg); "
               "raise grid.n_x and grid.n_y or lower grid.span_xy_factor",
               file=sys.stderr)
-    out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     fmap.to_csv(buf)
-    atomic_write_text(out_dir / "wigner.csv", buf.getvalue())
     pgm = io.BytesIO()
     scale = fmap.to_pgm(pgm)
-    atomic_write_bytes(out_dir / "wigner.pgm", pgm.getvalue())
-    write_manifest(out_dir, "wigner", config, time.perf_counter() - t0,
-                   ["wigner.csv", "wigner.pgm"],
+    write_manifest("wigner", config, t0,
+                   {"wigner.csv": buf.getvalue(), "wigner.pgm": pgm.getvalue()},
                    extra={"run": fmap.metadata, "pgm_flux_at_255": scale})
     return 0
 
@@ -316,9 +320,7 @@ def cmd_calibrate(config: dict) -> int:
     if target is None:
         raise ConfigError("'wigner.target_photons' must be set for calibrate")
     cal = wg.calibrate_gain(float(target), crystal, pump, grid, ensemble)
-    out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, "calibrate", config, time.perf_counter() - t0, [],
+    write_manifest("calibrate", config, t0, {},
                    extra={"calibration": {
                        "l_nl_mm": cal.l_nl * 1e3,
                        "gain": crystal.length / cal.l_nl,
@@ -355,18 +357,13 @@ def cmd_sweep(config: dict) -> int:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid sweep cell {cell!r}: {exc}") from exc
         sub = copy.deepcopy(config)
-        sub["crystal"]["theta_deg"] = theta
-        sub["pump"]["tau_fs"] = tau
-        sub["pump"]["w_um"] = w
-        name = f"theta{theta:g}_tau{tau:g}fs_w{w:g}um"
-        sub["output_dir"] = str(out_root / name)
+        _merge(sub, {"crystal": {"theta_deg": theta}, "pump": {"tau_fs": tau, "w_um": w},
+                     "output_dir": str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")})
         cell_configs.append(sub)
 
-    jobs = max(1, int(config["sweep"]["jobs"]))
-    results = []
+    jobs = config["sweep"]["jobs"]
     if jobs == 1:
-        for sub in cell_configs:
-            results.append(_run_sweep_cell(sub))
+        results = list(map(_run_sweep_cell, cell_configs))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_sweep_cell, cell_configs))
@@ -403,33 +400,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, wigner_opts=False, pert_opts=False):
+    # each shorthand flag's dest is the configuration key it sets
+    def common(p, wigner_opts=False):
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="ensemble seed override")
+        p.add_argument("--out", dest="output_dir", help="output directory")
+        p.add_argument("--seed", dest="ensemble.seed", metavar="N", type=int,
+                       help="ensemble seed override")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration entry (dotted path, "
                             "JSON value); repeatable")
         if wigner_opts:
-            p.add_argument("--realizations", type=int,
-                           help="ensemble size override")
-            p.add_argument("--target-photons", dest="target_photons", type=float,
+            p.add_argument("--realizations", dest="ensemble.realizations", metavar="N",
+                           type=int, help="ensemble size override")
+            p.add_argument("--target-photons", dest="wigner.target_photons", metavar="N",
+                           type=float,
                            help="calibrate the gain to this total photon number")
-            p.add_argument("--jobs", type=int, help="parallel sweep cells")
-        if pert_opts:
-            p.add_argument("--method",
-                           choices=pt.METHODS,
-                           help="flux evaluation route")
+        return p
 
     common(sub.add_parser("phasematch", help="tabulate the matched emission surface"))
-    common(sub.add_parser("pert-flux", help="single-pair flux along the surface"),
-           pert_opts=True)
+    pert = common(sub.add_parser("pert-flux", help="single-pair flux along the surface"))
+    pert.add_argument("--method", dest="pert_flux.method", choices=pt.METHODS,
+                      help="flux evaluation route")
     common(sub.add_parser("wigner", help="stochastic high-gain simulation"),
            wigner_opts=True)
     common(sub.add_parser("calibrate", help="gain calibration only"),
            wigner_opts=True)
-    common(sub.add_parser("sweep", help="run the crystal-cut x pump matrix"),
-           wigner_opts=True)
+    sweep = common(sub.add_parser("sweep", help="run the crystal-cut x pump matrix"),
+                   wigner_opts=True)
+    sweep.add_argument("--jobs", dest="sweep.jobs", metavar="N", type=int,
+                       help="parallel sweep cells")
     return parser
 
 

@@ -513,20 +513,16 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
         return total, probe
 
     x = 0.0  # log(L / l_nl) = log-gain, starting at gain 1
-    total, probe = probe_at(x)
-    if total > 0 and abs(total - target_photons) <= rel_tol * target_photons:
-        return CalibrationResult(trace[-1]["l_nl"], total, len(trace), tuple(trace),
-                                 prop, probe)
-    # quadratic low-gain scaling gives a useful first jump
-    if total > 0:
-        x = float(np.clip(x + 0.5 * np.log(target_photons / total), x - 2.0, x + 2.0))
     lo = hi = None
-    for _ in range(max_probes - 1):
+    for _ in range(max_probes):
         total, probe = probe_at(x)
         if total > 0 and abs(total - target_photons) <= rel_tol * target_photons:
             return CalibrationResult(trace[-1]["l_nl"], total, len(trace),
                                      tuple(trace), prop, probe)
-        if total < target_photons:
+        if len(trace) == 1 and total > 0:
+            # quadratic low-gain scaling gives a useful first jump
+            x = float(np.clip(x + 0.5 * np.log(target_photons / total), x - 2.0, x + 2.0))
+        elif total < target_photons:
             lo = x
             x = 0.5 * (lo + hi) if hi is not None else x + np.log(4.0)
         else:

@@ -36,6 +36,50 @@ class TestConfigHandling:
         assert code == 2
         assert "crystal.theta_degrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("phasematch", "crystal", 5),
+        ("phasematch", "crystal.material", 5),
+        ("phasematch", "phasematch.n_points", "x"),
+        ("phasematch", "phasematch.n_points", -3),
+        ("phasematch", "phasematch.n_points", 41.0),
+        ("pert-flux", "pert_flux.n_points", "x"),
+        ("pert-flux", "pert_flux.quad_rel_tol", "x"),
+        ("wigner", "wigner.lambda_bins", "x"),
+        ("wigner", "wigner.lambda_bins", 0),
+        ("wigner", "wigner.target_photons", "x"),
+        ("calibrate", "wigner.target_photons", "x"),
+        ("wigner", "wigner.paired_subtraction", "no"),
+        ("sweep", "sweep.jobs", "x"),
+        ("wigner", "ensemble.seed", -1),
+    ])
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_malformed_setting_exits_2_naming_key(self, tmp_path, capsys, command,
+                                                  key, value, source):
+        if source == "set":
+            given = ["--set", f"{key}={json.dumps(value)}"]
+        else:
+            override = value
+            for part in reversed(key.split(".")):
+                override = {part: override}
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(override))
+            given = ["--config", str(cfg)]
+        code = cli.main([command, *TINY_GRID, *given, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        code = cli.main(["wigner", *TINY_GRID, "--seed", "-1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'ensemble.seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["wigner", "calibrate"])
+    def test_jobs_only_on_sweep(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--jobs", "4"])
+        assert exc.value.code == 2
+
     def test_invalid_value_exits_2(self, tmp_path, capsys):
         code = cli.main(["phasematch", "--set", "crystal.theta_deg=120",
                          "--out", str(tmp_path / "out")])
@@ -260,6 +304,19 @@ class TestCalibrateCommand:
         cal = manifest["calibration"]
         assert abs(cal["total_photons"] - 500) <= 0.2 * 500
         assert len(cal["trace"]) == cal["n_probes"]
+
+    def test_trace_never_repeats_a_gain(self, tmp_path):
+        # the total at gain 1 is negative here (-0.42): the search must step
+        # up from gain 1 without probing it again
+        out = tmp_path / "out"
+        code = cli.main(["calibrate", *TINY_GRID, "--set", "crystal.theta_deg=40",
+                         "--seed", "1", "--realizations", "2",
+                         "--target-photons", "50", "--out", str(out)])
+        assert code == 0
+        trace = json.loads((out / "manifest.json").read_text())["calibration"]["trace"]
+        assert trace[0]["total"] <= 0
+        gains = [probe["gain"] for probe in trace]
+        assert len(set(gains)) == len(gains)
 
     def test_requires_target(self, tmp_path):
         assert cli.main(["calibrate", *TINY_GRID,
