@@ -21,18 +21,20 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from . import __version__
 from . import dispersion as dm
 from . import perturbative as pt
 from . import phasematch as pmm
-from . import wigner as wg
 from .errors import ConfigError, ParfluorError
+
+# the Wigner engine loads scipy.fft: only the functions that propagate import it
+if TYPE_CHECKING:
+    from . import wigner as wg
 
 DATA_DIR_ENV = dm.DATA_DIR_ENV  # where crystal.material names are looked up first
 
@@ -80,12 +82,14 @@ DEFAULTS = {
 _KINDS = {bool: (bool, "true or false"), int: (int, "an integer"),
           float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"),
           type(None): ((int, float, type(None)), "a number or null")}
+# the numbers that must be > 0; a null target stays allowed
+_POSITIVE = ("quad_rel_tol", "target_photons")
 
 
 def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
     """Raise ConfigError unless each setting of override is a key of defaults
     with a value of its default's type; an int stands for a float, a number
-    for a null, and counts are >= 1 (seeds >= 0)."""
+    for a null, counts are >= 1 (seeds >= 0), and tolerances and targets > 0."""
     for key, value in override.items():
         here = f"{path}{key}"
         if key not in defaults:
@@ -103,6 +107,8 @@ def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
         low = 0 if key == "seed" else 1
         if kind is int and value < low:
             raise ConfigError(f"'{here}' must be an integer >= {low}, got {value}")
+        if key in _POSITIVE and value is not None and not value > 0:
+            raise ConfigError(f"'{here}' must be a number > 0, got {value}")
 
 
 def _merge(config: dict, override: dict) -> None:
@@ -181,6 +187,7 @@ def build_pump(config: dict, crystal: dm.CrystalSpec) -> pt.PumpSpec:
 
 
 def build_grid(config: dict, crystal: dm.CrystalSpec, pump: pt.PumpSpec) -> wg.SimulationGrid:
+    from . import wigner as wg
     g = config["grid"]
     try:
         return wg.SimulationGrid(
@@ -197,6 +204,7 @@ def build_grid(config: dict, crystal: dm.CrystalSpec, pump: pt.PumpSpec) -> wg.S
 
 
 def build_ensemble(config: dict) -> wg.EnsembleSpec:
+    from . import wigner as wg
     e = config["ensemble"]
     return wg.EnsembleSpec(n_realizations=e["realizations"], seed=e["seed"])
 
@@ -280,6 +288,7 @@ def cmd_pert_flux(config: dict) -> int:
 
 
 def cmd_wigner(config: dict) -> int:
+    from . import wigner as wg
     t0 = time.perf_counter()
     crystal = build_crystal(config)
     pump = build_pump(config, crystal)
@@ -311,6 +320,7 @@ def cmd_wigner(config: dict) -> int:
 
 
 def cmd_calibrate(config: dict) -> int:
+    from . import wigner as wg
     t0 = time.perf_counter()
     crystal = build_crystal(config)
     pump = build_pump(config, crystal)
@@ -365,6 +375,7 @@ def cmd_sweep(config: dict) -> int:
     if jobs == 1:
         results = list(map(_run_sweep_cell, cell_configs))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_sweep_cell, cell_configs))
 

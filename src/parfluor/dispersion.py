@@ -23,10 +23,10 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from .errors import EvanescentMode, NoRealRoot, OutOfDispersionWindow
 
+C_LIGHT = 299_792_458.0  # m/s, exact in SI (scipy.constants.c)
 TWO_PI = 2.0 * np.pi
 DATA_DIR_ENV = "PARFLUOR_DATA_DIR"
 # a point on a light cone can square to a radicand a few ulp below zero

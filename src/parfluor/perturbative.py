@@ -21,10 +21,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from . import dispersion as dm
 from . import phasematch as pmm
+from .dispersion import C_LIGHT
 from .errors import NotConverged, OutOfDispersionWindow
 
 TWO_PI = 2.0 * np.pi

@@ -19,9 +19,9 @@ import logging
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from . import dispersion as dm
+from .dispersion import C_LIGHT
 from .errors import NoPhaseMatch, TotalInternalReflection
 
 log = logging.getLogger(__name__)

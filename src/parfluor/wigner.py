@@ -29,11 +29,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.constants import c as C_LIGHT
 
 from . import dispersion as dm
 from . import perturbative as pt
 from . import phasematch as pmm
+from .dispersion import C_LIGHT
 from .errors import GridUnderresolved, NotConverged
 
 TWO_PI = 2.0 * np.pi

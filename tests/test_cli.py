@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +47,16 @@ class TestConfigHandling:
         ("phasematch", "phasematch.n_points", 41.0),
         ("pert-flux", "pert_flux.n_points", "x"),
         ("pert-flux", "pert_flux.quad_rel_tol", "x"),
+        ("pert-flux", "pert_flux.quad_rel_tol", 0),
+        ("pert-flux", "pert_flux.quad_rel_tol", -1),
         ("wigner", "wigner.lambda_bins", "x"),
         ("wigner", "wigner.lambda_bins", 0),
         ("wigner", "wigner.target_photons", "x"),
         ("calibrate", "wigner.target_photons", "x"),
+        ("calibrate", "wigner.target_photons", 0),
+        ("calibrate", "wigner.target_photons", -5),
+        ("wigner", "wigner.target_photons", 0),
+        ("wigner", "wigner.target_photons", -5.0),
         ("wigner", "wigner.paired_subtraction", "no"),
         ("sweep", "sweep.jobs", "x"),
         ("wigner", "ensemble.seed", -1),
@@ -73,6 +82,13 @@ class TestConfigHandling:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "'ensemble.seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, value", [("wigner", "0"), ("calibrate", "-5")])
+    def test_non_positive_target_photons_flag_exits_2(self, tmp_path, capsys, command, value):
+        code = cli.main([command, *TINY_GRID, "--target-photons", value,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'wigner.target_photons'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["wigner", "calibrate"])
     def test_jobs_only_on_sweep(self, command):
@@ -216,6 +232,32 @@ class TestPertFluxCommand:
         for row in read_csv(out / "pert_flux_closed_form.csv"):
             if row["flux"]:
                 assert float(row["flux"]) >= 0
+
+
+# runs phasematch and every pert-flux method in one process, then prints the
+# exit codes and which scipy or Wigner-engine modules that process loaded
+PERTURBATIVE_RUNS = """
+import json, sys
+from parfluor import cli, perturbative
+runs = [["phasematch", "--set", "phasematch.n_points=5"]] + [
+    ["pert-flux", "--method", method, "--set", "pert_flux.n_points=5"]
+    for method in perturbative.METHODS]
+codes = [cli.main([*argv, "--out", sys.argv[1]]) for argv in runs]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy" or m == "parfluor.wigner")]))
+"""
+
+
+def test_perturbative_commands_load_neither_scipy_nor_wigner(tmp_path):
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PERTURBATIVE_RUNS, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert set(codes) == {0}
+    assert loaded == []
 
 
 class TestWignerCommand:

@@ -25,6 +25,11 @@ def sympy_sellmeier_kz_derivative(sellmeier, lam_nm):
     return float(expr.subs(w, omega_of_nm(lam_nm)))
 
 
+def test_speed_of_light_is_scipys():
+    # the package states c itself, so that its perturbative commands need no scipy
+    assert dm.C_LIGHT == C_LIGHT
+
+
 class TestSellmeierIndices:
     def test_ordinary_frozen_values(self, bbo29):
         # direct evaluation of the shipped ordinary Sellmeier formula
