@@ -54,7 +54,7 @@ DEFAULTS = {
         "length_mm": 2.0,
         "pump_wavelength_nm": 400.0,
     },
-    "pump": {"tau_fs": 60.0, "w_um": 80.0, "l_nl_mm": 20.0, "a0": 1.0},
+    "pump": {"tau_fs": 60.0, "w_um": 80.0, "l_nl_mm": 20.0},
     "grid": {
         "n_t": 128, "n_x": 64, "n_y": 64,
         "span_t_factor": 8.0, "span_xy_factor": 8.0,
@@ -180,7 +180,6 @@ def build_pump(config: dict, crystal: dm.CrystalSpec) -> pt.PumpSpec:
             w_p=p["w_um"] * 1e-6,
             omega_center=crystal.pump_center_omega,
             l_nl=p["l_nl_mm"] * 1e-3,
-            a0=float(p["a0"]),  # run metadata records it
         )
     except ValueError as exc:
         raise ConfigError(f"invalid 'pump' settings: {exc}") from exc
@@ -330,14 +329,7 @@ def cmd_calibrate(config: dict) -> int:
     if target is None:
         raise ConfigError("'wigner.target_photons' must be set for calibrate")
     cal = wg.calibrate_gain(float(target), crystal, pump, grid, ensemble)
-    write_manifest("calibrate", config, t0, {},
-                   extra={"calibration": {
-                       "l_nl_mm": cal.l_nl * 1e3,
-                       "gain": crystal.length / cal.l_nl,
-                       "total_photons": cal.total_photons,
-                       "n_probes": cal.n_probes,
-                       "trace": list(cal.trace),
-                   }})
+    write_manifest("calibrate", config, t0, {}, extra={"calibration": cal.summary()})
     return 0
 
 

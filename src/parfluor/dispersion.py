@@ -121,25 +121,22 @@ class CrystalSpec:
 
 
 def load_material(source) -> dict:
-    """Read a crystal material document (dict, path, or material name).
+    """Read a crystal material document (path or material name).
 
     The document carries {"name", "sellmeier_o", "sellmeier_e", "window_nm"}.
     A name resolves to an existing ".json" path, then to
     $PARFLUOR_DATA_DIR/<name>.json, then to the shipped parfluor/data; "bbo"
     is the default beta-barium-borate coefficient sets.
     """
-    if isinstance(source, dict):
-        doc = source
+    path = Path(source)
+    data_dir = os.environ.get(DATA_DIR_ENV)
+    if data_dir and not (path.suffix == ".json" and path.exists()):
+        path = Path(data_dir) / f"{source}.json"
+    if path.suffix == ".json" and path.exists():
+        doc = json.loads(path.read_text())
     else:
-        path = Path(source)
-        data_dir = os.environ.get(DATA_DIR_ENV)
-        if data_dir and not (path.suffix == ".json" and path.exists()):
-            path = Path(data_dir) / f"{source}.json"
-        if path.suffix == ".json" and path.exists():
-            doc = json.loads(path.read_text())
-        else:
-            ref = resources.files("parfluor").joinpath(f"data/{str(source).lower()}.json")
-            doc = json.loads(ref.read_text())
+        ref = resources.files("parfluor").joinpath(f"data/{str(source).lower()}.json")
+        doc = json.loads(ref.read_text())
     window = tuple(doc.get("window_nm", (180.0, 2600.0)))
     for key in ("sellmeier_o", "sellmeier_e"):
         if key not in doc:
@@ -230,16 +227,6 @@ def kz_pump_grid(omega, kx, ky, crystal: CrystalSpec):
     if np.any(disc < 0):
         raise NoRealRoot("e-ray dispersion quadratic has no real root")
     return (-a1 + np.sqrt(disc)) / (2.0 * a2)
-
-
-def pump_dispersion_residual(kz, omega, kx, ky, crystal: CrystalSpec):
-    """Relative residual of the e-ray dispersion relation at a candidate kz.
-
-    Zero (to rounding) when kz solves the relation; used for root checks.
-    """
-    a2, a1, a0 = _pump_quadratic_coeffs(omega, kx, ky, crystal)
-    w2c2 = (np.asarray(omega, dtype=float) / C_LIGHT) ** 2
-    return (a2 * kz * kz + a1 * kz + a0) / w2c2
 
 
 def kz_slopes(ray: str, omega, kx, ky, crystal: CrystalSpec):

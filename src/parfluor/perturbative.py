@@ -37,16 +37,14 @@ class PumpSpec:
     tau_p : pulse duration [s] (1/e half-width of the field envelope)
     w_p : beam width [m] (1/e half-width of the field envelope)
     omega_center : central angular frequency 2*omega0 [rad/s]
-    a0 : peak position-space amplitude in units of the amplitude absorbed
-         into l_nl (dimensionless, normally 1)
-    l_nl : nonlinear length [m]; the gain parameter is L / l_nl
+    l_nl : nonlinear length [m] at the pulse's peak amplitude, which is 1;
+        the gain parameter is L / l_nl, and np.inf turns the coupling off
     """
 
     tau_p: float
     w_p: float
     omega_center: float
     l_nl: float
-    a0: float = 1.0
 
     def __post_init__(self):
         if self.tau_p <= 0 or self.w_p <= 0 or self.l_nl <= 0:
@@ -68,10 +66,11 @@ SUPPORT_SIGMA = 5.0  # half-width of the idler box in pump-envelope sigmas
 def pump_spectrum(kappa_p: dm.SpectralPoint, pump: PumpSpec):
     """Spectral amplitude of the pump at the entrance face.
 
-    Normalized so the integral over (omega, kx, ky) equals a0, which is then
-    the peak amplitude of the pulse in time-position space.
+    Normalized so the integral over (omega, kx, ky) equals 1, which is then
+    the peak amplitude of the pulse in time-position space; the amplitude
+    scale is absorbed into pump.l_nl.
     """
-    pref = pump.a0 * pump.w_p**2 * pump.tau_p / TWO_PI**1.5
+    pref = pump.w_p**2 * pump.tau_p / TWO_PI**1.5
     du = np.asarray(kappa_p.omega) - pump.omega_center
     return (pref * np.exp(-0.5 * pump.tau_p**2 * du**2)
             * np.exp(-0.5 * pump.w_p**2 * np.asarray(kappa_p.kx) ** 2)
@@ -91,7 +90,7 @@ def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
     temporal = (L * coeffs.d_beta1 / pump.tau_p) ** 2
     spatial = L**2 * (coeffs.d_rho_px**2 + coeffs.d_rho_py**2) / pump.w_p**2
     bracket = 4.0 + (spatial + temporal) / 3.0
-    return (pump.a0**2 * pump.w_p**2 * pump.tau_p / (4.0 * np.pi**1.5)
+    return (pump.w_p**2 * pump.tau_p / (4.0 * np.pi**1.5)
             * (L / pump.l_nl) ** 2 / np.sqrt(bracket))
 
 

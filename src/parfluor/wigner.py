@@ -155,8 +155,7 @@ def _mode_frequencies(grid: SimulationGrid):
 def _pump_spectrum0(pump: pt.PumpSpec, grid: SimulationGrid) -> np.ndarray:
     """Gaussian pump envelope at the entrance face, in the spectral domain."""
     t, x, y = grid.position_axes()
-    envelope = (pump.a0
-                * np.exp(-0.5 * (t / pump.tau_p) ** 2)[:, None, None]
+    envelope = (np.exp(-0.5 * (t / pump.tau_p) ** 2)[:, None, None]
                 * np.exp(-0.5 * (x / pump.w_p) ** 2)[None, :, None]
                 * np.exp(-0.5 * (y / pump.w_p) ** 2)[None, None, :])
     return to_spectral(envelope.astype(np.complex128))
@@ -305,7 +304,9 @@ class FluxMap:
     """Mean photon flux binned over (wavelength [nm], exterior angle [deg]).
 
     flux/stderr/n_modes have shape (n_lambda_bins, n_alpha_bins); empty bins
-    hold NaN flux.  metadata carries everything needed to reproduce the map.
+    hold NaN flux.  metadata holds what run_simulation computed besides the
+    map (gain, estimator, total, discretization diagnostics, calibration);
+    the configuration that reproduces it is the caller's to record.
     """
 
     lambda_edges_nm: np.ndarray
@@ -382,8 +383,7 @@ def _bin_of_modes(lam, alpha, lam_edges, alpha_edges) -> np.ndarray:
 
 
 def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid,
-                      n_lambda: int = 48, n_alpha: int = 40,
-                      metadata: dict | None = None) -> FluxMap:
+                      n_lambda: int = 48, n_alpha: int = 40) -> FluxMap:
     """Bin per-mode flux over (wavelength, exterior angle).
 
     The bins span the wavelengths of the grid's modes and the angles from 0
@@ -418,7 +418,6 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid
         flux=mean.reshape(n_lambda, n_alpha),
         stderr=err.reshape(n_lambda, n_alpha),
         n_modes=counts.reshape(n_lambda, n_alpha),
-        metadata=metadata or {},
     )
 
 
@@ -478,10 +477,16 @@ class CalibrationResult:
     l_nl: float
     total_photons: float
     n_probes: int
-    trace: tuple
+    trace: tuple  # the {"gain": L/l_nl, "total"} of each probe, in order
     # the _Propagator of all probes, and the last probe's raw _ensemble_flux
     propagator: _Propagator = field(repr=False, compare=False)
     probe: np.ndarray | None = field(repr=False, compare=False)
+
+    def summary(self) -> dict:
+        """The manifest's calibration block: the accepted gain and total, and
+        every probe."""
+        return {"gain": self.trace[-1]["gain"], "total_photons": self.total_photons,
+                "n_probes": self.n_probes, "trace": list(self.trace)}
 
 
 def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
@@ -506,19 +511,17 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     trace = []
 
     def probe_at(log_gain):
-        gain = float(np.exp(log_gain))
-        l_nl = crystal.length / gain
+        l_nl = crystal.length / float(np.exp(log_gain))
         _, _, total, probe = _ensemble_flux(prop, l_nl, probe_ens, paired=True)
-        trace.append({"gain": gain, "l_nl": l_nl, "total": total})
-        return total, probe
+        trace.append({"gain": crystal.length / l_nl, "total": total})
+        return l_nl, total, probe
 
     x = 0.0  # log(L / l_nl) = log-gain, starting at gain 1
     lo = hi = None
     for _ in range(max_probes):
-        total, probe = probe_at(x)
+        l_nl, total, probe = probe_at(x)
         if total > 0 and abs(total - target_photons) <= rel_tol * target_photons:
-            return CalibrationResult(trace[-1]["l_nl"], total, len(trace),
-                                     tuple(trace), prop, probe)
+            return CalibrationResult(l_nl, total, len(trace), tuple(trace), prop, probe)
         if len(trace) == 1 and total > 0:
             # quadratic low-gain scaling gives a useful first jump
             x = float(np.clip(x + 0.5 * np.log(target_photons / total), x - 2.0, x + 2.0))
@@ -541,8 +544,8 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
     """Full pipeline: (calibrate,) sample, propagate, estimate, bin.
 
     Deterministic for a fixed EnsembleSpec; the returned map's metadata
-    records the configuration, achieved totals and any calibration trace.
-    A calibrated run reuses the calibration's _Propagator and last probe.
+    records the gain, the estimator, the total and any calibration.  A
+    calibrated run reuses the calibration's _Propagator and last probe.
     """
     calibration = first = None
     if target_photons is None:
@@ -555,89 +558,20 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
                                             paired_subtraction, first)
     k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
     ratio = C_LIGHT * k0 / grid.omega_center
-    metadata = {
-        "crystal": {
-            "name": crystal.name,
-            "theta_cut_deg": float(np.degrees(crystal.theta_cut)),
-            "length_mm": crystal.length * 1e3,
-            "pump_wavelength_nm": TWO_PI * C_LIGHT / crystal.pump_center_omega * 1e9,
-        },
-        "pump": {
-            "tau_fs": pump.tau_p * 1e15,
-            "w_um": pump.w_p * 1e6,
-            "l_nl_mm": pump.l_nl * 1e3,
-            "a0": pump.a0,
-            "gain": crystal.length / pump.l_nl,
-        },
-        "grid": {
-            "n_t": grid.n_t, "n_x": grid.n_x, "n_y": grid.n_y, "n_z": grid.n_z,
-            "span_t_fs": grid.span_t * 1e15,
-            "span_x_um": grid.span_x * 1e6,
-            "span_y_um": grid.span_y * 1e6,
-            "dtype": grid.dtype,
-        },
-        "ensemble": {"n_realizations": ensemble.n_realizations,
-                     "seed": ensemble.seed},
+    fmap = azimuthal_average(flux, stderr, grid, n_lambda=n_lambda, n_alpha=n_alpha)
+    fmap.metadata = {
+        "gain": crystal.length / pump.l_nl,
         "estimator": "paired" if paired_subtraction else "vacuum-half",
         "total_photons": total,
         "max_step_phase_rad": prop.max_step_phase,
-        "window_max_alpha_deg": None,  # set below from the map's top angle edge
+        "window_max_alpha_deg": float(fmap.alpha_edges_deg[-1]),
         # exterior angle of the matched ring at the grid center; None where
         # no matched mode there leaves the crystal (NaN fails the test)
         "matched_alpha_deg": (float(np.degrees(np.arcsin(ratio))) if ratio <= 1.0
                               else None),
     }
     if calibration is not None:
-        metadata["calibration"] = {
-            "target_photons": target_photons,
-            "achieved_total": calibration.total_photons,
-            "l_nl_mm": calibration.l_nl * 1e3,
-            "n_probes": calibration.n_probes,
-            "reused_realizations": 0 if first is None else len(first),
-            "trace": list(calibration.trace),
-        }
-    fmap = azimuthal_average(flux, stderr, grid, n_lambda=n_lambda, n_alpha=n_alpha,
-                             metadata=metadata)
-    metadata["window_max_alpha_deg"] = float(fmap.alpha_edges_deg[-1])
+        fmap.metadata["calibration"] = {
+            **calibration.summary(),
+            "reused_realizations": 0 if first is None else len(first)}
     return fmap
-
-
-# ---------------------------------------------------------------------------
-# oracle bridge
-
-
-_ORACLE_QUAD = pt.QuadratureSpec(n_init=12, max_doublings=2, rel_tol=0.05)
-
-
-def perturbative_bin_means(fmap: FluxMap, grid: SimulationGrid,
-                           crystal: dm.CrystalSpec, pump: pt.PumpSpec,
-                           modes_per_bin: int = 6,
-                           min_modes: int = 20) -> np.ndarray:
-    """Single-pair quadrature prediction for each bin of a FluxMap.
-
-    Evaluates the exact-sinc^2 quadrature (at _ORACLE_QUAD) at a
-    deterministic subsample of each bin's member modes, converts to per-mode
-    occupation with the grid's spectral cell volume, and averages.  Bins
-    with fewer than min_modes members come back NaN.  This is the
-    independent low-gain reference the stochastic flux is checked against.
-    """
-    w, kx, ky = _mode_frequencies(grid)
-    w3, kx3, ky3 = (a.ravel() for a in np.meshgrid(w, kx, ky, indexing="ij"))
-
-    bins = _bin_of_modes(*_mode_lambda_alpha(grid), fmap.lambda_edges_nm,
-                         fmap.alpha_edges_deg)
-    order = np.argsort(bins, kind="stable")  # each bin's members in mode order
-    bounds = np.searchsorted(bins[order], np.arange(fmap.flux.size + 1))
-
-    pred = np.full(fmap.flux.shape, np.nan)
-    for b in range(pred.size):
-        members = order[bounds[b]:bounds[b + 1]]
-        if members.size < min_modes:
-            continue
-        take = members[np.linspace(0, members.size - 1, min(modes_per_bin, members.size),
-                                   dtype=int)]
-        vals = [pt.flux_quadrature_exact(dm.SpectralPoint(w3[m], kx3[m], ky3[m]),
-                                         crystal, pump, _ORACLE_QUAD)[0]
-                for m in take]
-        pred.flat[b] = grid.mode_volume * float(np.mean(vals))
-    return pred

@@ -60,6 +60,7 @@ class TestConfigHandling:
         ("wigner", "wigner.paired_subtraction", "no"),
         ("sweep", "sweep.jobs", "x"),
         ("wigner", "ensemble.seed", -1),
+        ("wigner", "pump.a0", 2.0),
     ])
     @pytest.mark.parametrize("source", ["set", "file"])
     def test_malformed_setting_exits_2_naming_key(self, tmp_path, capsys, command,
@@ -334,6 +335,23 @@ class TestWignerCommand:
         cal = json.loads((out / "manifest.json").read_text())["run"]["calibration"]
         assert cal["reused_realizations"] == 2
         assert len(cal["trace"]) == cal["n_probes"]
+
+    def test_run_states_only_what_the_run_computed(self, tmp_path):
+        # the manifest's config holds the settings; run and calibration
+        # blocks hold results, laid out once for both commands
+        manifests = {}
+        for command in ("wigner", "calibrate"):
+            out = tmp_path / command
+            assert cli.main([command, *TINY_GRID, "--realizations", "3",
+                             "--target-photons", "500",
+                             "--set", "wigner.lambda_bins=4",
+                             "--set", "wigner.alpha_bins=3", "--out", str(out)]) == 0
+            manifests[command] = json.loads((out / "manifest.json").read_text())
+        run = manifests["wigner"]["run"]
+        assert not {"crystal", "pump", "grid", "ensemble"} & set(run)
+        cal = manifests["calibrate"]["calibration"]
+        assert set(run["calibration"]) == set(cal) | {"reused_realizations"}
+        assert run["calibration"]["gain"] == run["gain"]
 
 
 class TestCalibrateCommand:

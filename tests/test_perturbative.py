@@ -53,7 +53,7 @@ class TestPumpSpectrum:
         i_k, _ = scipy_quad(lambda k: np.exp(-0.5 * pump60_80.w_p**2 * k**2),
                             -8 / pump60_80.w_p, 8 / pump60_80.w_p)
         total = peak * i_w * i_k * i_k
-        assert total == pytest.approx(pump60_80.a0, rel=1e-6)
+        assert total == pytest.approx(1.0, rel=1e-6)
 
     def test_one_sigma_frequency_offset(self, pump60_80):
         w = pump60_80.omega_center + 1.0 / pump60_80.tau_p
@@ -108,12 +108,13 @@ class TestQuadratures:
             assert abs(cf / fe - 1) < 0.25
 
     def test_amplitude_scaling(self, bbo313, pump60_80):
-        double = pt.PumpSpec(tau_p=pump60_80.tau_p, w_p=pump60_80.w_p,
-                             omega_center=pump60_80.omega_center,
-                             l_nl=pump60_80.l_nl, a0=2.0)
+        # halving l_nl quadruples the flux
+        half = pt.PumpSpec(tau_p=pump60_80.tau_p, w_p=pump60_80.w_p,
+                           omega_center=pump60_80.omega_center,
+                           l_nl=pump60_80.l_nl / 2)
         kappa = on_surface(700, bbo313)
         f1 = pt.flux_quadrature_exact(kappa, bbo313, pump60_80)[0]
-        f2 = pt.flux_quadrature_exact(kappa, bbo313, double)[0]
+        f2 = pt.flux_quadrature_exact(kappa, bbo313, half)[0]
         assert f2 / f1 == pytest.approx(4.0, rel=1e-12)
 
     def test_far_off_surface_suppression(self, bbo313, pump60_80):
@@ -168,7 +169,7 @@ def full_box_level(kappa, pump, n, factor):
     w_i = (pump.omega_center - kappa.omega + half_u * s)[:, None, None]
     kx_i = (-kappa.kx + half_k * s)[None, :, None]
     ky_i = (-kappa.ky + half_k * s)[None, None, :]
-    peak = pump.a0 * pump.w_p**2 * pump.tau_p / (2.0 * np.pi) ** 1.5
+    peak = pump.w_p**2 * pump.tau_p / (2.0 * np.pi) ** 1.5
     weight = peak**2 * np.exp(
         -pump.tau_p**2 * (kappa.omega + w_i - pump.omega_center) ** 2
         - pump.w_p**2 * ((kappa.kx + kx_i) ** 2 + (kappa.ky + ky_i) ** 2))
@@ -232,6 +233,45 @@ class TestHalfBox:
         up = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), bbo313)
         down = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, -ky_i), bbo313)
         np.testing.assert_array_equal(up, down)
+
+
+def peak_and_gvm_zero(theta_deg, tau_fs, w_um):
+    """Wavelengths [nm] of the closed-form flux peak and of the |d_beta1|
+    minimum over the matched points of a 1401-point grid over 500-1200 nm."""
+    crystal = dm.make_crystal(np.deg2rad(theta_deg), 2e-3, 400e-9)
+    pump = pt.PumpSpec(tau_p=tau_fs * 1e-15, w_p=w_um * 1e-6,
+                       omega_center=omega_of_nm(400), l_nl=20e-3)
+    lams, k0, _, coeffs = pmm.scan_curve(500.0, 1200.0, 1401, crystal)
+    matched = lams[np.isfinite(k0)]
+    flux = pt.flux_closed_form(coeffs, crystal, pump)
+    return matched[np.argmax(flux)], matched[np.argmin(np.abs(coeffs.d_beta1))]
+
+
+class TestPaperClaims:
+    """The abstract's claims (b)-(d) on the closed form, each against the
+    wavelength where pump and idler have equal group velocities."""
+
+    STEP_NM = 0.5  # the grid step
+
+    @pytest.mark.parametrize("theta", [35.0, 40.0])
+    def test_short_pulse_peaks_at_equal_group_velocity(self, theta):
+        # (b): a 20 fs pulse in a wide beam, where walk-off does not matter
+        peak, zero = peak_and_gvm_zero(theta, 20.0, 2000.0)
+        assert abs(peak - zero) <= self.STEP_NM
+
+    def test_longer_pulse_relaxes_the_peak(self):
+        # (c): the peak leaves the equal-group-velocity point as tau grows
+        offsets = [abs(np.subtract(*peak_and_gvm_zero(40.0, tau, 2000.0)))
+                   for tau in (20.0, 60.0, 240.0)]
+        assert offsets == sorted(offsets)
+        assert offsets[-1] > 10.0
+
+    @pytest.mark.parametrize("theta", [35.0, 40.0])
+    def test_small_beam_peak_set_by_walk_off(self, theta):
+        # (d): in an 80 um beam the spatial walk-off, not the group
+        # velocities, decides where the flux peaks
+        peak, zero = peak_and_gvm_zero(theta, 60.0, 80.0)
+        assert abs(peak - zero) > 100.0
 
 
 class TestSpectrumAlongCurve:
