@@ -18,6 +18,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -57,8 +58,7 @@ DEFAULTS = {
     "pump": {"tau_fs": 60.0, "w_um": 80.0, "l_nl_mm": 20.0},
     "grid": {
         "n_t": 128, "n_x": 64, "n_y": 64,
-        "span_t_factor": 8.0, "span_xy_factor": 8.0,
-        "n_z": 200, "dtype": "complex128",
+        "span_t_factor": 8.0, "span_xy_factor": 8.0, "n_z": 200,
     },
     "ensemble": {"realizations": 10, "seed": 20240101},
     "phasematch": {"lambda_min_nm": 500.0, "lambda_max_nm": 1200.0, "n_points": 256},
@@ -89,7 +89,8 @@ _POSITIVE = ("quad_rel_tol", "target_photons")
 def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
     """Raise ConfigError unless each setting of override is a key of defaults
     with a value of its default's type; an int stands for a float, a number
-    for a null, counts are >= 1 (seeds >= 0), and tolerances and targets > 0."""
+    for a null, numbers are finite (json reads NaN and Infinity as floats),
+    counts are >= 1 (seeds >= 0), and tolerances and targets > 0."""
     for key, value in override.items():
         here = f"{path}{key}"
         if key not in defaults:
@@ -104,6 +105,8 @@ def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
         allowed, name = _KINDS[kind]
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
             raise ConfigError(f"'{here}' must be {name}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"'{here}' must be a finite number, got {value}")
         low = 0 if key == "seed" else 1
         if kind is int and value < low:
             raise ConfigError(f"'{here}' must be an integer >= {low}, got {value}")
@@ -196,7 +199,6 @@ def build_grid(config: dict, crystal: dm.CrystalSpec, pump: pt.PumpSpec) -> wg.S
             span_y=g["span_xy_factor"] * pump.w_p,
             n_z=g["n_z"],
             omega_center=crystal.pump_center_omega / 2.0,
-            dtype=g["dtype"],
         )
     except ValueError as exc:
         raise ConfigError(f"invalid 'grid' settings: {exc}") from exc
@@ -358,6 +360,8 @@ def cmd_sweep(config: dict) -> int:
             theta, tau, w = (float(v) for v in cell)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid sweep cell {cell!r}: {exc}") from exc
+        if not all(map(math.isfinite, (theta, tau, w))):
+            raise ConfigError(f"'sweep.cells' must hold finite numbers, got {cell!r}")
         sub = copy.deepcopy(config)
         _merge(sub, {"crystal": {"theta_deg": theta}, "pump": {"tau_fs": tau, "w_um": w},
                      "output_dir": str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")})

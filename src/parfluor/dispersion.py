@@ -114,9 +114,9 @@ class CrystalSpec:
     def __post_init__(self):
         if not 0.0 < self.theta_cut < np.pi / 2:
             raise ValueError("theta_cut must lie in (0, pi/2)")
-        if self.length <= 0:
+        if not self.length > 0:
             raise ValueError("crystal length must be positive")
-        if self.pump_center_omega <= 0:
+        if not self.pump_center_omega > 0:
             raise ValueError("pump_center_omega must be positive")
 
 

@@ -47,7 +47,7 @@ class PumpSpec:
     l_nl: float
 
     def __post_init__(self):
-        if self.tau_p <= 0 or self.w_p <= 0 or self.l_nl <= 0:
+        if not (self.tau_p > 0 and self.w_p > 0 and self.l_nl > 0):
             raise ValueError("tau_p, w_p and l_nl must all be positive")
 
 

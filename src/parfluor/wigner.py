@@ -46,16 +46,13 @@ _FFT_WORKERS = -1  # scipy interprets -1 as "all cores"
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Discrete (t, x, y) <-> (omega, kx, ky) simulation box.
+    """Discrete (t, x, y) <-> (omega, kx, ky) simulation box; the fields on
+    it are complex128.
 
     n_t, n_x, n_y : mode counts per axis, powers of two
     span_t [s], span_x, span_y [m] : window sizes (periodic)
     n_z : number of split-step slices through the crystal
     omega_center : grid carrier frequency omega0 [rad/s]
-    dtype : 'complex128' (default) or 'complex64' for large desk-scale runs;
-        complex64's float32 FFTs bias the photon number low: at zero pump a
-        realization on a 32x32x32 grid loses about 0.46 of its ~16,300 vacuum
-        photons (complex128: 6e-10), and at gain 1.5 the total is 0.19% low
     """
 
     n_t: int
@@ -66,18 +63,15 @@ class SimulationGrid:
     span_y: float
     n_z: int
     omega_center: float
-    dtype: str = "complex128"
 
     def __post_init__(self):
         for n, name in ((self.n_t, "n_t"), (self.n_x, "n_x"), (self.n_y, "n_y")):
             if n < 2 or (n & (n - 1)) != 0:
                 raise ValueError(f"{name} must be a power of two >= 2, got {n}")
-        if min(self.span_t, self.span_x, self.span_y) <= 0:
+        if not (self.span_t > 0 and self.span_x > 0 and self.span_y > 0):
             raise ValueError("window spans must be positive")
         if self.n_z < 1:
             raise ValueError("n_z must be >= 1")
-        if self.dtype not in ("complex128", "complex64"):
-            raise ValueError("dtype must be 'complex128' or 'complex64'")
 
     @property
     def shape(self):
@@ -122,12 +116,14 @@ class EnsembleSpec:
             raise ValueError("n_realizations must be >= 1")
 
 
-def to_position(field_data, axes=(-3, -2, -1)):
-    return sfft.ifftn(field_data, axes=axes, norm="ortho", workers=_FFT_WORKERS)
+def to_position(field_data, axes=(-3, -2, -1), overwrite_x=False):
+    return sfft.ifftn(field_data, axes=axes, norm="ortho", overwrite_x=overwrite_x,
+                      workers=_FFT_WORKERS)
 
 
-def to_spectral(field_data, axes=(-3, -2, -1)):
-    return sfft.fftn(field_data, axes=axes, norm="ortho", workers=_FFT_WORKERS)
+def to_spectral(field_data, axes=(-3, -2, -1), overwrite_x=False):
+    return sfft.fftn(field_data, axes=axes, norm="ortho", overwrite_x=overwrite_x,
+                     workers=_FFT_WORKERS)
 
 
 def vacuum_rng(seed: int, realization: int) -> np.random.Generator:
@@ -140,7 +136,7 @@ def sample_vacuum(grid: SimulationGrid, rng: np.random.Generator) -> np.ndarray:
     """Spectral field of half a photon of complex-Gaussian noise per mode:
     <|a|^2> = 1/2, real and imaginary quadratures each with variance 1/4."""
     draw = rng.standard_normal(size=(2,) + grid.shape)
-    return (0.5 * (draw[0] + 1j * draw[1])).astype(grid.dtype)
+    return 0.5 * (draw[0] + 1j * draw[1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +195,9 @@ class _Propagator:
         # largest signal phase one split step adds; it wraps at 2 pi
         self.max_step_phase = float(np.max(np.abs(phase_sig))) * self.dz
 
-        cdtype = np.dtype(grid.dtype)
-        self.half_linear = np.exp(0.5j * phase_sig * self.dz).astype(cdtype)
-        self.full_linear = np.exp(1.0j * phase_sig * self.dz).astype(cdtype)
-        self.pump_step = np.exp(1.0j * phase_pmp * self.dz).astype(np.complex128)
+        self.half_linear = np.exp(0.5j * phase_sig * self.dz)
+        self.full_linear = np.exp(1.0j * phase_sig * self.dz)
+        self.pump_step = np.exp(1.0j * phase_pmp * self.dz)
         self.pump_half = np.exp(0.5j * phase_pmp * self.dz)
         self.pump_spectral0 = _pump_spectrum0(pump, grid)
 
@@ -215,29 +210,27 @@ class _Propagator:
         sh = np.sinh(m)
         # where m = 0, g_dz is 0 too, so the skipped entries never matter
         g_dz *= np.divide(sh, m, out=sh, where=m > 0)
-        cdtype = np.dtype(self.grid.dtype)
-        real = np.finfo(cdtype).dtype
-        return ch.astype(real, copy=False), g_dz.astype(cdtype, copy=False)
+        return ch, g_dz
 
     def run_batch(self, batch: np.ndarray, l_nl: float) -> np.ndarray:
         """Propagate a (realizations, n_t, n_x, n_y) spectral batch to z = L
         at nonlinear length l_nl.
 
-        Besides the batch, a step holds one conjugate scratch buffer and the
-        two FFT outputs; the pointwise step runs in place.
+        Besides the batch, a step holds one conjugate scratch buffer: the
+        FFTs may write into their input, and the pointwise step runs in place.
         """
-        a = batch.astype(self.grid.dtype, copy=True)
+        a = batch.copy()
         conj = np.empty_like(a)
         pump_spec = self.pump_spectral0 * self.pump_half  # at z = dz/2
         a *= self.half_linear
         for step in range(self.grid.n_z):
             ch, psh = self._bogoliubov_tables(to_position(pump_spec), l_nl)
-            pos = to_position(a)
+            pos = to_position(a, overwrite_x=True)
             np.conjugate(pos, out=conj)
             conj *= psh
             pos *= ch
             pos += conj
-            a = to_spectral(pos)
+            a = to_spectral(pos, overwrite_x=True)
             if step < self.grid.n_z - 1:
                 a *= self.full_linear
                 pump_spec *= self.pump_step
@@ -250,10 +243,8 @@ class _Propagator:
 
 
 def _mag_squared(data: np.ndarray) -> np.ndarray:
-    """|a|^2 as re^2 + im^2 in float64 (no sqrt roundtrip)."""
-    re = np.ascontiguousarray(data.real, dtype=np.float64)
-    im = np.ascontiguousarray(data.imag, dtype=np.float64)
-    return re * re + im * im
+    """|a|^2 as re^2 + im^2 (no sqrt roundtrip)."""
+    return data.real * data.real + data.imag * data.imag
 
 
 class _FluxAccumulator:
@@ -443,13 +434,12 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     Raises NotConverged when the photon numbers are not finite.
     """
     grid = prop.grid
-    bytes_per = grid.n_modes * np.dtype(grid.dtype).itemsize
-    chunk_size = int(np.clip(256e6 // max(bytes_per, 1), 1, 32))
+    chunk_size = int(np.clip(256e6 // (16 * grid.n_modes), 1, 32))
     n_first = 0 if first is None else len(first)
     acc = _FluxAccumulator(grid.shape)
     for r in range(0, ensemble.n_realizations, chunk_size):
         stop = min(r + chunk_size, ensemble.n_realizations)
-        batch = np.empty((stop - r,) + grid.shape, dtype=grid.dtype)
+        batch = np.empty((stop - r,) + grid.shape, dtype=np.complex128)
         for i, k in enumerate(range(r, stop)):
             batch[i] = sample_vacuum(grid, vacuum_rng(ensemble.seed, k))
         todo = batch[max(n_first - r, 0):]

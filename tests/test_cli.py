@@ -61,6 +61,11 @@ class TestConfigHandling:
         ("sweep", "sweep.jobs", "x"),
         ("wigner", "ensemble.seed", -1),
         ("wigner", "pump.a0", 2.0),
+        ("wigner", "grid.dtype", "complex64"),
+        ("pert-flux", "pump.l_nl_mm", float("nan")),
+        ("pert-flux", "crystal.length_mm", float("inf")),
+        ("wigner", "grid.span_t_factor", float("nan")),
+        ("sweep", "sweep.cells", [[29.0, float("-inf"), 80.0]]),
     ])
     @pytest.mark.parametrize("source", ["set", "file"])
     def test_malformed_setting_exits_2_naming_key(self, tmp_path, capsys, command,
@@ -289,7 +294,6 @@ class TestWignerCommand:
         code = cli.main(["wigner", *TINY_GRID, "--realizations", "2",
                          "--set", "wigner.lambda_bins=6",
                          "--set", "wigner.alpha_bins=4",
-                         "--set", "grid.dtype=\"complex64\"",
                          "--out", str(out)])
         assert code == 0
         assert (out / "wigner.pgm").read_bytes().startswith(b"P5\n6 4\n255\n")

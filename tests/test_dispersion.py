@@ -40,6 +40,13 @@ def test_speed_of_light_is_scipys():
     assert dm.C_LIGHT == C_LIGHT
 
 
+@pytest.mark.parametrize("length, pump_wavelength", [
+    (0.0, 400e-9), (np.nan, 400e-9), (2e-3, np.nan)])
+def test_crystal_rejects_non_positive_and_nan(length, pump_wavelength):
+    with pytest.raises(ValueError):
+        dm.make_crystal(np.deg2rad(29.0), length, pump_wavelength)
+
+
 class TestSellmeierIndices:
     def test_ordinary_frozen_values(self, bbo29):
         # direct evaluation of the shipped ordinary Sellmeier formula

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ def synthetic_coeffs(d_beta1=0.0, d_rho_px=0.0, d_rho_py=0.0):
         omega_obs=omega_of_nm(800), omega_idler=omega_of_nm(800), k0=0.0,
         d_beta1=d_beta1, d_rho_x=0.0, d_rho_y=0.0,
         d_rho_px=d_rho_px, d_rho_py=d_rho_py)
+
+
+class TestPumpSpec:
+    @pytest.mark.parametrize("name", ["tau_p", "w_p", "l_nl"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_rejects_non_positive_and_nan(self, pump60_80, name, value):
+        with pytest.raises(ValueError):
+            replace(pump60_80, **{name: value})
+
+    def test_infinite_l_nl_turns_the_coupling_off(self, pump60_80):
+        assert replace(pump60_80, l_nl=np.inf).l_nl == np.inf
 
 
 class TestPumpSpectrum:
@@ -258,6 +270,23 @@ class TestPaperClaims:
         # (b): a 20 fs pulse in a wide beam, where walk-off does not matter
         peak, zero = peak_and_gvm_zero(theta, 20.0, 2000.0)
         assert abs(peak - zero) <= self.STEP_NM
+
+    def test_short_pulse_peak_on_exact_quadrature(self):
+        """(b) on `exact` at 35 deg over 520-560 nm, with the quadrature's
+        default rel_tol as the bound: the flux at the |d_beta1| minimum is
+        within it of the window's maximum, and both window ends lie more
+        than it below.  At 40 deg the spectrum is flat to 0.2% over +-20 nm
+        around the minimum, so the same check there would not discriminate.
+        """
+        crystal = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
+        pump = pt.PumpSpec(tau_p=20e-15, w_p=2e-3, omega_center=omega_of_nm(400),
+                           l_nl=20e-3)
+        lams, k0, _, coeffs = pmm.scan_curve(520.0, 560.0, 81, crystal)
+        assert np.all(np.isfinite(k0))
+        _, flux, _ = pt.spectrum_along_curve(lams, crystal, pump, method="exact")
+        bound = (1.0 - pt.QuadratureSpec().rel_tol) * flux.max()
+        assert flux[np.argmin(np.abs(coeffs.d_beta1))] >= bound
+        assert max(flux[0], flux[-1]) < bound
 
     def test_longer_pulse_relaxes_the_peak(self):
         # (c): the peak leaves the equal-group-velocity point as tau grows
