@@ -353,7 +353,6 @@ def cmd_sweep(config: dict) -> int:
         raise ConfigError("'sweep.cells' must be a nonempty list of "
                           "[theta_deg, tau_fs, w_um] triples")
     out_root = Path(config["output_dir"])
-    out_root.mkdir(parents=True, exist_ok=True)
     cell_configs = []
     for cell in cells:
         try:
@@ -366,6 +365,7 @@ def cmd_sweep(config: dict) -> int:
         _merge(sub, {"crystal": {"theta_deg": theta}, "pump": {"tau_fs": tau, "w_um": w},
                      "output_dir": str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")})
         cell_configs.append(sub)
+    out_root.mkdir(parents=True, exist_ok=True)  # only once every cell is valid
 
     jobs = config["sweep"]["jobs"]
     if jobs == 1:

@@ -10,6 +10,11 @@ Three routes to the mean mode occupation n(kappa), cross-checking each other:
   exp(-(L dk)^2 / 12) and the mismatch linearized, whose analytic integral
   is the closed form above.
 
+Both quadratures take array-valued signals and run through one midpoint
+driver: its idler box follows each signal, so the pump components fall on
+one lattice per refinement level, whose weight (and, for the exact route,
+k_z) is evaluated once for all signals.
+
 Fluxes are reported in mode-occupation units with the pump amplitude scale
 absorbed into the nonlinear length; only ratios and shapes are meaningful,
 and everything scales exactly as (L / L_NL)^2.
@@ -18,7 +23,7 @@ and everything scales exactly as (L / L_NL)^2.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +66,9 @@ class QuadratureSpec:
 
 
 SUPPORT_SIGMA = 5.0  # half-width of the idler box in pump-envelope sigmas
+# idler nodes evaluated at once, which bounds the temporaries of a chunk of
+# signals: one signal's 32-node half box; larger chunks ran slower
+_CHUNK_NODES = 1 << 14
 
 
 def pump_spectrum(kappa_p: dm.SpectralPoint, pump: PumpSpec):
@@ -94,79 +102,111 @@ def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
             * (L / pump.l_nl) ** 2 / np.sqrt(bracket))
 
 
-def _kappa_prime_axes(kappa: dm.SpectralPoint, pump: PumpSpec, n: int):
-    """Midpoint nodes (broadcast over three axes) of the idler box around the
-    pump support, and the cell volume times each ky' node's count.
-
-    The squared pump envelope has standard deviations 1/(sqrt(2) tau_p) in
-    frequency and 1/(sqrt(2) w_p) transversally; the box spans +-SUPPORT_SIGMA
-    of those around the conjugate point of kappa.  At ky = 0 the integrand is
-    even in ky', so only the ky' >= 0 nodes are kept, each counted twice but
-    the ky' = 0 node of an odd n.
-    """
-    half_u = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
-    half_k = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p)
-    if pump.omega_center - kappa.omega <= half_u:
-        raise OutOfDispersionWindow(f"the idler box of the signal at omega="
-                                    f"{kappa.omega:.6g} reaches omega' <= 0")
-
-    def midpoints(center, half, m):
-        h = 2.0 * half / m
-        return center - half + (np.arange(m) + 0.5) * h, h
-
-    wp_nodes, dw = midpoints(pump.omega_center - kappa.omega, half_u, n)
-    kx_nodes, dkx = midpoints(-kappa.kx, half_k, n)
-    ky_nodes, dky = midpoints(-kappa.ky, half_k, n)
-    counts = np.ones(n)
-    if kappa.ky == 0:
-        ky_nodes = (np.arange(n // 2, n) + 0.5 - 0.5 * n) * dky
-        counts = np.where(ky_nodes == 0.0, 1.0, 2.0)
-    return (wp_nodes[:, None, None], kx_nodes[None, :, None], ky_nodes[None, None, :],
-            dw * dkx * dky * counts)
-
-
 def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | None,
                 factor, length: float):
-    """Integral over the idler box of the squared pump amplitude times the
-    phase-matching factor(w_i, kx_i, ky_i), a function of the broadcast idler
-    nodes whose NaN values (evanescent idlers) count as zero.  At kappa.ky = 0
-    it sees only ky_i >= 0, so it must be even in ky_i there.
+    """Integral over the idler box of each signal of kappa (array-valued; a
+    scalar is a batch of one) of the squared pump amplitude times a
+    phase-matching factor.
 
-    Midpoint rule, doubled until the Richardson-extrapolated value settles
-    within quad.rel_tol; returns ((length / l_nl)^2 * integral, err_rel).
+    Each box is centred on the conjugate point of its signal, so the pump
+    component kappa + kappa' falls on one lattice, omega_center +- half_u by
+    +-half_k by +-half_k, for every signal.  Per level the lattice and its
+    weight are built once, and factor(kappa_p), given the lattice broadcast
+    over three axes, returns the function at(rows, signal, idler) that
+    evaluates the factor of the signals at those flat indices of kappa: the
+    indices and signal points carry a leading row axis, and the idler nodes
+    broadcast over it and the three box axes.  Its NaN values (evanescent
+    idlers) count as zero.  A signal with ky = 0 sees only the ky' >= 0 half
+    of its box, each node counted twice but the ky' = 0 node of an odd n, so
+    the factor must be even in ky' there.
+
+    Midpoint rule, doubled for each signal until its Richardson-extrapolated
+    value settles within quad.rel_tol; returns ((length / l_nl)^2 * integral,
+    err_rel), each of kappa's shape.
     """
     quad = quad or QuadratureSpec()
+    # the squared pump envelope has standard deviations 1/(sqrt(2) tau_p) in
+    # frequency and 1/(sqrt(2) w_p) transversally
+    half_u = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
+    half_k = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p)
+    omega, kx, ky = np.broadcast_arrays(kappa.omega, kappa.kx, kappa.ky)
+    shape = omega.shape
+    omega, kx, ky = (np.asarray(a, dtype=float).ravel() for a in (omega, kx, ky))
+    near = pump.omega_center - omega <= half_u
+    if np.any(near):
+        raise OutOfDispersionWindow(f"the idler box of the signal at omega="
+                                    f"{omega[near][0]:.6g} reaches omega' <= 0")
+    on_axis = ky == 0
 
-    def integral(n):
-        w_i, kx_i, ky_i, cells = _kappa_prime_axes(kappa, pump, n)
-        kappa_p = dm.SpectralPoint(kappa.omega + w_i, kappa.kx + kx_i, kappa.ky + ky_i)
-        weight = pump_spectrum(kappa_p, pump) ** 2 * cells
-        return float(np.nansum(weight * factor(w_i, kx_i, ky_i)))
+    def level(n, rows):
+        """Midpoint sums at n nodes per axis over the boxes of these rows."""
+        dw, dk = 2.0 * half_u / n, 2.0 * half_k / n
+        t = np.arange(n) + 0.5
+        sums = np.empty(rows.size)
+        for half in (True, False):
+            sel = np.flatnonzero(on_axis[rows] == half)
+            if not sel.size:
+                continue
+            ky_p = (np.arange(n // 2 if half else 0, n) + 0.5 - 0.5 * n) * dk
+            counts = np.where(ky_p == 0.0, 1.0, 2.0) if half else 1.0
+            kappa_p = dm.SpectralPoint(pump.omega_center + (t - 0.5 * n)[:, None, None] * dw,
+                                       ((t - 0.5 * n) * dk)[None, :, None],
+                                       ky_p[None, None, :])
+            weight = pump_spectrum(kappa_p, pump) ** 2 * (dw * dk * dk * counts)
+            at = factor(kappa_p)
+            step = max(1, _CHUNK_NODES // weight.size)
+            for c in range(0, sel.size, step):
+                r = rows[sel[c:c + step], None, None, None]
+                signal = dm.SpectralPoint(omega[r], kx[r], ky[r])
+                w_i = (pump.omega_center - signal.omega) - half_u + (t * dw)[:, None, None]
+                kx_i = -signal.kx - half_k + (t * dk)[None, :, None]
+                ky_i = ky_p[None, None, :] if half else -signal.ky - half_k + t * dk
+                terms = weight * at(r, signal, dm.SpectralPoint(w_i, kx_i, ky_i))
+                sums[sel[c:c + step]] = np.nansum(terms.reshape(r.size, -1), axis=1)
+        return sums
 
+    flux, err = np.empty((2, omega.size))
+    todo = np.arange(omega.size)
     n = quad.n_init
-    coarse = integral(n)
+    coarse = level(n, todo)
     for _ in range(quad.max_doublings):
         n *= 2
-        fine = integral(n)
+        fine = level(n, todo)
         extrap = fine + (fine - coarse) / 3.0
-        scale = abs(extrap) if extrap != 0.0 else 1.0
-        err = abs(fine - coarse) / (3.0 * scale)
-        if err <= quad.rel_tol:
-            return (length / pump.l_nl) ** 2 * extrap, err
-        coarse = fine
-    raise NotConverged(
-        f"quadrature not within {quad.rel_tol:.2g} after {quad.max_doublings} doublings")
+        scale = np.where(extrap != 0.0, np.abs(extrap), 1.0)
+        rel = np.abs(fine - coarse) / (3.0 * scale)
+        done = rel <= quad.rel_tol
+        flux[todo[done]] = (length / pump.l_nl) ** 2 * extrap[done]
+        err[todo[done]] = rel[done]
+        todo, coarse = todo[~done], fine[~done]
+    if todo.size:
+        raise NotConverged(
+            f"quadrature not within {quad.rel_tol:.2g} after {quad.max_doublings} "
+            f"doublings at {todo.size} signal point(s), the first at "
+            f"omega={omega[todo[0]]:.6g}")
+    return flux.reshape(shape)[()], err.reshape(shape)[()]
 
 
 def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
                           pump: PumpSpec, quad: QuadratureSpec | None = None):
-    """Exact-sinc^2 quadrature of the pair-generation integral at kappa;
-    returns (flux, err_rel)."""
+    """Exact-sinc^2 quadrature of the pair-generation integral at each signal
+    of kappa; returns (flux, err_rel) of kappa's shape.
+
+    The pump's k_z is evaluated once per level on the lattice every signal
+    shares; per signal only the idler's k_z is."""
     L = crystal.length
 
-    def sinc2(w_i, kx_i, ky_i):
-        h = 0.5 * L * pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), crystal)
-        return np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0) ** 2
+    def sinc2(kappa_p):
+        kz_p = dm.kz_pump_grid(kappa_p.omega, kappa_p.kx, kappa_p.ky, crystal)
+
+        def at(rows, signal, idler):
+            h = pmm.delta_k(signal, idler, crystal, kz_pump=kz_p)
+            h *= 0.5 * L
+            h[h == 0.0] = 1e-20  # where sin(h) / h is exactly 1, as in np.sinc
+            sinc = np.sin(h)
+            sinc /= h
+            return np.square(sinc, out=sinc)
+        return at
 
     return _quadrature(kappa, pump, quad, sinc2, L)
 
@@ -175,16 +215,25 @@ def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.Linearized
                                  crystal: dm.CrystalSpec, pump: PumpSpec,
                                  quad: QuadratureSpec | None = None):
     """Quadrature with linearized mismatch and the Gaussian sinc^2 surrogate;
-    returns (flux, err_rel).
+    returns (flux, err_rel) of kappa's shape.
 
-    Expands around the matched point at kappa's frequency, whose scalar
-    coefficients (one row of phasematch.linearize) are passed in.
+    Expands around the matched point at each signal's frequency, whose
+    coefficients (phasematch.linearize, of kappa's shape) are passed in.
     """
     L = crystal.length
+    shape = np.broadcast(kappa.omega, kappa.kx, kappa.ky).shape
+    flat = pmm.LinearizedCoeffs(*(np.broadcast_to(getattr(coeffs, f.name), shape).ravel()
+                                  for f in fields(coeffs)))
 
-    def surrogate(w_i, kx_i, ky_i):
-        dk_lin = pmm.delta_k_linearized(coeffs, kappa.kx, kappa.ky, w_i, kx_i, ky_i)
-        return np.exp(-(L * dk_lin) ** 2 / 12.0)
+    def surrogate(kappa_p):
+        def at(rows, signal, idler):
+            dk_lin = pmm.delta_k_linearized(flat.row(rows), signal.kx, signal.ky,
+                                            idler.omega, idler.kx, idler.ky)
+            x = L * dk_lin
+            np.square(x, out=x)
+            x /= -12.0
+            return np.exp(x, out=x)
+        return at
 
     return _quadrature(kappa, pump, quad, surrogate, L)
 
@@ -198,9 +247,10 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     """Flux along the matched surface over a wavelength grid [nm].
 
     The surface and its expansion coefficients are solved once for the whole
-    grid; the quadratures then run per matched wavelength.  Returns the
-    arrays (alpha_ext [rad], flux, err_rel) over the grid, NaN where the
-    surface has no point; err_rel is NaN throughout for closed_form.
+    grid, and a quadrature method is called once with all matched points.
+    Returns the arrays (alpha_ext [rad], flux, err_rel) over the grid, NaN
+    where the surface has no point; err_rel is NaN throughout for
+    closed_form.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {sorted(METHODS)}")
@@ -215,13 +265,11 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     if method == "closed_form":
         flux[ok] = flux_closed_form(coeffs, crystal, pump)
         return alpha, flux, err
-    for j, i in enumerate(ok):
-        kappa = dm.SpectralPoint(omega[i], k0[i], 0.0)
-        if method == "exact":
-            flux[i], err[i] = flux_quadrature_exact(kappa, crystal, pump, quad)
-        else:
-            flux[i], err[i] = flux_quadrature_gaussianized(kappa, coeffs.row(j), crystal,
-                                                           pump, quad)
+    kappa = dm.SpectralPoint(omega[ok], k0[ok], 0.0)
+    if method == "exact":
+        flux[ok], err[ok] = flux_quadrature_exact(kappa, crystal, pump, quad)
+    else:
+        flux[ok], err[ok] = flux_quadrature_gaussianized(kappa, coeffs, crystal, pump, quad)
     return alpha, flux, err
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dispersion as dm
 from .dispersion import C_LIGHT
-from .errors import NoPhaseMatch, TotalInternalReflection
+from .errors import NoPhaseMatch, OutOfDispersionWindow, TotalInternalReflection
 
 log = logging.getLogger(__name__)
 
@@ -59,13 +59,18 @@ class LinearizedCoeffs:
 
 
 def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
-            crystal: dm.CrystalSpec):
+            crystal: dm.CrystalSpec, kz_pump=None):
     """Wavevector mismatch of the pair (kappa, kappa') with its pump component;
     broadcasts over array-valued points.  NaN where the idler kappa' is
-    evanescent; an evanescent signal kappa raises EvanescentMode."""
-    return (dm.kz_pump_grid(kappa.omega + kappa_prime.omega,
-                            kappa.kx + kappa_prime.kx,
-                            kappa.ky + kappa_prime.ky, crystal)
+    evanescent; an evanescent signal kappa raises EvanescentMode.
+
+    kz_pump, when given, is the pump's k_z at kappa + kappa', computed once
+    by a caller whose pairs share their pump components."""
+    if kz_pump is None:
+        kz_pump = dm.kz_pump_grid(kappa.omega + kappa_prime.omega,
+                                  kappa.kx + kappa_prime.kx,
+                                  kappa.ky + kappa_prime.ky, crystal)
+    return (kz_pump
             - dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
             - dm.kz_signal_grid(kappa_prime.omega, kappa_prime.kx, kappa_prime.ky,
                                 crystal, allow_evanescent=True))
@@ -127,10 +132,18 @@ def perfect_curve(omega_obs, crystal: dm.CrystalSpec) -> np.ndarray:
     then bisects the first bracket of every frequency at once to ROOT_XTOL.
     Returns k0 with the shape of omega_obs, NaN where no sign change exists;
     with multiple sign changes the smallest root is returned and the rest are
-    logged.
+    logged.  A signal at or above the pump frequency, which leaves no idler
+    frequency, raises OutOfDispersionWindow.
     """
     omega = np.asarray(omega_obs, dtype=float)
     flat = omega.ravel()
+    beyond = flat >= crystal.pump_center_omega
+    if np.any(beyond):
+        lam_nm = 2.0 * np.pi * C_LIGHT * 1e9 / np.array([flat[beyond][0],
+                                                         crystal.pump_center_omega])
+        raise OutOfDispersionWindow(
+            f"signal wavelength {lam_nm[0]:.1f} nm is not longer than the pump "
+            f"wavelength {lam_nm[1]:.1f} nm, so it leaves no idler frequency")
     kz_p = dm.kz_pump_grid(crystal.pump_center_omega, 0.0, 0.0, crystal)
     k0 = [_solve_block(flat[i:i + _SCAN_ROWS], crystal, kz_p)
           for i in range(0, flat.size, _SCAN_ROWS)]

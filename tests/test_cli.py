@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestConfigHandling:
         assert code == 3
         assert "OutOfDispersionWindow" in capsys.readouterr().err
         assert not (out / "phasematch.csv").exists()
+
+    @pytest.mark.parametrize("command, lam", [("phasematch", 300.0), ("pert-flux", 400.0)])
+    def test_signal_not_longer_than_pump_exits_3(self, tmp_path, capsys, command, lam):
+        section = command.replace("-", "_")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--set", f"{section}.lambda_min_nm={lam}",
+                             "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "OutOfDispersionWindow" in err
+        assert f"signal wavelength {lam:.1f} nm" in err and "pump wavelength 400.0 nm" in err
 
     def test_readme_configuration_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -410,6 +423,12 @@ class TestSweepCommand:
     def test_empty_sweep_exits_2(self, tmp_path):
         assert cli.main(["sweep", "--set", "sweep.cells=[]",
                          "--out", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("cell", ["[29.0, -Infinity, 80.0]", '[29.0, "x", 80.0]'])
+    def test_refused_sweep_creates_no_directory(self, tmp_path, cell):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--set", f"sweep.cells=[{cell}]", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_failing_cell_isolated(self, tmp_path):
         out = tmp_path / "sweep"

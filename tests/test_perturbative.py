@@ -172,6 +172,63 @@ class TestQuadratures:
             pt.flux_quadrature_exact(dm.SpectralPoint(w, 0.0, 0.0), bbo313, pump60_80)
 
 
+class TestBatchedQuadrature:
+    """One quadrature call for many signals gives each what a call for that
+    signal alone gives, and refuses the whole batch for one bad signal."""
+
+    LAMS = np.array([550.0, 700.0, 850.0, 1150.0])
+    QUAD = pt.QuadratureSpec(rel_tol=1e-3)
+
+    @pytest.fixture(scope="class")
+    def short_pump(self):
+        # a 20 fs pulse widens the idler box, so the rows converge unevenly
+        return pt.PumpSpec(tau_p=20e-15, w_p=80e-6, omega_center=omega_of_nm(400),
+                           l_nl=20e-3)
+
+    @pytest.mark.parametrize("route", ["exact", "gaussianized"])
+    def test_rows_equal_single_signal_calls_bitwise(self, bbo313, short_pump, route):
+        omega = omega_of_nm(self.LAMS)
+        k0 = pmm.perfect_curve(omega, bbo313)
+        coeffs = pmm.linearize(omega, k0, bbo313)
+        _, flux, err = pt.spectrum_along_curve(self.LAMS, bbo313, short_pump,
+                                               method=route, quad=self.QUAD)
+        for i in range(self.LAMS.size):
+            kappa = dm.SpectralPoint(omega[i], k0[i], 0.0)
+            if route == "exact":
+                one = pt.flux_quadrature_exact(kappa, bbo313, short_pump, self.QUAD)
+            else:
+                one = pt.flux_quadrature_gaussianized(kappa, coeffs.row(i), bbo313,
+                                                      short_pump, self.QUAD)
+            assert (flux[i], err[i]) == one
+
+    def test_middle_rows_need_another_doubling(self, bbo313, short_pump):
+        once = replace(self.QUAD, max_doublings=1)
+        for lam in self.LAMS[[0, 3]]:
+            pt.flux_quadrature_exact(on_surface(lam, bbo313), bbo313, short_pump, once)
+        for lam in self.LAMS[[1, 2]]:
+            with pytest.raises(NotConverged):
+                pt.flux_quadrature_exact(on_surface(lam, bbo313), bbo313, short_pump, once)
+        with pytest.raises(NotConverged):
+            pt.spectrum_along_curve(self.LAMS, bbo313, short_pump, method="exact",
+                                    quad=once)
+
+    @pytest.mark.parametrize("route", ["exact", "gaussianized"])
+    def test_one_signal_near_the_pump_refuses_the_batch(self, bbo313, pump60_80, route):
+        near = pump60_80.omega_center - 2.5 / (np.sqrt(2.0) * pump60_80.tau_p)
+        good = on_surface(700, bbo313)
+        kappa = dm.SpectralPoint(np.array([good.omega, near]), np.array([good.kx, 0.0]), 0.0)
+        with pytest.raises(OutOfDispersionWindow):
+            if route == "exact":
+                pt.flux_quadrature_exact(kappa, bbo313, pump60_80)
+            else:
+                pt.flux_quadrature_gaussianized(kappa, coeffs_at(700, bbo313), bbo313,
+                                                pump60_80)
+
+    def test_scalar_signal_gives_scalars(self, bbo313, pump60_80):
+        flux, err = pt.flux_quadrature_exact(on_surface(700, bbo313), bbo313, pump60_80)
+        assert np.ndim(flux) == np.ndim(err) == 0
+
+
 def full_box_level(kappa, pump, n, factor):
     """Midpoint sum over the whole idler box at n nodes per axis, with the
     squared pump written out as one Gaussian."""
@@ -222,9 +279,15 @@ class TestHalfBox:
         kappa = dm.SpectralPoint(omega_of_nm(760), k0, ky_frac * k0)
         seen = []
 
-        def factor(w_i, kx_i, ky_i):
-            seen.append(ky_i.ravel() + kappa.ky)  # ky' relative to the box center
-            return np.ones(np.broadcast(w_i, kx_i, ky_i).shape)
+        def factor(kappa_p):
+            def at(rows, signal, idler):
+                seen.append(idler.ky.ravel() + kappa.ky)  # ky' relative to the box center
+                # which is also the ky of the pump lattice, kappa + kappa'
+                np.testing.assert_allclose(kappa_p.ky.ravel(), seen[-1], rtol=0,
+                                           atol=1e-9 * kappa.kx)
+                return np.ones(np.broadcast(signal.omega, idler.omega, idler.kx,
+                                            idler.ky).shape)
+            return at
 
         quad = pt.QuadratureSpec(n_init=15, max_doublings=1, rel_tol=1.0)
         pt._quadrature(kappa, pump60_80, quad, factor, bbo313.length)

@@ -462,10 +462,11 @@ def perturbative_bin_means(fmap: wg.FluxMap, grid: wg.SimulationGrid,
     """Single-pair quadrature prediction for each bin of a FluxMap.
 
     Evaluates the exact-sinc^2 quadrature (at _ORACLE_QUAD) at a
-    deterministic subsample of each bin's member modes, converts to per-mode
-    occupation with the grid's spectral cell volume, and averages.  Bins
-    with fewer than min_modes members come back NaN.  This is the
-    independent low-gain reference the stochastic flux is checked against.
+    deterministic subsample of each bin's member modes, all in one call,
+    converts to per-mode occupation with the grid's spectral cell volume,
+    and averages.  Bins with fewer than min_modes members come back NaN.
+    This is the independent low-gain reference the stochastic flux is
+    checked against.
     """
     w, kx, ky = wg._mode_frequencies(grid)
     w3, kx3, ky3 = (a.ravel() for a in np.meshgrid(w, kx, ky, indexing="ij"))
@@ -475,17 +476,22 @@ def perturbative_bin_means(fmap: wg.FluxMap, grid: wg.SimulationGrid,
     order = np.argsort(bins, kind="stable")  # each bin's members in mode order
     bounds = np.searchsorted(bins[order], np.arange(fmap.flux.size + 1))
 
-    pred = np.full(fmap.flux.shape, np.nan)
-    for b in range(pred.size):
+    sampled, take = [], []  # bins with min_modes members, and their sampled modes
+    for b in range(fmap.flux.size):
         members = order[bounds[b]:bounds[b + 1]]
-        if members.size < min_modes:
-            continue
-        take = members[np.linspace(0, members.size - 1, min(modes_per_bin, members.size),
-                                   dtype=int)]
-        vals = [pt.flux_quadrature_exact(dm.SpectralPoint(w3[m], kx3[m], ky3[m]),
-                                         crystal, pump, _ORACLE_QUAD)[0]
-                for m in take]
-        pred.flat[b] = grid.mode_volume * float(np.mean(vals))
+        if members.size >= min_modes:
+            sampled.append(b)
+            take.append(members[np.linspace(0, members.size - 1,
+                                            min(modes_per_bin, members.size), dtype=int)])
+    pred = np.full(fmap.flux.shape, np.nan)
+    if not sampled:
+        return pred
+    modes = np.concatenate(take)
+    flux = pt.flux_quadrature_exact(dm.SpectralPoint(w3[modes], kx3[modes], ky3[modes]),
+                                    crystal, pump, _ORACLE_QUAD)[0]
+    ends = np.cumsum([len(t) for t in take])
+    pred.flat[sampled] = grid.mode_volume * np.array(
+        [np.mean(f) for f in np.split(flux, ends[:-1])])
     return pred
 
 
