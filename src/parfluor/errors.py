@@ -17,10 +17,6 @@ class NoRealRoot(ParfluorError):
     """The extraordinary-ray dispersion quadratic has no real forward root."""
 
 
-class TotalInternalReflection(ParfluorError):
-    """c*k_trans/omega > 1, the mode cannot refract out of the crystal."""
-
-
 class NoPhaseMatch(ParfluorError):
     """No perfectly phase-matched transverse wavevector exists at this frequency."""
 

@@ -250,7 +250,7 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     grid, and a quadrature method is called once with all matched points.
     Returns the arrays (alpha_ext [rad], flux, err_rel) over the grid, NaN
     where the surface has no point; err_rel is NaN throughout for
-    closed_form.
+    closed_form, and alpha_ext also where the mode cannot refract out.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {sorted(METHODS)}")
@@ -274,7 +274,8 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
 
 
 def write_spectrum_csv(lams, alpha, flux, err, method: str, fileobj) -> None:
-    """Emit spectrum_along_curve columns as CSV; NaN becomes an empty field."""
+    """Emit spectrum_along_curve columns as CSV; NaN becomes an empty field
+    (an empty angle alone marks a matched mode that cannot refract out)."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["lambda_nm", "alpha_ext_deg", "flux", "method",
                      "quad_error_estimate"])
@@ -282,5 +283,6 @@ def write_spectrum_csv(lams, alpha, flux, err, method: str, fileobj) -> None:
         if np.isnan(f):
             writer.writerow([f"{lam:.6f}", "", "", method, ""])
         else:
-            writer.writerow([f"{lam:.6f}", f"{np.rad2deg(a):.6f}", f"{f:.8e}", method,
+            writer.writerow([f"{lam:.6f}", "" if np.isnan(a) else f"{np.rad2deg(a):.6f}",
+                             f"{f:.8e}", method,
                              "" if np.isnan(e) else f"{e:.3e}"])

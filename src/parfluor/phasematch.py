@@ -7,29 +7,22 @@ the pump component at kappa + kappa'.  Their longitudinal wavevector mismatch
 
 controls how efficiently the pair is generated.  For the central pump
 component the mismatch vanishes on an axially symmetric surface
-|k_perp| = k0(w); this module solves for that surface, converts transverse
-wavevectors to exterior observation angles, and expands the mismatch to first
-order around points on the surface (group-slowness and walk-off differences).
+|k_perp| = k0(w); this module solves for that surface in closed form,
+converts transverse wavevectors to exterior observation angles, and expands
+the mismatch to first order around points on the surface (group-slowness and
+walk-off differences).
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dispersion as dm
 from .dispersion import C_LIGHT
-from .errors import NoPhaseMatch, OutOfDispersionWindow, TotalInternalReflection
-
-log = logging.getLogger(__name__)
-
-SCAN_POINTS = 512
-ROOT_TOL = 1e-3  # rad/m; dk*L stays far below the sinc width for mm crystals
-ROOT_XTOL = 1e-6  # rad/m, bracket width at which the bisection stops
-_SCAN_ROWS = 256  # wavelengths per block of the scan, bounding its memory
+from .errors import NoPhaseMatch, OutOfDispersionWindow
 
 
 @dataclass(frozen=True)
@@ -76,87 +69,45 @@ def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
                                 crystal, allow_evanescent=True))
 
 
-def _mismatch_on_ring(k, omega_obs, omega_idler, kz_p, crystal):
-    """dk for the symmetric pairs ((w, k, 0), (2w0 - w, -k, 0)); kz_p is the
-    k_z of the central pump component."""
-    return (kz_p - dm.kz_signal_grid(omega_obs, k, 0.0, crystal)
-            - dm.kz_signal_grid(omega_idler, k, 0.0, crystal))
-
-
-def _solve_block(omega, crystal, kz_p):
-    """perfect_curve for a 1D block of frequencies."""
-    omega_idler = crystal.pump_center_omega - omega
-    omega_lo = np.minimum(omega, omega_idler)
-    k_max = dm.index_ordinary(omega_lo, crystal) * omega_lo / C_LIGHT
-    ks = np.linspace(0.0, k_max, SCAN_POINTS, axis=-1)
-    f = _mismatch_on_ring(ks, omega[:, None], omega_idler[:, None], kz_p, crystal)
-
-    exact = np.abs(f) <= ROOT_TOL
-    change = np.sign(f[:, :-1]) * np.sign(f[:, 1:]) < 0
-    first_exact = np.where(exact.any(axis=1), exact.argmax(axis=1), SCAN_POINTS)
-    first_change = np.where(change.any(axis=1), change.argmax(axis=1), SCAN_POINTS)
-    k0 = np.full(omega.shape, np.nan)
-    on_point = (first_exact < SCAN_POINTS) & (first_exact <= first_change)
-    k0[on_point] = ks[on_point, first_exact[on_point]]
-
-    rows = np.flatnonzero(~on_point & (first_change < SCAN_POINTS))
-    cols = first_change[rows]
-    lo, hi, f_lo = ks[rows, cols], ks[rows, cols + 1], f[rows, cols]
-    w_s, w_i = omega[rows], omega_idler[rows]
-    n_steps = int(np.ceil(np.log2(np.max(hi - lo) / ROOT_XTOL))) if rows.size else 0
-    for _ in range(max(n_steps, 0)):
-        mid = 0.5 * (lo + hi)
-        f_mid = _mismatch_on_ring(mid, w_s, w_i, kz_p, crystal)
-        left = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(left, mid, lo)
-        f_lo = np.where(left, f_mid, f_lo)
-        hi = np.where(left, hi, mid)
-    k0[rows] = 0.5 * (lo + hi)
-
-    found = np.flatnonzero(np.isfinite(k0))
-    residual = _mismatch_on_ring(k0[found], omega[found], omega_idler[found], kz_p,
-                                 crystal)
-    if np.any(np.abs(residual) > ROOT_TOL):
-        raise NoPhaseMatch(
-            f"root refinement stalled, |dk| = {np.max(np.abs(residual)):.3g} rad/m")
-    for w in omega[change.sum(axis=1) > 1]:
-        log.debug("multiple phase-matching roots at omega=%.6g, keeping smallest k", w)
-    return k0
-
-
 def perfect_curve(omega_obs, crystal: dm.CrystalSpec) -> np.ndarray:
     """Solve dk = 0 for the transverse wavevector k0 [rad/m] at every omega_obs.
 
-    Scans k in [0, k_max] (k_max the light-cone bound of the lower-frequency
-    photon of the pair) at SCAN_POINTS points per frequency for sign changes,
-    then bisects the first bracket of every frequency at once to ROOT_XTOL.
-    Returns k0 with the shape of omega_obs, NaN where no sign change exists;
-    with multiple sign changes the smallest root is returned and the rest are
-    logged.  A signal at or above the pump frequency, which leaves no idler
-    frequency, raises OutOfDispersionWindow.
+    On the ring of symmetric pairs ((w, k, 0), (2w0 - w, -k, 0)) the mismatch
+    is kz_p - sqrt(a^2 - k^2) - sqrt(b^2 - k^2), with kz_p the central
+    pump's k_z and a, b the signal and idler |k|; it rises with k, so its one
+    root is the height over kz_p of the triangle with sides a, b and kz_p,
+    and the signal's k_z is the foot p of that height.  Returns k0 with the
+    shape of omega_obs, NaN where the triangle does not close with both
+    k_z >= 0.  A signal at or above the pump frequency, which leaves no
+    idler frequency, raises OutOfDispersionWindow.
     """
     omega = np.asarray(omega_obs, dtype=float)
-    flat = omega.ravel()
-    beyond = flat >= crystal.pump_center_omega
+    beyond = omega >= crystal.pump_center_omega
     if np.any(beyond):
-        lam_nm = 2.0 * np.pi * C_LIGHT * 1e9 / np.array([flat[beyond][0],
+        lam_nm = 2.0 * np.pi * C_LIGHT * 1e9 / np.array([omega[beyond].flat[0],
                                                          crystal.pump_center_omega])
         raise OutOfDispersionWindow(
             f"signal wavelength {lam_nm[0]:.1f} nm is not longer than the pump "
             f"wavelength {lam_nm[1]:.1f} nm, so it leaves no idler frequency")
+    omega_idler = crystal.pump_center_omega - omega
     kz_p = dm.kz_pump_grid(crystal.pump_center_omega, 0.0, 0.0, crystal)
-    k0 = [_solve_block(flat[i:i + _SCAN_ROWS], crystal, kz_p)
-          for i in range(0, flat.size, _SCAN_ROWS)]
-    return np.concatenate(k0).reshape(omega.shape) if k0 else np.full(omega.shape, np.nan)
+    a = dm.index_ordinary(omega, crystal) * omega / C_LIGHT
+    b = dm.index_ordinary(omega_idler, crystal) * omega_idler / C_LIGHT
+    p = (kz_p * kz_p + a * a - b * b) / (2.0 * kz_p)
+    # a collinear pair matched to within rounding sits on the axis
+    excess = a + b - kz_p
+    excess = np.where(excess >= -dm._CONE_RTOL * kz_p, np.maximum(excess, 0.0), excess)
+    closes = (excess >= 0.0) & (p >= 0.0) & (p <= kz_p)
+    # (a + p)(a - p) factored so that small angles keep their digits
+    k0_sq = (a + p) * excess * (kz_p + b - a) / (2.0 * kz_p)
+    return np.sqrt(k0_sq, where=closes, out=np.full(omega.shape, np.nan))
 
 
 def exterior_angle(omega_obs, k_trans):
-    """Propagation angle [rad] outside the crystal after exit-face refraction."""
+    """Propagation angle [rad] outside the crystal after exit-face refraction;
+    NaN beyond the vacuum light cone, where the mode cannot refract out."""
     ratio = C_LIGHT * np.asarray(k_trans) / omega_obs
-    if np.any(ratio > 1.0):
-        raise TotalInternalReflection(
-            f"c*k/omega = {np.max(ratio):.4f} > 1, component cannot leave the crystal")
-    return np.arcsin(ratio)
+    return np.arcsin(np.where(ratio <= 1.0, ratio, np.nan))
 
 
 def linearize(omega_obs, k0, crystal: dm.CrystalSpec) -> LinearizedCoeffs:
@@ -211,8 +162,9 @@ def scan_curve(lambda_lo_nm: float, lambda_hi_nm: float, n_points: int,
 
     One root solve and one linearization for the whole grid; returns
     (lams, k0, alpha, coeffs): k0 over the grid, NaN where the surface has
-    no point, and the exterior angles [rad] and LinearizedCoeffs of the
-    matched points only, in grid order.
+    no point, and the exterior angles [rad] (NaN where the mode cannot
+    refract out) and LinearizedCoeffs of the matched points only, in grid
+    order.
     """
     lams = np.linspace(lambda_lo_nm, lambda_hi_nm, n_points)
     omega = 2.0 * np.pi * C_LIGHT / (lams * 1e-9)
@@ -223,7 +175,8 @@ def scan_curve(lambda_lo_nm: float, lambda_hi_nm: float, n_points: int,
 
 
 def write_scan_csv(lams, k0, alpha, coeffs: LinearizedCoeffs, fileobj) -> None:
-    """Emit scan_curve columns as CSV; empty fields mark unmatched wavelengths."""
+    """Emit scan_curve columns as CSV; empty fields mark unmatched wavelengths,
+    and an empty angle alone a matched mode that cannot refract out."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(["lambda_nm", "k0_rad_per_m", "alpha_ext_deg",
                      "d_beta1_s_per_m", "d_rho_px", "d_rho_py"])
@@ -233,5 +186,6 @@ def write_scan_csv(lams, k0, alpha, coeffs: LinearizedCoeffs, fileobj) -> None:
             writer.writerow([f"{lam:.6f}", "", "", "", "", ""])
         else:
             a, d_beta1, d_rho_px, d_rho_py = next(matched)
-            writer.writerow([f"{lam:.6f}", f"{k:.6e}", f"{np.rad2deg(a):.6f}",
+            writer.writerow([f"{lam:.6f}", f"{k:.6e}",
+                             "" if np.isnan(a) else f"{np.rad2deg(a):.6f}",
                              f"{d_beta1:.6e}", f"{d_rho_px:.6e}", f"{d_rho_py:.6e}"])

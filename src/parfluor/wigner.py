@@ -353,10 +353,7 @@ def _mode_lambda_alpha(grid: SimulationGrid):
     w3 = w[:, None, None]
     kperp = np.sqrt(kx[None, :, None] ** 2 + ky[None, None, :] ** 2)
     lam_nm = TWO_PI * C_LIGHT / w3 * 1e9 * np.ones_like(kperp)
-    ratio = C_LIGHT * kperp / w3
-    alpha_deg = np.where(ratio <= 1.0, np.degrees(np.arcsin(np.minimum(ratio, 1.0))),
-                         np.nan)
-    return lam_nm.ravel(), alpha_deg.ravel()
+    return lam_nm.ravel(), np.degrees(pmm.exterior_angle(w3, kperp)).ravel()
 
 
 def _bin_of_modes(lam, alpha, lam_edges, alpha_edges) -> np.ndarray:
@@ -546,8 +543,8 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         prop, first = calibration.propagator, calibration.probe
     flux, stderr, total, _ = _ensemble_flux(prop, pump.l_nl, ensemble,
                                             paired_subtraction, first)
-    k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
-    ratio = C_LIGHT * k0 / grid.omega_center
+    alpha = pmm.exterior_angle(grid.omega_center,
+                               pmm.perfect_curve(grid.omega_center, crystal))
     fmap = azimuthal_average(flux, stderr, grid, n_lambda=n_lambda, n_alpha=n_alpha)
     fmap.metadata = {
         "gain": crystal.length / pump.l_nl,
@@ -557,8 +554,7 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         "window_max_alpha_deg": float(fmap.alpha_edges_deg[-1]),
         # exterior angle of the matched ring at the grid center; None where
         # no matched mode there leaves the crystal (NaN fails the test)
-        "matched_alpha_deg": (float(np.degrees(np.arcsin(ratio))) if ratio <= 1.0
-                              else None),
+        "matched_alpha_deg": None if np.isnan(alpha) else float(np.degrees(alpha)),
     }
     if calibration is not None:
         fmap.metadata["calibration"] = {

@@ -192,13 +192,30 @@ class TestPhasematchCommand:
         assert code == 0
         assert read_csv(tmp_path / "phasematch.csv")[0]["k0_rad_per_m"]
 
+    def test_rows_that_cannot_refract_out_keep_all_but_the_angle(self, tmp_path):
+        # at 60 deg the matched ring leaves the vacuum light cone from about
+        # 2214 nm on; those rows still carry k0, the coefficients and the flux
+        args = ["--set", "crystal.theta_deg=60",
+                "--set", "phasematch.lambda_min_nm=1200",
+                "--set", "phasematch.lambda_max_nm=2590",
+                "--set", "pert_flux.lambda_min_nm=1200",
+                "--set", "pert_flux.lambda_max_nm=2590", "--out", str(tmp_path)]
+        assert cli.main(["phasematch", *args]) == 0
+        assert cli.main(["pert-flux", *args]) == 0
+        for name, kept in (("phasematch.csv", ("k0_rad_per_m", "d_beta1_s_per_m")),
+                           ("pert_flux_closed_form.csv", ("flux",))):
+            rows = read_csv(tmp_path / name)
+            assert all(r[key] for r in rows for key in kept)
+            inside = [bool(r["alpha_ext_deg"]) for r in rows]
+            assert inside == sorted(inside, reverse=True) and 0 < sum(inside) < len(rows)
+
 
 GOLDEN = Path(__file__).parent / "data"
 # phasematch.csv and pert_flux_closed_form.csv were written with
-# finite-difference slopes: k0 and the angle come from a root solve to
-# 1e-6 rad/m either way, while d_beta1, d_rho and the flux carry the finite
-# differences' error, about 1e-7 relative; the gaussianized and exact files
-# were written with the closed-form slopes and per-row result objects
+# finite-difference slopes: k0 and the angle do not depend on them, while
+# d_beta1, d_rho and the flux carry the finite differences' error, about
+# 1e-7 relative; the gaussianized and exact files were written with the
+# closed-form slopes and per-row result objects
 EXACT_COLUMNS = ("lambda_nm", "k0_rad_per_m", "alpha_ext_deg")
 
 

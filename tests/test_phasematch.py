@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT
 
 from parfluor import dispersion as dm
 from parfluor import phasematch as pm
-from parfluor.errors import EvanescentMode, NoPhaseMatch, TotalInternalReflection
+from parfluor.errors import EvanescentMode, NoPhaseMatch
 
 from conftest import omega_of_nm
 
@@ -86,7 +88,34 @@ class TestPerfectCurve:
         single = np.array([pm.perfect_curve(w, bbo29) for w in omega])
         assert np.isnan(k0).any() and np.isfinite(k0).any()
         np.testing.assert_array_equal(np.isnan(k0), np.isnan(single))
-        np.testing.assert_allclose(k0, single, rtol=1e-12, atol=2 * pm.ROOT_XTOL)
+        np.testing.assert_array_equal(k0, single)
+
+    def test_exact_degenerate_cut_is_on_the_axis(self):
+        # a + b - kz_p reads a few ulp below zero here; the collinear pair is
+        # matched to within rounding, so k0 is 0 and not NaN
+        crystal = dm.make_crystal(_degenerate_angle(), 2e-3, 400e-9)
+        assert pm.perfect_curve(omega_of_nm(800), crystal) == 0.0
+
+    @given(st.floats(29.0, 40.0), st.floats(500.0, 1200.0))
+    @settings(max_examples=40, deadline=None)
+    def test_mismatch_on_ring_rises_with_k(self, theta, lam):
+        # the premise of the closed form: dk has at most one root in k
+        crystal = dm.make_crystal(np.deg2rad(theta), 2e-3, 400e-9)
+        w = omega_of_nm(lam)
+        dk = _ring_mismatch(w, np.linspace(0.0, _k_max(w, crystal), 513), crystal)
+        assert np.all(np.diff(dk) >= 0.0)
+
+    @pytest.mark.parametrize("theta", [29.0, 31.3, 35.0, 40.0])
+    def test_roots_and_gaps_on_a_fine_grid(self, theta):
+        crystal = dm.make_crystal(np.deg2rad(theta), 2e-3, 400e-9)
+        omega = omega_of_nm(np.linspace(500, 1200, 1401))
+        k0 = pm.perfect_curve(omega, crystal)
+        ok = np.isfinite(k0)
+        assert np.max(np.abs(_ring_mismatch(omega[ok], k0[ok], crystal))) <= 1e-3
+        # every unmatched row keeps one sign of dk from the axis to k_max
+        gap = omega[~ok]
+        assert np.all(_ring_mismatch(gap, 0.0, crystal)
+                      * _ring_mismatch(gap, _k_max(gap, crystal), crystal) > 0.0)
 
     def test_fault_wavelength_scans_to_the_light_cone(self):
         # k_max at this wavelength once rounded past the idler light cone
@@ -101,9 +130,9 @@ class TestExteriorAngle:
         assert pm.exterior_angle(w, 0.5 * w / C_LIGHT) == pytest.approx(np.pi / 6)
 
     def test_total_internal_reflection(self):
+        # beyond the vacuum light cone the mode cannot refract out: NaN
         w = omega_of_nm(800)
-        with pytest.raises(TotalInternalReflection):
-            pm.exterior_angle(w, 1.01 * w / C_LIGHT)
+        assert np.isnan(pm.exterior_angle(w, 1.01 * w / C_LIGHT))
 
 
 class TestLinearize:
@@ -195,7 +224,7 @@ class TestScanCurve:
         # each jump bounded by 3x the local slope estimate from its neighbors
         for i in range(1, len(jumps) - 1):
             local = max(jumps[i - 1], jumps[i + 1])
-            assert jumps[i] < 3 * local + 10 * pm.ROOT_TOL
+            assert jumps[i] < 3 * local + 1e-2
 
     def test_csv_format_with_gap(self):
         crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9)
@@ -218,3 +247,16 @@ def _degenerate_angle():
     n_ep = float(dm.index_extraordinary_principal(w_p, crystal))
     s2 = (n_os**-2 - n_op**-2) / (n_ep**-2 - n_op**-2)
     return float(np.arcsin(np.sqrt(s2)))
+
+
+def _ring_mismatch(omega, k, crystal):
+    """delta_k of the symmetric pairs ((w, k, 0), (2w0 - w, -k, 0))."""
+    return pm.delta_k(dm.SpectralPoint(omega, k, 0.0),
+                      dm.SpectralPoint(crystal.pump_center_omega - omega, -k, 0.0),
+                      crystal)
+
+
+def _k_max(omega, crystal):
+    """Light-cone |k| of the lower-frequency photon of the pair at omega."""
+    low = np.minimum(omega, crystal.pump_center_omega - omega)
+    return dm.index_ordinary(low, crystal) * low / C_LIGHT
