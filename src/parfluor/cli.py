@@ -4,8 +4,10 @@ Interface units: wavelengths nm, durations fs, widths um, angles deg; all
 conversions to SI happen at this boundary.  Every output directory receives
 a manifest recording the resolved configuration, its hash, the seed, the
 package version and wall time, sufficient to reproduce the files exactly.
-Output files are written to a temporary name and atomically renamed, so a
-failing run never leaves partial files.
+The engines return arrays; this module alone formats them (CSV tables with
+NaN as an empty field, and a PGM heatmap).  Output files are written to a
+temporary name and atomically renamed, so a failing run never leaves
+partial files.
 
 Exit codes: 0 success, 1 partial sweep failure, 2 configuration error,
 3 computation error.
@@ -14,7 +16,9 @@ Exit codes: 0 success, 1 partial sweep failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -83,14 +87,15 @@ _KINDS = {bool: (bool, "true or false"), int: (int, "an integer"),
           float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"),
           type(None): ((int, float, type(None)), "a number or null")}
 # the numbers that must be > 0; a null target stays allowed
-_POSITIVE = ("quad_rel_tol", "target_photons")
+_POSITIVE = ("quad_rel_tol", "target_photons", "pump_wavelength_nm", "lambda_min_nm",
+             "lambda_max_nm")
 
 
 def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
     """Raise ConfigError unless each setting of override is a key of defaults
     with a value of its default's type; an int stands for a float, a number
     for a null, numbers are finite (json reads NaN and Infinity as floats),
-    counts are >= 1 (seeds >= 0), and tolerances and targets > 0."""
+    counts are >= 1 (seeds >= 0), and tolerances, targets and wavelengths > 0."""
     for key, value in override.items():
         here = f"{path}{key}"
         if key not in defaults:
@@ -226,6 +231,39 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def csv_text(columns: dict) -> str:
+    """CSV of the columns {header: (format spec, values)}, all of one length;
+    a NaN value is an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    specs = [spec for spec, _ in columns.values()]
+    for row in zip(*(values for _, values in columns.values())):
+        writer.writerow("" if v != v else format(v, spec) for spec, v in zip(specs, row))
+    return buf.getvalue()
+
+
+def pgm_bytes(flux: np.ndarray) -> tuple[bytes, float]:
+    """8-bit binary heatmap of a (wavelength, angle) map, NaN as 0: wavelength
+    on x ascending, angle on y ascending (row 0 = smallest angle).  Returns
+    the image and the flux value mapped to level 255."""
+    filled = np.nan_to_num(flux, nan=0.0)
+    vmax = float(filled.max())
+    scale = vmax if vmax > 0 else 1.0
+    img = np.clip(np.round(255.0 * filled / scale), 0, 255).astype(np.uint8)
+    return "P5\n{} {}\n255\n".format(*img.shape).encode() + img.T.tobytes(), scale
+
+
+@contextlib.contextmanager
+def _writing():
+    """Report a failure to create or write the output directory as a
+    configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write 'output_dir': {exc}") from exc
+
+
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -236,24 +274,25 @@ def write_manifest(command: str, config: dict, t0: float,
     """Write each named output into config's output_dir, then the manifest;
     the wall time runs from t0 (perf_counter) to the last output."""
     out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in outputs.items():
-        if isinstance(data, bytes):
-            atomic_write_bytes(out_dir / name, data)
-        else:
-            atomic_write_text(out_dir / name, data)
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "config_sha256": config_hash(config),
-        "seed": config["ensemble"]["seed"],
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "outputs": list(outputs),
-    }
-    if extra:
-        manifest.update(extra)
-    atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in outputs.items():
+            if isinstance(data, bytes):
+                atomic_write_bytes(out_dir / name, data)
+            else:
+                atomic_write_text(out_dir / name, data)
+        manifest = {
+            "command": command,
+            "version": __version__,
+            "config": config,
+            "config_sha256": config_hash(config),
+            "seed": config["ensemble"]["seed"],
+            "wall_time_s": round(time.perf_counter() - t0, 3),
+            "outputs": list(outputs),
+        }
+        if extra:
+            manifest.update(extra)
+        atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +303,14 @@ def cmd_phasematch(config: dict) -> int:
     t0 = time.perf_counter()
     crystal = build_crystal(config)
     s = config["phasematch"]
-    scan = pmm.scan_curve(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"], crystal)
-    buf = io.StringIO()
-    pmm.write_scan_csv(*scan, buf)
-    write_manifest("phasematch", config, t0, {"phasematch.csv": buf.getvalue()})
+    lams = np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
+    alpha, coeffs = pmm.scan_curve(lams, crystal)
+    table = csv_text({
+        "lambda_nm": (".6f", lams), "k0_rad_per_m": (".6e", coeffs.k0),
+        "alpha_ext_deg": (".6f", np.rad2deg(alpha)),
+        "d_beta1_s_per_m": (".6e", coeffs.d_beta1),
+        "d_rho_px": (".6e", coeffs.d_rho_px), "d_rho_py": (".6e", coeffs.d_rho_py)})
+    write_manifest("phasematch", config, t0, {"phasematch.csv": table})
     return 0
 
 
@@ -281,10 +324,12 @@ def cmd_pert_flux(config: dict) -> int:
         raise ConfigError(f"invalid 'pert_flux.method': {method!r}")
     quad = pt.QuadratureSpec(rel_tol=s["quad_rel_tol"])
     lams = np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
-    columns = pt.spectrum_along_curve(lams, crystal, pump, method=method, quad=quad)
-    buf = io.StringIO()
-    pt.write_spectrum_csv(lams, *columns, method, buf)
-    write_manifest("pert-flux", config, t0, {f"pert_flux_{method}.csv": buf.getvalue()})
+    alpha, flux, err = pt.spectrum_along_curve(lams, crystal, pump, method=method, quad=quad)
+    table = csv_text({
+        "lambda_nm": (".6f", lams), "alpha_ext_deg": (".6f", np.rad2deg(alpha)),
+        "flux": (".8e", flux), "method": ("", [method] * lams.size),
+        "quad_error_estimate": (".3e", err)})
+    write_manifest("pert-flux", config, t0, {f"pert_flux_{method}.csv": table})
     return 0
 
 
@@ -310,12 +355,14 @@ def cmd_wigner(config: dict) -> int:
               f"center, outside the grid's angular window (up to {window:.2f} deg); "
               "raise grid.n_x and grid.n_y or lower grid.span_xy_factor",
               file=sys.stderr)
-    buf = io.StringIO()
-    fmap.to_csv(buf)
-    pgm = io.BytesIO()
-    scale = fmap.to_pgm(pgm)
-    write_manifest("wigner", config, t0,
-                   {"wigner.csv": buf.getvalue(), "wigner.pgm": pgm.getvalue()},
+    n_lambda, n_alpha = fmap.flux.shape
+    table = csv_text({
+        "lambda_nm": (".6f", np.repeat(fmap.lambda_centers_nm, n_alpha)),
+        "alpha_deg": (".6f", np.tile(fmap.alpha_centers_deg, n_lambda)),
+        "flux": (".8e", fmap.flux.ravel()), "stderr": (".8e", fmap.stderr.ravel()),
+        "n_modes": ("d", fmap.n_modes.ravel())})
+    pgm, scale = pgm_bytes(fmap.flux)
+    write_manifest("wigner", config, t0, {"wigner.csv": table, "wigner.pgm": pgm},
                    extra={"run": fmap.metadata, "pgm_flux_at_255": scale})
     return 0
 
@@ -365,9 +412,11 @@ def cmd_sweep(config: dict) -> int:
         _merge(sub, {"crystal": {"theta_deg": theta}, "pump": {"tau_fs": tau, "w_um": w},
                      "output_dir": str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")})
         cell_configs.append(sub)
-    out_root.mkdir(parents=True, exist_ok=True)  # only once every cell is valid
+    with _writing():
+        out_root.mkdir(parents=True, exist_ok=True)  # only once every cell is valid
 
-    jobs = config["sweep"]["jobs"]
+    # a fork-started pool starts all its workers at once, so none beyond the cells
+    jobs = min(config["sweep"]["jobs"], len(cell_configs))
     if jobs == 1:
         results = list(map(_run_sweep_cell, cell_configs))
     else:
@@ -386,7 +435,8 @@ def cmd_sweep(config: dict) -> int:
             for name, code, err, wall in results
         ],
     }
-    atomic_write_text(out_root / "index.json", json.dumps(index, indent=2) + "\n")
+    with _writing():
+        atomic_write_text(out_root / "index.json", json.dumps(index, indent=2) + "\n")
     n_failed = sum(1 for _, code, *_ in results if code != 0)
     if n_failed:
         print(f"sweep: {n_failed} of {len(results)} cells failed", file=sys.stderr)

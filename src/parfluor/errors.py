@@ -17,10 +17,6 @@ class NoRealRoot(ParfluorError):
     """The extraordinary-ray dispersion quadratic has no real forward root."""
 
 
-class NoPhaseMatch(ParfluorError):
-    """No perfectly phase-matched transverse wavevector exists at this frequency."""
-
-
 class NotConverged(ParfluorError):
     """An iterative refinement failed to reach the requested tolerance."""
 

@@ -22,17 +22,14 @@ and everything scales exactly as (L / L_NL)^2.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dispersion as dm
 from . import phasematch as pmm
-from .dispersion import C_LIGHT
+from .dispersion import TWO_PI
 from .errors import NotConverged, OutOfDispersionWindow
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,8 @@ def pump_spectrum(kappa_p: dm.SpectralPoint, pump: PumpSpec):
 def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
                      pump: PumpSpec):
     """Closed-form occupation on the matched surface from expansion coefficients
-    (see phasematch.linearize), elementwise over array-valued coefficients.
+    (see phasematch.linearize), elementwise over array-valued coefficients
+    and NaN where they are.
 
     Exact Gaussian integral of the gaussianized quadrature integrand; the
     walk-off terms carry the 1/3 of the exp(-x^2/3) sinc^2 surrogate, so the
@@ -246,43 +244,24 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
                          quad: QuadratureSpec | None = None):
     """Flux along the matched surface over a wavelength grid [nm].
 
-    The surface and its expansion coefficients are solved once for the whole
-    grid, and a quadrature method is called once with all matched points.
-    Returns the arrays (alpha_ext [rad], flux, err_rel) over the grid, NaN
-    where the surface has no point; err_rel is NaN throughout for
-    closed_form, and alpha_ext also where the mode cannot refract out.
+    The surface and its expansion coefficients are tabulated once for the
+    whole grid (phasematch.scan_curve), and a quadrature method is called
+    once with all matched points.  Returns the arrays (alpha_ext [rad], flux,
+    err_rel) over the grid, NaN where the surface has no point; err_rel is
+    NaN throughout for closed_form, and alpha_ext also where the mode cannot
+    refract out.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {sorted(METHODS)}")
-    lams = np.asarray(lambda_grid_nm, dtype=float)
-    omega = TWO_PI * C_LIGHT / (lams * 1e-9)
-    k0 = pmm.perfect_curve(omega, crystal)
-    ok = np.flatnonzero(np.isfinite(k0))
-    alpha, flux, err = np.full((3,) + lams.shape, np.nan)
-    alpha[ok] = pmm.exterior_angle(omega[ok], k0[ok])
-    if method != "exact":
-        coeffs = pmm.linearize(omega[ok], k0[ok], crystal)
+    alpha, coeffs = pmm.scan_curve(lambda_grid_nm, crystal)
+    flux, err = np.full((2,) + alpha.shape, np.nan)
     if method == "closed_form":
-        flux[ok] = flux_closed_form(coeffs, crystal, pump)
-        return alpha, flux, err
-    kappa = dm.SpectralPoint(omega[ok], k0[ok], 0.0)
+        return alpha, flux_closed_form(coeffs, crystal, pump), err
+    ok = np.flatnonzero(np.isfinite(coeffs.k0))
+    kappa = dm.SpectralPoint(coeffs.omega_obs[ok], coeffs.k0[ok], 0.0)
     if method == "exact":
         flux[ok], err[ok] = flux_quadrature_exact(kappa, crystal, pump, quad)
     else:
-        flux[ok], err[ok] = flux_quadrature_gaussianized(kappa, coeffs, crystal, pump, quad)
+        flux[ok], err[ok] = flux_quadrature_gaussianized(kappa, coeffs.row(ok), crystal,
+                                                         pump, quad)
     return alpha, flux, err
-
-
-def write_spectrum_csv(lams, alpha, flux, err, method: str, fileobj) -> None:
-    """Emit spectrum_along_curve columns as CSV; NaN becomes an empty field
-    (an empty angle alone marks a matched mode that cannot refract out)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["lambda_nm", "alpha_ext_deg", "flux", "method",
-                     "quad_error_estimate"])
-    for lam, a, f, e in zip(lams, alpha, flux, err):
-        if np.isnan(f):
-            writer.writerow([f"{lam:.6f}", "", "", method, ""])
-        else:
-            writer.writerow([f"{lam:.6f}", "" if np.isnan(a) else f"{np.rad2deg(a):.6f}",
-                             f"{f:.8e}", method,
-                             "" if np.isnan(e) else f"{e:.3e}"])

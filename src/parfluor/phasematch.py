@@ -15,20 +15,20 @@ walk-off differences).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dispersion as dm
-from .dispersion import C_LIGHT
-from .errors import NoPhaseMatch, OutOfDispersionWindow
+from .dispersion import C_LIGHT, TWO_PI
+from .errors import OutOfDispersionWindow
 
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
     """First-order expansion coefficients of the mismatch around the matched
-    points at omega_obs; every field is a scalar or an array of one shape.
+    points at omega_obs; every field is a scalar or an array of one shape,
+    and all but the two frequencies are NaN where omega_obs has no match.
 
     d_beta1   : pump-idler inverse-group-velocity difference [s/m]
     d_rho_x/y : pump-signal walk-off differences (dimensionless)
@@ -46,7 +46,8 @@ class LinearizedCoeffs:
     d_rho_py: float
 
     def row(self, i) -> "LinearizedCoeffs":
-        """The coefficients of one matched point of an array of them."""
+        """The coefficients at index i (an int or an index array) of an array
+        of them."""
         return LinearizedCoeffs(*(np.asarray(getattr(self, f.name))[i]
                                   for f in fields(self)))
 
@@ -84,8 +85,8 @@ def perfect_curve(omega_obs, crystal: dm.CrystalSpec) -> np.ndarray:
     omega = np.asarray(omega_obs, dtype=float)
     beyond = omega >= crystal.pump_center_omega
     if np.any(beyond):
-        lam_nm = 2.0 * np.pi * C_LIGHT * 1e9 / np.array([omega[beyond].flat[0],
-                                                         crystal.pump_center_omega])
+        lam_nm = TWO_PI * C_LIGHT * 1e9 / np.array([omega[beyond].flat[0],
+                                                    crystal.pump_center_omega])
         raise OutOfDispersionWindow(
             f"signal wavelength {lam_nm[0]:.1f} nm is not longer than the pump "
             f"wavelength {lam_nm[1]:.1f} nm, so it leaves no idler frequency")
@@ -116,14 +117,11 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec) -> LinearizedCoeffs:
     Each coefficient is the difference of a pump slope at the central pump
     component and a fluorescence slope at the signal point (w, k0, 0) or the
     idler point (2w0 - w, -k0, 0), all in closed form (dispersion.kz_slopes).
-    Broadcasts over arrays; raises NoPhaseMatch where k0 is NaN (no matched
-    point, see perfect_curve).
+    Broadcasts over arrays; where k0 is NaN (no matched point, see
+    perfect_curve) every coefficient but omega_obs and omega_idler is NaN.
     """
     omega = np.asarray(omega_obs, dtype=float)
     k0 = np.asarray(k0, dtype=float)
-    if np.any(np.isnan(k0)):
-        bad = np.broadcast_to(omega, k0.shape)[np.isnan(k0)].flat[0]
-        raise NoPhaseMatch(f"no matched transverse wavevector at omega={bad:.6g}")
     omega_idler = crystal.pump_center_omega - omega
     beta1_pump, rho_pump_x, rho_pump_y = dm.kz_slopes(
         "pump", crystal.pump_center_omega, 0.0, 0.0, crystal)
@@ -156,36 +154,15 @@ def delta_k_linearized(coeffs: LinearizedCoeffs, kx, ky, omega_prime, kxp, kyp):
             + coeffs.d_rho_py * np.asarray(kyp))
 
 
-def scan_curve(lambda_lo_nm: float, lambda_hi_nm: float, n_points: int,
-               crystal: dm.CrystalSpec):
+def scan_curve(lams_nm, crystal: dm.CrystalSpec):
     """Tabulate the matched surface over a wavelength grid [nm].
 
-    One root solve and one linearization for the whole grid; returns
-    (lams, k0, alpha, coeffs): k0 over the grid, NaN where the surface has
-    no point, and the exterior angles [rad] (NaN where the mode cannot
-    refract out) and LinearizedCoeffs of the matched points only, in grid
-    order.
+    One closed-form solve and one linearization for the whole grid; returns
+    (alpha, coeffs) of the grid's shape: the exterior angles [rad] and the
+    LinearizedCoeffs, whose k0 and coefficients are NaN where the surface
+    has no point.  alpha is NaN there too, and where the mode cannot
+    refract out.
     """
-    lams = np.linspace(lambda_lo_nm, lambda_hi_nm, n_points)
-    omega = 2.0 * np.pi * C_LIGHT / (lams * 1e-9)
+    omega = TWO_PI * C_LIGHT / (np.asarray(lams_nm, dtype=float) * 1e-9)
     k0 = perfect_curve(omega, crystal)
-    ok = np.isfinite(k0)
-    return (lams, k0, exterior_angle(omega[ok], k0[ok]),
-            linearize(omega[ok], k0[ok], crystal))
-
-
-def write_scan_csv(lams, k0, alpha, coeffs: LinearizedCoeffs, fileobj) -> None:
-    """Emit scan_curve columns as CSV; empty fields mark unmatched wavelengths,
-    and an empty angle alone a matched mode that cannot refract out."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["lambda_nm", "k0_rad_per_m", "alpha_ext_deg",
-                     "d_beta1_s_per_m", "d_rho_px", "d_rho_py"])
-    matched = zip(alpha, coeffs.d_beta1, coeffs.d_rho_px, coeffs.d_rho_py)
-    for lam, k in zip(lams, k0):
-        if np.isnan(k):
-            writer.writerow([f"{lam:.6f}", "", "", "", "", ""])
-        else:
-            a, d_beta1, d_rho_px, d_rho_py = next(matched)
-            writer.writerow([f"{lam:.6f}", f"{k:.6e}",
-                             "" if np.isnan(a) else f"{np.rad2deg(a):.6f}",
-                             f"{d_beta1:.6e}", f"{d_rho_px:.6e}", f"{d_rho_py:.6e}"])
+    return exterior_angle(omega, k0), linearize(omega, k0, crystal)

@@ -24,7 +24,6 @@ of input noise, optionally binned over (wavelength, exterior angle).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,10 +32,9 @@ from scipy import fft as sfft
 from . import dispersion as dm
 from . import perturbative as pt
 from . import phasematch as pmm
-from .dispersion import C_LIGHT
+from .dispersion import C_LIGHT, TWO_PI
 from .errors import GridUnderresolved, NotConverged
 
-TWO_PI = 2.0 * np.pi
 _FFT_WORKERS = -1  # scipy interprets -1 as "all cores"
 
 
@@ -116,14 +114,14 @@ class EnsembleSpec:
             raise ValueError("n_realizations must be >= 1")
 
 
-def to_position(field_data, axes=(-3, -2, -1), overwrite_x=False):
-    return sfft.ifftn(field_data, axes=axes, norm="ortho", overwrite_x=overwrite_x,
-                      workers=_FFT_WORKERS)
+def to_position(field_data, overwrite_x=False):
+    return sfft.ifftn(field_data, axes=(-3, -2, -1), norm="ortho",
+                      overwrite_x=overwrite_x, workers=_FFT_WORKERS)
 
 
-def to_spectral(field_data, axes=(-3, -2, -1), overwrite_x=False):
-    return sfft.fftn(field_data, axes=axes, norm="ortho", overwrite_x=overwrite_x,
-                     workers=_FFT_WORKERS)
+def to_spectral(field_data, overwrite_x=False):
+    return sfft.fftn(field_data, axes=(-3, -2, -1), norm="ortho",
+                     overwrite_x=overwrite_x, workers=_FFT_WORKERS)
 
 
 def vacuum_rng(seed: int, realization: int) -> np.random.Generator:
@@ -317,34 +315,6 @@ class FluxMap:
 
     def total_photons(self) -> float:
         return float(np.nansum(self.flux * self.n_modes))
-
-    def to_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerow(["lambda_nm", "alpha_deg", "flux", "stderr", "n_modes"])
-        for i, lam in enumerate(self.lambda_centers_nm):
-            for j, alpha in enumerate(self.alpha_centers_deg):
-                if self.n_modes[i, j] == 0:
-                    writer.writerow([f"{lam:.6f}", f"{alpha:.6f}", "", "", 0])
-                    continue
-                err = self.stderr[i, j]
-                writer.writerow([
-                    f"{lam:.6f}", f"{alpha:.6f}", f"{self.flux[i, j]:.8e}",
-                    "" if np.isnan(err) else f"{err:.8e}",
-                    int(self.n_modes[i, j]),
-                ])
-
-    def to_pgm(self, fileobj) -> float:
-        """8-bit binary heatmap: wavelength on x ascending, angle on y
-        ascending (row 0 = smallest angle).  Returns the flux value mapped
-        to level 255 so the scale can be recorded alongside."""
-        filled = np.nan_to_num(self.flux, nan=0.0)
-        vmax = float(filled.max())
-        scale = vmax if vmax > 0 else 1.0
-        img = np.clip(np.round(255.0 * filled / scale), 0, 255).astype(np.uint8)
-        n_lam, n_alpha = img.shape
-        fileobj.write(f"P5\n{n_lam} {n_alpha}\n255\n".encode())
-        fileobj.write(img.T.tobytes())
-        return scale
 
 
 def _mode_lambda_alpha(grid: SimulationGrid):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -67,6 +68,13 @@ class TestConfigHandling:
         ("pert-flux", "crystal.length_mm", float("inf")),
         ("wigner", "grid.span_t_factor", float("nan")),
         ("sweep", "sweep.cells", [[29.0, float("-inf"), 80.0]]),
+        ("phasematch", "crystal.pump_wavelength_nm", 0),
+        ("pert-flux", "crystal.pump_wavelength_nm", -400.0),
+        ("phasematch", "phasematch.lambda_min_nm", 0),
+        ("phasematch", "phasematch.lambda_min_nm", -500),
+        ("phasematch", "phasematch.lambda_max_nm", 0.0),
+        ("pert-flux", "pert_flux.lambda_min_nm", 0),
+        ("pert-flux", "pert_flux.lambda_max_nm", -1200.0),
     ])
     @pytest.mark.parametrize("source", ["set", "file"])
     def test_malformed_setting_exits_2_naming_key(self, tmp_path, capsys, command,
@@ -129,6 +137,19 @@ class TestConfigHandling:
         assert "OutOfDispersionWindow" in err
         assert f"signal wavelength {lam:.1f} nm" in err and "pump wavelength 400.0 nm" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["phasematch", "--set", "phasematch.n_points=3"],
+        ["pert-flux", "--set", "pert_flux.n_points=3"],
+        ["wigner", *TINY_GRID, "--realizations", "1"],
+        ["sweep", *TINY_GRID, "--realizations", "1", "--set", "sweep.cells=[[29, 60, 80]]"],
+    ], ids=["phasematch", "pert-flux", "wigner", "sweep"])
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, argv):
+        # a regular file as the parent of the output directory
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main([*argv, "--out", str(blocker / "out")]) == 2
+        assert "'output_dir'" in capsys.readouterr().err
+
     def test_readme_configuration_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme[readme.index("### Configuration"):]
@@ -163,6 +184,18 @@ class TestPhasematchCommand:
                 and abs(float(r["lambda_nm"]) - 800) < 50
                 and float(r["alpha_ext_deg"]) < 0.6]
         assert near
+
+    def test_csv_format_with_gap(self, tmp_path):
+        # the 29 deg cut has no matched point near 800 nm
+        assert cli.main(["phasematch", "--set", "crystal.theta_deg=29.0",
+                         "--set", "phasematch.lambda_min_nm=780",
+                         "--set", "phasematch.lambda_max_nm=820",
+                         "--set", "phasematch.n_points=5", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "phasematch.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["lambda_nm", "k0_rad_per_m", "alpha_ext_deg",
+                                       "d_beta1_s_per_m", "d_rho_px", "d_rho_py"]
+        assert len(lines) == 6
+        assert any(line.endswith(",,,,") for line in lines[1:])
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "out"
@@ -261,6 +294,28 @@ class TestPertFluxCommand:
             if a["flux"]:
                 assert abs(float(a["flux"]) / float(b["flux"]) - 1) < 0.01
 
+    def test_csv_emission(self, tmp_path):
+        assert cli.main(["pert-flux", "--method", "closed_form",
+                         "--set", "pert_flux.lambda_min_nm=700",
+                         "--set", "pert_flux.lambda_max_nm=900",
+                         "--set", "pert_flux.n_points=5", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "pert_flux_closed_form.csv").read_text().splitlines()
+        assert lines[0] == "lambda_nm,alpha_ext_deg,flux,method,quad_error_estimate"
+        assert len(lines) == 6
+
+    def test_csv_gap_and_error_fields(self, tmp_path):
+        # the 29 deg cut has no matched point near 800 nm
+        assert cli.main(["pert-flux", "--method", "gaussianized",
+                         "--set", "crystal.theta_deg=29.0",
+                         "--set", "pert_flux.lambda_min_nm=780",
+                         "--set", "pert_flux.lambda_max_nm=820",
+                         "--set", "pert_flux.n_points=5", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "pert_flux_gaussianized.csv").read_text().splitlines()
+        fields = [line.split(",") for line in lines[1:]]
+        gaps = [f for f in fields if f[1] == ""]
+        assert gaps and all(f[2:] == ["", "gaussianized", ""] for f in gaps)
+        assert all(f[2] and f[4] for f in fields if f[1])
+
     def test_flux_nonnegative(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["pert-flux", "--set", "pert_flux.n_points=15",
@@ -326,10 +381,29 @@ class TestWignerCommand:
                          "--set", "wigner.alpha_bins=4",
                          "--out", str(out)])
         assert code == 0
-        assert (out / "wigner.pgm").read_bytes().startswith(b"P5\n6 4\n255\n")
+        pgm = (out / "wigner.pgm").read_bytes()
+        assert pgm.startswith(b"P5\n6 4\n255\n")
+        assert len(pgm) == len(b"P5\n6 4\n255\n") + 6 * 4
         manifest = json.loads((out / "manifest.json").read_text())
         assert "total_photons" in manifest["run"]
-        assert "pgm_flux_at_255" in manifest
+        assert manifest["pgm_flux_at_255"] > 0
+
+    @pytest.mark.parametrize("realizations", [1, 3])
+    def test_empty_bins_are_empty_fields(self, tmp_path, realizations):
+        # far more bins than the 8x8x8 grid's modes fill
+        out = tmp_path / "out"
+        assert cli.main(["wigner", *TINY_GRID, "--realizations", str(realizations),
+                         "--set", "wigner.lambda_bins=48",
+                         "--set", "wigner.alpha_bins=40", "--out", str(out)]) == 0
+        lines = (out / "wigner.csv").read_text().splitlines()
+        assert lines[0] == "lambda_nm,alpha_deg,flux,stderr,n_modes"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 48 * 40
+        empty = [r for r in rows if r[4] == "0"]
+        assert 0 < len(empty) < len(rows)
+        assert all(r[0] and r[1] and r[2:4] == ["", ""] for r in empty)
+        filled = [r for r in rows if r[4] != "0"]
+        assert all(r[2] and bool(r[3]) == (realizations > 1) for r in filled)
 
     @pytest.mark.parametrize("theta, warns", [(31.3, True), (29.0, False)])
     def test_ring_outside_window_warns(self, tmp_path, capsys, theta, warns):
@@ -461,6 +535,34 @@ class TestSweepCommand:
         assert sum(1 for v in codes.values() if v == 0) == 2
         assert sum(1 for v in codes.values() if v != 0) == 1
 
+    @pytest.mark.parametrize("jobs, n_cells, workers", [(64, 2, [2]), (8, 1, [])])
+    def test_pool_never_larger_than_the_cells(self, tmp_path, monkeypatch, jobs, n_cells,
+                                              workers):
+        # a recording stand-in for the pool, which starts no process
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cells = json.dumps([[29.0, 60.0, 80.0], [31.3, 60.0, 80.0]][:n_cells])
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", *TINY_GRID, "--realizations", "1", "--jobs", str(jobs),
+                         "--set", f"sweep.cells={cells}", "--set", "wigner.lambda_bins=4",
+                         "--set", "wigner.alpha_bins=3", "--out", str(out)]) == 0
+        assert started == workers
+        assert len(json.loads((out / "index.json").read_text())["cells"]) == n_cells
+
     def test_parallel_jobs(self, tmp_path):
         out = tmp_path / "sweep"
         cells = "[[29.0,60.0,80.0],[31.3,60.0,80.0]]"
@@ -471,3 +573,14 @@ class TestSweepCommand:
                          "--out", str(out)])
         assert code == 0
         assert len(json.loads((out / "index.json").read_text())["cells"]) == 2
+
+
+class TestCsvText:
+    def test_formats_per_column_and_nan_as_empty_field(self):
+        text = cli.csv_text({
+            "x": (".2f", np.array([1.0, np.nan, 3.14159])),
+            "y": (".3e", [np.nan, 2.5e-7, float("nan")]),
+            "n": ("d", np.array([0, 7, 12])),
+            "tag": ("", ["a", "a", "a"]),
+        })
+        assert text == "x,y,n,tag\n1.00,,0,a\n,2.500e-07,7,a\n3.14,,12,a\n"

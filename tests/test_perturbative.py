@@ -1,4 +1,4 @@
-import io
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +11,7 @@ from scipy.integrate import quad as scipy_quad
 from parfluor import dispersion as dm
 from parfluor import perturbative as pt
 from parfluor import phasematch as pmm
-from parfluor.errors import NoPhaseMatch, NotConverged, OutOfDispersionWindow
+from parfluor.errors import NotConverged, OutOfDispersionWindow
 
 from conftest import omega_of_nm
 
@@ -97,10 +97,15 @@ class TestClosedForm:
         f2 = pt.flux_closed_form(coeffs_at(700, bbo313), bbo313, half)
         assert f2 / f1 == pytest.approx(4.0, rel=1e-14)
 
-    def test_no_phase_match_error(self, bbo29, pump60_80):
+    def test_nan_without_matched_point(self, bbo29, pump60_80):
         # inside the theta=29.0 degeneracy gap the matched point is absent
-        with pytest.raises(NoPhaseMatch):
-            pt.flux_closed_form(coeffs_at(800, bbo29), bbo29, pump60_80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flux = pt.flux_closed_form(coeffs_at(800, bbo29), bbo29, pump60_80)
+            grid = pt.flux_closed_form(coeffs_at(np.array([700.0, 800.0]), bbo29),
+                                       bbo29, pump60_80)
+        assert np.isnan(flux)
+        assert np.isfinite(grid[0]) and np.isnan(grid[1])
 
 
 class TestQuadratures:
@@ -316,10 +321,10 @@ def peak_and_gvm_zero(theta_deg, tau_fs, w_um):
     crystal = dm.make_crystal(np.deg2rad(theta_deg), 2e-3, 400e-9)
     pump = pt.PumpSpec(tau_p=tau_fs * 1e-15, w_p=w_um * 1e-6,
                        omega_center=omega_of_nm(400), l_nl=20e-3)
-    lams, k0, _, coeffs = pmm.scan_curve(500.0, 1200.0, 1401, crystal)
-    matched = lams[np.isfinite(k0)]
+    lams = np.linspace(500.0, 1200.0, 1401)
+    coeffs = pmm.scan_curve(lams, crystal)[1]
     flux = pt.flux_closed_form(coeffs, crystal, pump)
-    return matched[np.argmax(flux)], matched[np.argmin(np.abs(coeffs.d_beta1))]
+    return lams[np.nanargmax(flux)], lams[np.nanargmin(np.abs(coeffs.d_beta1))]
 
 
 class TestPaperClaims:
@@ -344,8 +349,9 @@ class TestPaperClaims:
         crystal = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
         pump = pt.PumpSpec(tau_p=20e-15, w_p=2e-3, omega_center=omega_of_nm(400),
                            l_nl=20e-3)
-        lams, k0, _, coeffs = pmm.scan_curve(520.0, 560.0, 81, crystal)
-        assert np.all(np.isfinite(k0))
+        lams = np.linspace(520.0, 560.0, 81)
+        coeffs = pmm.scan_curve(lams, crystal)[1]
+        assert np.all(np.isfinite(coeffs.k0))
         _, flux, _ = pt.spectrum_along_curve(lams, crystal, pump, method="exact")
         bound = (1.0 - pt.QuadratureSpec().rel_tol) * flux.max()
         assert flux[np.argmin(np.abs(coeffs.d_beta1))] >= bound
@@ -397,26 +403,6 @@ class TestSpectrumAlongCurve:
         f_w = pt.spectrum_along_curve(lams, bbo313, wide)[1]
         matched = ~np.isnan(f_n)
         assert np.all(f_w[matched] > f_n[matched])
-
-    def test_csv_emission(self, bbo313, pump60_80):
-        lams = np.linspace(700, 900, 5)
-        columns = pt.spectrum_along_curve(lams, bbo313, pump60_80, method="closed_form")
-        buf = io.StringIO()
-        pt.write_spectrum_csv(lams, *columns, "closed_form", buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "lambda_nm,alpha_ext_deg,flux,method,quad_error_estimate"
-        assert len(lines) == 6
-
-    def test_csv_gap_and_error_fields(self, bbo29, pump60_80):
-        # the 29 deg cut has no matched point near 800 nm
-        lams = np.linspace(780, 820, 5)
-        columns = pt.spectrum_along_curve(lams, bbo29, pump60_80, method="gaussianized")
-        buf = io.StringIO()
-        pt.write_spectrum_csv(lams, *columns, "gaussianized", buf)
-        fields = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
-        gaps = [f for f in fields if f[1] == ""]
-        assert gaps and all(f[2:] == ["", "gaussianized", ""] for f in gaps)
-        assert all(f[2] and f[4] for f in fields if f[1])
 
     def test_unknown_method_rejected(self, bbo313, pump60_80):
         with pytest.raises(ValueError):

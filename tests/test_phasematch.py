@@ -1,4 +1,4 @@
-import io
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from scipy.constants import c as C_LIGHT
 
 from parfluor import dispersion as dm
 from parfluor import phasematch as pm
-from parfluor.errors import EvanescentMode, NoPhaseMatch
+from parfluor.errors import EvanescentMode
 
 from conftest import omega_of_nm
 
@@ -152,9 +152,29 @@ class TestLinearize:
         assert ok.sum() > 10
         assert np.all(coeffs.d_rho_y == 0.0) and np.all(coeffs.d_rho_py == 0.0)
 
-    def test_raises_without_matched_point(self, bbo29):
-        with pytest.raises(NoPhaseMatch):
-            linearize_at(omega_of_nm(800), bbo29)
+    def test_nan_k0_gives_nan_coefficients(self, bbo29):
+        # inside the theta=29.0 degeneracy gap the matched point is absent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = linearize_at(omega_of_nm(800), bbo29)
+        assert np.isnan(coeffs.k0)
+        for name in ("d_beta1", "d_rho_x", "d_rho_y", "d_rho_px", "d_rho_py"):
+            assert np.isnan(getattr(coeffs, name)), name
+        assert coeffs.omega_obs == omega_of_nm(800)
+        assert coeffs.omega_idler == bbo29.pump_center_omega - omega_of_nm(800)
+
+    def test_grid_with_gap_matches_matched_subset_bitwise(self, bbo29):
+        omega = omega_of_nm(np.linspace(500, 1200, 141))
+        k0 = pm.perfect_curve(omega, bbo29)
+        ok = np.isfinite(k0)
+        assert 0 < ok.sum() < ok.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = pm.linearize(omega, k0, bbo29)
+        subset = pm.linearize(omega[ok], k0[ok], bbo29)
+        for name in ("k0", "d_beta1", "d_rho_x", "d_rho_y", "d_rho_px", "d_rho_py"):
+            np.testing.assert_array_equal(getattr(full, name)[ok], getattr(subset, name))
+            assert np.all(np.isnan(getattr(full, name)[~ok])), name
 
     def test_rows_match_scalar_linearization(self, bbo313):
         omega = omega_of_nm(np.linspace(550, 1150, 9))
@@ -202,12 +222,16 @@ class TestLinearize:
 
 
 class TestScanCurve:
-    def test_row_count(self, bbo313):
-        lams, k0, alpha, coeffs = pm.scan_curve(500, 1200, 41, bbo313)
-        assert lams.shape == k0.shape == (41,)
-        n_matched = np.count_nonzero(np.isfinite(k0))
-        assert alpha.shape == coeffs.k0.shape == (n_matched,)
-        np.testing.assert_array_equal(coeffs.k0, k0[np.isfinite(k0)])
+    def test_grid_shaped_table(self, bbo29):
+        lams = np.linspace(500, 1200, 41)
+        alpha, coeffs = pm.scan_curve(lams, bbo29)
+        assert alpha.shape == coeffs.k0.shape == coeffs.d_beta1.shape == (41,)
+        omega = omega_of_nm(lams)
+        np.testing.assert_array_equal(coeffs.omega_obs, omega)
+        k0 = pm.perfect_curve(omega, bbo29)
+        np.testing.assert_array_equal(coeffs.k0, k0)
+        assert np.isnan(k0).any()  # the 29 deg gap
+        np.testing.assert_array_equal(alpha, pm.exterior_angle(omega, k0))
 
     def test_angle_ordering_by_cut(self, bbo29, bbo313, bbo40):
         crystal35 = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
@@ -218,23 +242,13 @@ class TestScanCurve:
         assert alphas == sorted(alphas)
 
     def test_continuity_of_curve(self, bbo313):
-        k0 = pm.scan_curve(550, 1150, 121, bbo313)[1]
+        k0 = pm.scan_curve(np.linspace(550, 1150, 121), bbo313)[1].k0
         k0s = k0[np.isfinite(k0)]
         jumps = np.abs(np.diff(k0s))
         # each jump bounded by 3x the local slope estimate from its neighbors
         for i in range(1, len(jumps) - 1):
             local = max(jumps[i - 1], jumps[i + 1])
             assert jumps[i] < 3 * local + 1e-2
-
-    def test_csv_format_with_gap(self):
-        crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9)
-        buf = io.StringIO()
-        pm.write_scan_csv(*pm.scan_curve(780, 820, 5, crystal), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0].split(",") == ["lambda_nm", "k0_rad_per_m", "alpha_ext_deg",
-                                       "d_beta1_s_per_m", "d_rho_px", "d_rho_py"]
-        assert len(lines) == 6
-        assert any(line.endswith(",,,,") for line in lines[1:])
 
 
 def _degenerate_angle():
