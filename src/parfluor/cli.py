@@ -167,17 +167,41 @@ def load_config(args) -> dict:
     return config
 
 
+def _check_wavelength(key: str, value: float, window_nm) -> None:
+    """Raise ConfigError naming key unless the wavelength value [nm] lies in
+    the material's window_nm."""
+    lo, hi = window_nm
+    if not lo <= value <= hi:
+        raise ConfigError(f"'{key}' must lie within the material's window_nm "
+                          f"[{lo:g}, {hi:g}] nm, got {value:g}")
+
+
 def build_crystal(config: dict) -> dm.CrystalSpec:
     c = config["crystal"]
+    try:
+        material = dm.load_material(c["material"])
+    except (ValueError, KeyError, OSError) as exc:
+        raise ConfigError(f"invalid 'crystal.material' {c['material']!r}: {exc}") from exc
+    _check_wavelength("crystal.pump_wavelength_nm", c["pump_wavelength_nm"],
+                      material["sellmeier_o"].window_nm)
     try:
         return dm.make_crystal(
             theta_cut=np.deg2rad(c["theta_deg"]),
             length=c["length_mm"] * 1e-3,
             pump_wavelength=c["pump_wavelength_nm"] * 1e-9,
-            material=c["material"],
+            material=material,
         )
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid 'crystal' settings: {exc}") from exc
+
+
+def build_lambdas(config: dict, section: str, crystal: dm.CrystalSpec) -> np.ndarray:
+    """The wavelength grid [nm] of a phasematch or pert_flux section, whose
+    ends must lie in the crystal's window_nm."""
+    s = config[section]
+    for end in ("lambda_min_nm", "lambda_max_nm"):
+        _check_wavelength(f"{section}.{end}", s[end], crystal.sellmeier_o.window_nm)
+    return np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
 
 
 def build_pump(config: dict, crystal: dm.CrystalSpec) -> pt.PumpSpec:
@@ -302,8 +326,7 @@ def write_manifest(command: str, config: dict, t0: float,
 def cmd_phasematch(config: dict) -> int:
     t0 = time.perf_counter()
     crystal = build_crystal(config)
-    s = config["phasematch"]
-    lams = np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
+    lams = build_lambdas(config, "phasematch", crystal)
     alpha, coeffs = pmm.scan_curve(lams, crystal)
     table = csv_text({
         "lambda_nm": (".6f", lams), "k0_rad_per_m": (".6e", coeffs.k0),
@@ -323,7 +346,7 @@ def cmd_pert_flux(config: dict) -> int:
     if method not in pt.METHODS:
         raise ConfigError(f"invalid 'pert_flux.method': {method!r}")
     quad = pt.QuadratureSpec(rel_tol=s["quad_rel_tol"])
-    lams = np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
+    lams = build_lambdas(config, "pert_flux", crystal)
     alpha, flux, err = pt.spectrum_along_curve(lams, crystal, pump, method=method, quad=quad)
     table = csv_text({
         "lambda_nm": (".6f", lams), "alpha_ext_deg": (".6f", np.rad2deg(alpha)),
@@ -402,15 +425,20 @@ def cmd_sweep(config: dict) -> int:
     out_root = Path(config["output_dir"])
     cell_configs = []
     for cell in cells:
+        # each cell passes the settings check and the builds every command runs
         try:
-            theta, tau, w = (float(v) for v in cell)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid sweep cell {cell!r}: {exc}") from exc
-        if not all(map(math.isfinite, (theta, tau, w))):
-            raise ConfigError(f"'sweep.cells' must hold finite numbers, got {cell!r}")
-        sub = copy.deepcopy(config)
-        _merge(sub, {"crystal": {"theta_deg": theta}, "pump": {"tau_fs": tau, "w_um": w},
-                     "output_dir": str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")})
+            if not (isinstance(cell, list) and len(cell) == 3):
+                raise ConfigError("a cell is a [theta_deg, tau_fs, w_um] triple")
+            theta, tau, w = cell
+            override = {"crystal": {"theta_deg": theta}, "pump": {"tau_fs": tau, "w_um": w}}
+            _check(override)
+            sub = copy.deepcopy(config)
+            _merge(sub, override)
+            crystal = build_crystal(sub)
+            build_grid(sub, crystal, build_pump(sub, crystal))
+        except ConfigError as exc:
+            raise ConfigError(f"invalid 'sweep.cells' entry {cell!r}: {exc}") from exc
+        sub["output_dir"] = str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")
         cell_configs.append(sub)
     with _writing():
         out_root.mkdir(parents=True, exist_ok=True)  # only once every cell is valid

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -62,7 +63,7 @@ class SellmeierSet:
     b1: float
     c1: float
     b2: float
-    window_nm: tuple[float, float] = (180.0, 2600.0)
+    window_nm: tuple[float, float]
 
     def index_at_wavelength_um(self, lam_um):
         lam_um = np.asarray(lam_um, dtype=float)
@@ -120,13 +121,27 @@ class CrystalSpec:
             raise ValueError("pump_center_omega must be positive")
 
 
-def load_material(source) -> dict:
-    """Read a crystal material document (path or material name).
+def _finite_numbers(values, what: str) -> tuple:
+    """values as a tuple of floats, or ValueError naming what unless each is
+    a JSON number that is a finite float (an integer too large for one is not)."""
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(f"'{what}' must hold finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
-    The document carries {"name", "sellmeier_o", "sellmeier_e", "window_nm"}.
-    A name resolves to an existing ".json" path, then to
+
+def load_material(source) -> dict:
+    """Read and check a crystal material document (path or material name).
+
+    The document is a JSON object {"name", "sellmeier_o", "sellmeier_e",
+    "window_nm"}: each Sellmeier set holds exactly the numbers b0, b1, c1
+    and b2, and window_nm, [180, 2600] if absent, is [low, high] in nm with
+    0 < low < high.  A name resolves to an existing ".json" path, then to
     $PARFLUOR_DATA_DIR/<name>.json, then to the shipped parfluor/data; "bbo"
-    is the default beta-barium-borate coefficient sets.
+    is the default beta-barium-borate coefficient sets.  A document of
+    another shape raises ValueError (so does malformed JSON), a missing
+    Sellmeier set KeyError.
     """
     path = Path(source)
     data_dir = os.environ.get(DATA_DIR_ENV)
@@ -137,21 +152,32 @@ def load_material(source) -> dict:
     else:
         ref = resources.files("parfluor").joinpath(f"data/{str(source).lower()}.json")
         doc = json.loads(ref.read_text())
-    window = tuple(doc.get("window_nm", (180.0, 2600.0)))
-    for key in ("sellmeier_o", "sellmeier_e"):
+    if not isinstance(doc, dict):
+        raise ValueError("a material document must be a JSON object")
+    sets = ("sellmeier_o", "sellmeier_e")
+    for key in sets:
         if key not in doc:
             raise KeyError(f"material document missing '{key}'")
-    return {
-        "name": doc.get("name", "crystal"),
-        "sellmeier_o": SellmeierSet(**doc["sellmeier_o"], window_nm=window),
-        "sellmeier_e": SellmeierSet(**doc["sellmeier_e"], window_nm=window),
-    }
+    window = _finite_numbers(doc.get("window_nm", [180.0, 2600.0]), "window_nm")
+    if len(window) != 2 or not 0 < window[0] < window[1]:
+        raise ValueError(f"'window_nm' must be [low, high] with 0 < low < high, "
+                         f"got {list(window)}")
+    material = {"name": doc.get("name", "crystal")}
+    for key in sets:
+        coeffs = doc[key]
+        names = ("b0", "b1", "c1", "b2")  # SellmeierSet's order
+        if not isinstance(coeffs, dict) or set(coeffs) != set(names):
+            raise ValueError(f"'{key}' must hold exactly b0, b1, c1 and b2, got {coeffs!r}")
+        material[key] = SellmeierSet(*_finite_numbers([coeffs[c] for c in names], key),
+                                     window_nm=window)
+    return material
 
 
 def make_crystal(theta_cut, length, pump_wavelength, material="bbo") -> CrystalSpec:
     """Build a CrystalSpec from cut angle [rad], length [m], pump vacuum
-    wavelength [m] and a material document (see load_material)."""
-    mat = load_material(material)
+    wavelength [m] and a material: a name or path for load_material, or
+    the document it returned."""
+    mat = material if isinstance(material, dict) else load_material(material)
     return CrystalSpec(
         theta_cut=theta_cut,
         length=length,

@@ -85,24 +85,6 @@ class SimulationGrid:
         conversion factor for occupation numbers."""
         return TWO_PI**3 / (self.span_t * self.span_x * self.span_y)
 
-    def axes_envelope(self):
-        """Envelope frequency offsets and transverse wavevectors (1D each).
-
-        The stored field carries e^{-i W t} for envelope offset W and
-        e^{+i k x} transversally; with position = ifftn(spectral) this maps
-        the time axis to the negated FFT frequencies.
-        """
-        w_env = -TWO_PI * sfft.fftfreq(self.n_t, self.span_t / self.n_t)
-        kx = TWO_PI * sfft.fftfreq(self.n_x, self.span_x / self.n_x)
-        ky = TWO_PI * sfft.fftfreq(self.n_y, self.span_y / self.n_y)
-        return w_env, kx, ky
-
-    def position_axes(self):
-        t = (np.arange(self.n_t) - self.n_t // 2) * (self.span_t / self.n_t)
-        x = (np.arange(self.n_x) - self.n_x // 2) * (self.span_x / self.n_x)
-        y = (np.arange(self.n_y) - self.n_y // 2) * (self.span_y / self.n_y)
-        return t, x, y
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -142,13 +124,24 @@ def sample_vacuum(grid: SimulationGrid, rng: np.random.Generator) -> np.ndarray:
 
 
 def _mode_frequencies(grid: SimulationGrid):
-    w_env, kx, ky = grid.axes_envelope()
+    """Angular frequencies and transverse wavevectors of the grid's modes
+    (1D each, in FFT order).
+
+    The stored field carries e^{-i W t} for envelope offset W and
+    e^{+i k x} transversally; with position = ifftn(spectral) this maps
+    the time axis to the negated FFT frequencies.
+    """
+    w_env = -TWO_PI * sfft.fftfreq(grid.n_t, grid.span_t / grid.n_t)
+    kx = TWO_PI * sfft.fftfreq(grid.n_x, grid.span_x / grid.n_x)
+    ky = TWO_PI * sfft.fftfreq(grid.n_y, grid.span_y / grid.n_y)
     return grid.omega_center + w_env, kx, ky
 
 
 def _pump_spectrum0(pump: pt.PumpSpec, grid: SimulationGrid) -> np.ndarray:
-    """Gaussian pump envelope at the entrance face, in the spectral domain."""
-    t, x, y = grid.position_axes()
+    """Gaussian pump envelope at the entrance face, in the spectral domain;
+    its peak sits on the window's center cell."""
+    t, x, y = ((np.arange(n) - n // 2) * (span / n) for n, span in
+               ((grid.n_t, grid.span_t), (grid.n_x, grid.span_x), (grid.n_y, grid.span_y)))
     envelope = (np.exp(-0.5 * (t / pump.tau_p) ** 2)[:, None, None]
                 * np.exp(-0.5 * (x / pump.w_p) ** 2)[None, :, None]
                 * np.exp(-0.5 * (y / pump.w_p) ** 2)[None, None, :])
@@ -196,8 +189,9 @@ class _Propagator:
         self.half_linear = np.exp(0.5j * phase_sig * self.dz)
         self.full_linear = np.exp(1.0j * phase_sig * self.dz)
         self.pump_step = np.exp(1.0j * phase_pmp * self.dz)
-        self.pump_half = np.exp(0.5j * phase_pmp * self.dz)
-        self.pump_spectral0 = _pump_spectrum0(pump, grid)
+        # the pump spectrum at z = dz/2, where the first step samples it
+        self.pump_mid = _pump_spectrum0(pump, grid)
+        self.pump_mid *= np.exp(0.5j * phase_pmp * self.dz)
 
     def _bogoliubov_tables(self, pump_pos, l_nl):
         """cosh(m) and g_dz sinh(m)/m for the pointwise two-quadrature step,
@@ -211,15 +205,17 @@ class _Propagator:
         return ch, g_dz
 
     def run_batch(self, batch: np.ndarray, l_nl: float) -> np.ndarray:
-        """Propagate a (realizations, n_t, n_x, n_y) spectral batch to z = L
-        at nonlinear length l_nl.
+        """Propagate a (realizations, n_t, n_x, n_y) complex128 spectral
+        batch to z = L at nonlinear length l_nl.
 
-        Besides the batch, a step holds one conjugate scratch buffer: the
-        FFTs may write into their input, and the pointwise step runs in place.
+        The caller's array is consumed: the batch propagates in place, and
+        the exit field comes back in its memory.  Besides it a step holds one
+        conjugate scratch buffer: the FFTs write into their input, and the
+        pointwise step runs in place.
         """
-        a = batch.copy()
+        a = batch
         conj = np.empty_like(a)
-        pump_spec = self.pump_spectral0 * self.pump_half  # at z = dz/2
+        pump_spec = self.pump_mid.copy()
         a *= self.half_linear
         for step in range(self.grid.n_z):
             ch, psh = self._bogoliubov_tables(to_position(pump_spec), l_nl)
@@ -312,9 +308,6 @@ class FluxMap:
     @property
     def alpha_centers_deg(self):
         return 0.5 * (self.alpha_edges_deg[:-1] + self.alpha_edges_deg[1:])
-
-    def total_photons(self) -> float:
-        return float(np.nansum(self.flux * self.n_modes))
 
 
 def _mode_lambda_alpha(grid: SimulationGrid):
@@ -409,14 +402,15 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
         batch = np.empty((stop - r,) + grid.shape, dtype=np.complex128)
         for i, k in enumerate(range(r, stop)):
             batch[i] = sample_vacuum(grid, vacuum_rng(ensemble.seed, k))
+        # the entrance |a|^2, taken before run_batch overwrites the batch
+        entrance = _mag_squared(batch) if paired else None
         todo = batch[max(n_first - r, 0):]
         mags = _mag_squared(prop.run_batch(todo, l_nl) if len(todo) else todo)
         if r < n_first:
             mags = np.concatenate([first[r:stop], mags])
         raw = mags if r == 0 else None
         if paired:
-            sq = _mag_squared(batch)
-            mags = np.subtract(mags, sq, out=sq)
+            mags = np.subtract(mags, entrance, out=entrance)
         acc.add(mags)
     flux = acc.mean() - (0.0 if paired else 0.5)
     total = float(flux.sum())

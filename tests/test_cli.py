@@ -19,6 +19,15 @@ TINY_GRID = [
 ]
 
 
+# the shipped BBO data as a material document
+BBO_DOC = {
+    "name": "BBO-local",
+    "sellmeier_o": {"b0": 2.7405, "b1": 0.0184, "c1": 0.0179, "b2": 0.0155},
+    "sellmeier_e": {"b0": 2.3730, "b1": 0.0128, "c1": 0.0156, "b2": 0.0044},
+    "window_nm": [180.0, 2600.0],
+}
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -117,13 +126,39 @@ class TestConfigHandling:
         assert code == 2
         assert "crystal" in capsys.readouterr().err
 
-    def test_out_of_window_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, key, value", [
+        ("phasematch", "phasematch.lambda_min_nm", 100),
+        ("phasematch", "phasematch.lambda_min_nm", 1e-300),
+        ("phasematch", "phasematch.lambda_max_nm", 3000),
+        ("phasematch", "crystal.pump_wavelength_nm", 1e-300),
+        ("pert-flux", "pert_flux.lambda_max_nm", 3000),
+        ("pert-flux", "crystal.pump_wavelength_nm", 2601),
+        ("wigner", "crystal.pump_wavelength_nm", 1e-300),
+    ])
+    def test_out_of_window_exits_2(self, tmp_path, capsys, command, key, value):
+        # refused before any arithmetic: no warning, and no output directory
         out = tmp_path / "out"
-        code = cli.main(["phasematch", "--set", "phasematch.lambda_min_nm=100",
-                         "--out", str(out)])
-        assert code == 3
-        assert "OutOfDispersionWindow" in capsys.readouterr().err
-        assert not (out / "phasematch.csv").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, *TINY_GRID, "--set", f"{key}={value!r}",
+                             "--out", str(out)])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {**BBO_DOC, "sellmeier_o": {**BBO_DOC["sellmeier_o"], "b3": 0.0}},
+        [BBO_DOC],
+        {**BBO_DOC, "sellmeier_e": {**BBO_DOC["sellmeier_e"], "b0": "2.3730"}},
+        {**BBO_DOC, "window_nm": [180.0]},
+    ], ids=["extra-key", "list-root", "string-coefficient", "one-element-window"])
+    def test_malformed_material_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "material.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["phasematch", "--set", f"crystal.material={path}",
+                         "--set", "phasematch.n_points=5", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'crystal.material'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, lam", [("phasematch", 300.0), ("pert-flux", 400.0)])
     def test_signal_not_longer_than_pump_exits_3(self, tmp_path, capsys, command, lam):
@@ -158,13 +193,7 @@ class TestConfigHandling:
         assert json.loads(block) == cli.DEFAULTS
 
     def test_env_var_data_dir(self, tmp_path, monkeypatch):
-        material = {
-            "name": "BBO-local",
-            "sellmeier_o": {"b0": 2.7405, "b1": 0.0184, "c1": 0.0179, "b2": 0.0155},
-            "sellmeier_e": {"b0": 2.3730, "b1": 0.0128, "c1": 0.0156, "b2": 0.0044},
-            "window_nm": [180.0, 2600.0],
-        }
-        (tmp_path / "mybbo.json").write_text(json.dumps(material))
+        (tmp_path / "mybbo.json").write_text(json.dumps(BBO_DOC))
         monkeypatch.setenv(cli.DATA_DIR_ENV, str(tmp_path))
         out = tmp_path / "out"
         code = cli.main(["phasematch", "--set", "crystal.material=mybbo",
@@ -515,15 +544,24 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--set", "sweep.cells=[]",
                          "--out", str(tmp_path / "s")]) == 2
 
-    @pytest.mark.parametrize("cell", ["[29.0, -Infinity, 80.0]", '[29.0, "x", 80.0]'])
-    def test_refused_sweep_creates_no_directory(self, tmp_path, cell):
+    @pytest.mark.parametrize("cell", [
+        "[29.0, -Infinity, 80.0]", '[29.0, "x", 80.0]',
+        # an out-of-range value is refused as on any other command, before
+        # any cell runs, wherever the cell stands in the list
+        "[29, 60, -80], [120, 60, 80], [29, 60, 80]", "[29, 60, 80], [120, 60, 80]",
+        "[29, 60]", '["29", 60, 80]',
+    ])
+    def test_refused_sweep_creates_no_directory(self, tmp_path, capsys, cell):
         out = tmp_path / "sweep"
         assert cli.main(["sweep", "--set", f"sweep.cells=[{cell}]", "--out", str(out)]) == 2
+        assert "'sweep.cells'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failing_cell_isolated(self, tmp_path):
+        # a 0.1 um beam passes the settings check, but its transverse window
+        # holds evanescent modes, so that cell fails as it runs
         out = tmp_path / "sweep"
-        cells = "[[29.0,60.0,80.0],[120.0,60.0,80.0],[35.0,60.0,80.0]]"
+        cells = "[[29.0,60.0,80.0],[29.0,60.0,0.1],[35.0,60.0,80.0]]"
         code = cli.main(["sweep", *TINY_GRID, "--realizations", "1",
                          "--set", f"sweep.cells={cells}",
                          "--set", "wigner.lambda_bins=4",

@@ -46,7 +46,7 @@ def _reference_strang(prop, batch, l_nl):
     """The split step written out of place, with the complex tables
     (g/|g|) sinh(|g| dz) and cosh(|g| dz), at complex128."""
     a = batch.astype(np.complex128) * prop.half_linear
-    pump_spec = prop.pump_spectral0 * prop.pump_half
+    pump_spec = prop.pump_mid
     for step in range(prop.grid.n_z):
         g = wg.to_position(pump_spec) / l_nl
         m = np.abs(g) * prop.dz
@@ -124,7 +124,7 @@ class TestPumpField:
     the reference-frame phase tables that carry it to the exit face."""
 
     def test_entrance_face_gaussian(self, crystal, pump, grid):
-        P = wg.to_position(wg._Propagator(crystal, pump, grid).pump_spectral0)
+        P = wg.to_position(wg._pump_spectrum0(pump, grid))
         assert P.shape == grid.shape
         peak = np.max(np.abs(P))
         assert peak == pytest.approx(1.0, rel=1e-9)
@@ -132,10 +132,12 @@ class TestPumpField:
         assert (it, ix, iy) == (grid.n_t // 2, grid.n_x // 2, grid.n_y // 2)
 
     def test_spectral_norm_z_independent(self, crystal, pump, grid):
-        # pure phase tables: every pump mode keeps its magnitude at every step
+        # pure phase tables: every pump mode keeps its magnitude at every
+        # step, and the half step to z = dz/2 turns only phases too
         prop = wg._Propagator(crystal, pump, grid)
-        for table in (prop.pump_step, prop.pump_half):
-            assert np.max(np.abs(np.abs(table) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.abs(prop.pump_step) - 1.0)) < 1e-12
+        entrance = np.abs(wg._pump_spectrum0(pump, grid))
+        assert np.max(np.abs(np.abs(prop.pump_mid) - entrance)) < 1e-12 * entrance.max()
 
     def test_walkoff_drift_slope(self, pump, grid, bbo29, bbo313, bbo40):
         # the reference frame moves with the pump's group slowness and
@@ -145,7 +147,7 @@ class TestPumpField:
         center = np.array([grid.n_t // 2, grid.n_x // 2])
         for crystal in (bbo29, bbo313, bbo40):
             prop = wg._Propagator(crystal, pump, grid)
-            pump_spec = prop.pump_spectral0 * prop.pump_half  # at z = dz/2
+            pump_spec = prop.pump_mid  # at z = dz/2
             for _ in range(grid.n_z):
                 intensity = np.abs(wg.to_position(pump_spec)) ** 2
                 centroid = [np.average(np.arange(n), weights=intensity.sum(axis=other))
@@ -158,7 +160,7 @@ class TestPropagate:
     def test_zero_pump_is_unitary(self, crystal, pump, grid):
         f = wg.sample_vacuum(grid, wg.vacuum_rng(7, 0))
         prop = wg._Propagator(crystal, pump, grid)
-        out = prop.run_batch(f[None], np.inf)[0]
+        out = prop.run_batch(f[None].copy(), np.inf)[0]  # run_batch consumes its input
         assert out.shape == f.shape
         n_in = np.sum(np.abs(f) ** 2)
         n_out = np.sum(np.abs(out) ** 2)
@@ -168,7 +170,7 @@ class TestPropagate:
 
     def test_bogoliubov_determinant(self, crystal, pump, grid):
         prop = wg._Propagator(crystal, pump, grid)
-        pump_pos = wg.to_position(prop.pump_spectral0 * prop.pump_half)
+        pump_pos = wg.to_position(prop.pump_mid)
         ch, psh = prop._bogoliubov_tables(pump_pos, pump.l_nl)
         assert ch.dtype == np.float64 and psh.dtype == np.complex128
         det = ch**2 - np.abs(psh) ** 2
@@ -177,7 +179,7 @@ class TestPropagate:
     def test_bogoliubov_tables_at_zero_pump(self, crystal, pump, grid):
         # m = 0 everywhere: the sinh(m)/m branch must not divide by zero
         prop = wg._Propagator(crystal, pump, grid)
-        pump_pos = wg.to_position(prop.pump_spectral0 * prop.pump_half)
+        pump_pos = wg.to_position(prop.pump_mid)
         with np.errstate(all="raise"):
             ch, psh = prop._bogoliubov_tables(pump_pos, np.inf)
         assert np.all(ch == 1.0)
@@ -191,6 +193,7 @@ class TestPropagate:
         want = _reference_strang(prop, batch, strong.l_nl)
         got = prop.run_batch(batch, strong.l_nl)
         assert got.dtype == np.complex128
+        assert np.shares_memory(got, batch)  # propagated in place
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
     def test_amplification_grows_with_gain(self, crystal, pump, grid):
@@ -198,7 +201,7 @@ class TestPropagate:
         prop = wg._Propagator(crystal, pump, grid)
         totals = []
         for l_nl in (8e-3, 2e-3, 0.5e-3):
-            out = prop.run_batch(f[None], l_nl)
+            out = prop.run_batch(f[None].copy(), l_nl)  # run_batch consumes its input
             totals.append(np.sum(np.abs(out) ** 2))
         assert totals[0] < totals[1] < totals[2]
 
@@ -419,26 +422,39 @@ class TestRunSimulation:
 
 
 GOLDEN_MAP = Path(__file__).parent / "data" / "wigner_small.csv"
+GOLDEN_PAIRED_MAP = Path(__file__).parent / "data" / "wigner_small_paired.csv"
 
 
 class TestGoldenOutput:
+    def _run(self, crystal, pump, grid, paired):
+        return wg.run_simulation(crystal, replace(pump, l_nl=2e-3), grid,
+                                 wg.EnsembleSpec(n_realizations=4, seed=20260),
+                                 n_lambda=8, n_alpha=5, paired_subtraction=paired)
+
     def test_matches_reference_map(self, crystal, pump, grid):
         # written with the out-of-place split step and complex tables, floats
         # as repr; the in-place step only reorders rounding
-        fmap = wg.run_simulation(crystal, replace(pump, l_nl=2e-3), grid,
-                                 wg.EnsembleSpec(n_realizations=4, seed=20260),
-                                 n_lambda=8, n_alpha=5)
-        with open(GOLDEN_MAP, newline="") as fh:
-            ref = list(csv.DictReader(fh))
-        assert len(ref) == fmap.flux.size
-        lam, alpha = np.meshgrid(fmap.lambda_centers_nm, fmap.alpha_centers_deg,
-                                 indexing="ij")
-        for key, got in (("lambda_nm", lam), ("alpha_deg", alpha),
-                         ("flux", fmap.flux), ("stderr", fmap.stderr)):
-            want = np.array([float(r[key]) for r in ref])
-            np.testing.assert_allclose(got.ravel(), want, rtol=1e-10, atol=0,
-                                       err_msg=key)
-        assert [int(r["n_modes"]) for r in ref] == fmap.n_modes.ravel().tolist()
+        _assert_matches_golden(self._run(crystal, pump, grid, False), GOLDEN_MAP)
+
+    def test_matches_reference_paired_map(self, crystal, pump, grid):
+        # the paired estimator subtracts each entrance |a|^2, which must be
+        # read before the batch propagates in place; floats as repr
+        _assert_matches_golden(self._run(crystal, pump, grid, True), GOLDEN_PAIRED_MAP)
+
+
+def _assert_matches_golden(fmap, path):
+    """Every bin's center, flux, stderr (to 1e-10) and population equal the
+    CSV at path."""
+    with open(path, newline="") as fh:
+        ref = list(csv.DictReader(fh))
+    assert len(ref) == fmap.flux.size
+    lam, alpha = np.meshgrid(fmap.lambda_centers_nm, fmap.alpha_centers_deg,
+                             indexing="ij")
+    for key, got in (("lambda_nm", lam), ("alpha_deg", alpha),
+                     ("flux", fmap.flux), ("stderr", fmap.stderr)):
+        want = np.array([float(r[key]) for r in ref])
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-10, atol=0, err_msg=key)
+    assert [int(r["n_modes"]) for r in ref] == fmap.n_modes.ravel().tolist()
 
 
 _ORACLE_QUAD = pt.QuadratureSpec(n_init=12, max_doublings=2, rel_tol=0.05)
