@@ -22,7 +22,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -94,7 +93,7 @@ _POSITIVE = ("quad_rel_tol", "target_photons", "pump_wavelength_nm", "lambda_min
 def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
     """Raise ConfigError unless each setting of override is a key of defaults
     with a value of its default's type; an int stands for a float, a number
-    for a null, numbers are finite (json reads NaN and Infinity as floats),
+    for a null, numbers are within float range (not NaN, inf or a huge int),
     counts are >= 1 (seeds >= 0), and tolerances, targets and wavelengths > 0."""
     for key, value in override.items():
         here = f"{path}{key}"
@@ -110,7 +109,7 @@ def _check(override: dict, defaults: dict = DEFAULTS, path: str = "") -> None:
         allowed, name = _KINDS[kind]
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
             raise ConfigError(f"'{here}' must be {name}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"'{here}' must be a finite number, got {value}")
         low = 0 if key == "seed" else 1
         if kind is int and value < low:
@@ -144,7 +143,7 @@ def load_config(args) -> dict:
             raise ConfigError(f"config file not found: {path}")
         try:
             user = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # or an integer too long for int()
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError(f"config root in {path} must be a JSON object")
@@ -155,7 +154,7 @@ def load_config(args) -> dict:
         key, raw = assignment.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long for int()
             value = raw
         overrides.append(_setting(key, value))
     overrides += [_setting(key, value) for key, value in vars(args).items()
@@ -204,20 +203,16 @@ def build_lambdas(config: dict, section: str, crystal: dm.CrystalSpec) -> np.nda
     return np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
 
 
-def build_pump(config: dict, crystal: dm.CrystalSpec) -> pt.PumpSpec:
+def build_pump(config: dict) -> pt.PumpSpec:
     p = config["pump"]
     try:
-        return pt.PumpSpec(
-            tau_p=p["tau_fs"] * 1e-15,
-            w_p=p["w_um"] * 1e-6,
-            omega_center=crystal.pump_center_omega,
-            l_nl=p["l_nl_mm"] * 1e-3,
-        )
+        return pt.PumpSpec(tau_p=p["tau_fs"] * 1e-15, w_p=p["w_um"] * 1e-6,
+                           l_nl=p["l_nl_mm"] * 1e-3)
     except ValueError as exc:
         raise ConfigError(f"invalid 'pump' settings: {exc}") from exc
 
 
-def build_grid(config: dict, crystal: dm.CrystalSpec, pump: pt.PumpSpec) -> wg.SimulationGrid:
+def build_grid(config: dict, pump: pt.PumpSpec) -> wg.SimulationGrid:
     from . import wigner as wg
     g = config["grid"]
     try:
@@ -227,7 +222,6 @@ def build_grid(config: dict, crystal: dm.CrystalSpec, pump: pt.PumpSpec) -> wg.S
             span_x=g["span_xy_factor"] * pump.w_p,
             span_y=g["span_xy_factor"] * pump.w_p,
             n_z=g["n_z"],
-            omega_center=crystal.pump_center_omega / 2.0,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid 'grid' settings: {exc}") from exc
@@ -340,7 +334,7 @@ def cmd_phasematch(config: dict) -> int:
 def cmd_pert_flux(config: dict) -> int:
     t0 = time.perf_counter()
     crystal = build_crystal(config)
-    pump = build_pump(config, crystal)
+    pump = build_pump(config)
     s = config["pert_flux"]
     method = s["method"]
     if method not in pt.METHODS:
@@ -360,8 +354,8 @@ def cmd_wigner(config: dict) -> int:
     from . import wigner as wg
     t0 = time.perf_counter()
     crystal = build_crystal(config)
-    pump = build_pump(config, crystal)
-    grid = build_grid(config, crystal, pump)
+    pump = build_pump(config)
+    grid = build_grid(config, pump)
     ensemble = build_ensemble(config)
     s = config["wigner"]
     target = s["target_photons"]
@@ -394,8 +388,8 @@ def cmd_calibrate(config: dict) -> int:
     from . import wigner as wg
     t0 = time.perf_counter()
     crystal = build_crystal(config)
-    pump = build_pump(config, crystal)
-    grid = build_grid(config, crystal, pump)
+    pump = build_pump(config)
+    grid = build_grid(config, pump)
     ensemble = build_ensemble(config)
     target = config["wigner"]["target_photons"]
     if target is None:
@@ -434,11 +428,13 @@ def cmd_sweep(config: dict) -> int:
             _check(override)
             sub = copy.deepcopy(config)
             _merge(sub, override)
-            crystal = build_crystal(sub)
-            build_grid(sub, crystal, build_pump(sub, crystal))
+            build_crystal(sub)
+            build_grid(sub, build_pump(sub))
+            sub["output_dir"] = str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")
+            if any(c["output_dir"] == sub["output_dir"] for c in cell_configs):
+                raise ConfigError(f"an earlier cell writes {sub['output_dir']} too")
         except ConfigError as exc:
             raise ConfigError(f"invalid 'sweep.cells' entry {cell!r}: {exc}") from exc
-        sub["output_dir"] = str(out_root / f"theta{theta:g}_tau{tau:g}fs_w{w:g}um")
         cell_configs.append(sub)
     with _writing():
         out_root.mkdir(parents=True, exist_ok=True)  # only once every cell is valid

@@ -34,18 +34,17 @@ from .errors import NotConverged, OutOfDispersionWindow
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Gaussian pump pulse at the crystal entrance face.
+    """Gaussian pump pulse at the crystal entrance face; its carrier 2*omega0
+    is the crystal's pump_center_omega.
 
     tau_p : pulse duration [s] (1/e half-width of the field envelope)
     w_p : beam width [m] (1/e half-width of the field envelope)
-    omega_center : central angular frequency 2*omega0 [rad/s]
     l_nl : nonlinear length [m] at the pulse's peak amplitude, which is 1;
         the gain parameter is L / l_nl, and np.inf turns the coupling off
     """
 
     tau_p: float
     w_p: float
-    omega_center: float
     l_nl: float
 
     def __post_init__(self):
@@ -68,15 +67,15 @@ SUPPORT_SIGMA = 5.0  # half-width of the idler box in pump-envelope sigmas
 _CHUNK_NODES = 1 << 14
 
 
-def pump_spectrum(kappa_p: dm.SpectralPoint, pump: PumpSpec):
-    """Spectral amplitude of the pump at the entrance face.
+def pump_spectrum(kappa_p: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec):
+    """Spectral amplitude of the pump at the entrance face, around the crystal's carrier.
 
     Normalized so the integral over (omega, kx, ky) equals 1, which is then
     the peak amplitude of the pulse in time-position space; the amplitude
     scale is absorbed into pump.l_nl.
     """
     pref = pump.w_p**2 * pump.tau_p / TWO_PI**1.5
-    du = np.asarray(kappa_p.omega) - pump.omega_center
+    du = np.asarray(kappa_p.omega) - crystal.pump_center_omega
     return (pref * np.exp(-0.5 * pump.tau_p**2 * du**2)
             * np.exp(-0.5 * pump.w_p**2 * np.asarray(kappa_p.kx) ** 2)
             * np.exp(-0.5 * pump.w_p**2 * np.asarray(kappa_p.ky) ** 2))
@@ -100,14 +99,14 @@ def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
             * (L / pump.l_nl) ** 2 / np.sqrt(bracket))
 
 
-def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | None,
-                factor, length: float):
+def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec,
+                quad: QuadratureSpec | None, factor):
     """Integral over the idler box of each signal of kappa (array-valued; a
     scalar is a batch of one) of the squared pump amplitude times a
     phase-matching factor.
 
     Each box is centred on the conjugate point of its signal, so the pump
-    component kappa + kappa' falls on one lattice, omega_center +- half_u by
+    component kappa + kappa' falls on one lattice, the pump carrier +- half_u by
     +-half_k by +-half_k, for every signal.  Per level the lattice and its
     weight are built once, and factor(kappa_p), given the lattice broadcast
     over three axes, returns the function at(rows, signal, idler) that
@@ -119,10 +118,11 @@ def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | 
     the factor must be even in ky' there.
 
     Midpoint rule, doubled for each signal until its Richardson-extrapolated
-    value settles within quad.rel_tol; returns ((length / l_nl)^2 * integral,
+    value settles within quad.rel_tol; returns ((L / l_nl)^2 * integral,
     err_rel), each of kappa's shape.
     """
     quad = quad or QuadratureSpec()
+    omega_p = crystal.pump_center_omega
     # the squared pump envelope has standard deviations 1/(sqrt(2) tau_p) in
     # frequency and 1/(sqrt(2) w_p) transversally
     half_u = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
@@ -130,7 +130,7 @@ def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | 
     omega, kx, ky = np.broadcast_arrays(kappa.omega, kappa.kx, kappa.ky)
     shape = omega.shape
     omega, kx, ky = (np.asarray(a, dtype=float).ravel() for a in (omega, kx, ky))
-    near = pump.omega_center - omega <= half_u
+    near = omega_p - omega <= half_u
     if np.any(near):
         raise OutOfDispersionWindow(f"the idler box of the signal at omega="
                                     f"{omega[near][0]:.6g} reaches omega' <= 0")
@@ -147,16 +147,16 @@ def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | 
                 continue
             ky_p = (np.arange(n // 2 if half else 0, n) + 0.5 - 0.5 * n) * dk
             counts = np.where(ky_p == 0.0, 1.0, 2.0) if half else 1.0
-            kappa_p = dm.SpectralPoint(pump.omega_center + (t - 0.5 * n)[:, None, None] * dw,
+            kappa_p = dm.SpectralPoint(omega_p + (t - 0.5 * n)[:, None, None] * dw,
                                        ((t - 0.5 * n) * dk)[None, :, None],
                                        ky_p[None, None, :])
-            weight = pump_spectrum(kappa_p, pump) ** 2 * (dw * dk * dk * counts)
+            weight = pump_spectrum(kappa_p, crystal, pump) ** 2 * (dw * dk * dk * counts)
             at = factor(kappa_p)
             step = max(1, _CHUNK_NODES // weight.size)
             for c in range(0, sel.size, step):
                 r = rows[sel[c:c + step], None, None, None]
                 signal = dm.SpectralPoint(omega[r], kx[r], ky[r])
-                w_i = (pump.omega_center - signal.omega) - half_u + (t * dw)[:, None, None]
+                w_i = (omega_p - signal.omega) - half_u + (t * dw)[:, None, None]
                 kx_i = -signal.kx - half_k + (t * dk)[None, :, None]
                 ky_i = ky_p[None, None, :] if half else -signal.ky - half_k + t * dk
                 terms = weight * at(r, signal, dm.SpectralPoint(w_i, kx_i, ky_i))
@@ -174,7 +174,7 @@ def _quadrature(kappa: dm.SpectralPoint, pump: PumpSpec, quad: QuadratureSpec | 
         scale = np.where(extrap != 0.0, np.abs(extrap), 1.0)
         rel = np.abs(fine - coarse) / (3.0 * scale)
         done = rel <= quad.rel_tol
-        flux[todo[done]] = (length / pump.l_nl) ** 2 * extrap[done]
+        flux[todo[done]] = (crystal.length / pump.l_nl) ** 2 * extrap[done]
         err[todo[done]] = rel[done]
         todo, coarse = todo[~done], fine[~done]
     if todo.size:
@@ -192,21 +192,20 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
 
     The pump's k_z is evaluated once per level on the lattice every signal
     shares; per signal only the idler's k_z is."""
-    L = crystal.length
 
     def sinc2(kappa_p):
         kz_p = dm.kz_pump_grid(kappa_p.omega, kappa_p.kx, kappa_p.ky, crystal)
 
         def at(rows, signal, idler):
             h = pmm.delta_k(signal, idler, crystal, kz_pump=kz_p)
-            h *= 0.5 * L
+            h *= 0.5 * crystal.length
             h[h == 0.0] = 1e-20  # where sin(h) / h is exactly 1, as in np.sinc
             sinc = np.sin(h)
             sinc /= h
             return np.square(sinc, out=sinc)
         return at
 
-    return _quadrature(kappa, pump, quad, sinc2, L)
+    return _quadrature(kappa, crystal, pump, quad, sinc2)
 
 
 def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.LinearizedCoeffs,
@@ -218,7 +217,6 @@ def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.Linearized
     Expands around the matched point at each signal's frequency, whose
     coefficients (phasematch.linearize, of kappa's shape) are passed in.
     """
-    L = crystal.length
     shape = np.broadcast(kappa.omega, kappa.kx, kappa.ky).shape
     flat = pmm.LinearizedCoeffs(*(np.broadcast_to(getattr(coeffs, f.name), shape).ravel()
                                   for f in fields(coeffs)))
@@ -227,13 +225,13 @@ def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.Linearized
         def at(rows, signal, idler):
             dk_lin = pmm.delta_k_linearized(flat.row(rows), signal.kx, signal.ky,
                                             idler.omega, idler.kx, idler.ky)
-            x = L * dk_lin
+            x = crystal.length * dk_lin
             np.square(x, out=x)
             x /= -12.0
             return np.exp(x, out=x)
         return at
 
-    return _quadrature(kappa, pump, quad, surrogate, L)
+    return _quadrature(kappa, crystal, pump, quad, surrogate)
 
 
 METHODS = ("closed_form", "exact", "gaussianized")

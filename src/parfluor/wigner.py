@@ -44,13 +44,12 @@ _FFT_WORKERS = -1  # scipy interprets -1 as "all cores"
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Discrete (t, x, y) <-> (omega, kx, ky) simulation box; the fields on
-    it are complex128.
+    """Discrete (t, x, y) <-> (omega, kx, ky) simulation box around the
+    carrier _grid_center(crystal); the fields on it are complex128.
 
     n_t, n_x, n_y : mode counts per axis, powers of two
     span_t [s], span_x, span_y [m] : window sizes (periodic)
     n_z : number of split-step slices through the crystal
-    omega_center : grid carrier frequency omega0 [rad/s]
     """
 
     n_t: int
@@ -60,7 +59,6 @@ class SimulationGrid:
     span_x: float
     span_y: float
     n_z: int
-    omega_center: float
 
     def __post_init__(self):
         for n, name in ((self.n_t, "n_t"), (self.n_x, "n_x"), (self.n_y, "n_y")):
@@ -123,9 +121,14 @@ def sample_vacuum(grid: SimulationGrid, rng: np.random.Generator) -> np.ndarray:
 # propagation
 
 
-def _mode_frequencies(grid: SimulationGrid):
+def _grid_center(crystal: dm.CrystalSpec) -> float:
+    """The grid's carrier omega0 [rad/s]: half the crystal's pump carrier."""
+    return crystal.pump_center_omega / 2.0
+
+
+def _mode_frequencies(crystal: dm.CrystalSpec, grid: SimulationGrid):
     """Angular frequencies and transverse wavevectors of the grid's modes
-    (1D each, in FFT order).
+    (1D each, in FFT order) around _grid_center(crystal).
 
     The stored field carries e^{-i W t} for envelope offset W and
     e^{+i k x} transversally; with position = ifftn(spectral) this maps
@@ -134,7 +137,7 @@ def _mode_frequencies(grid: SimulationGrid):
     w_env = -TWO_PI * sfft.fftfreq(grid.n_t, grid.span_t / grid.n_t)
     kx = TWO_PI * sfft.fftfreq(grid.n_x, grid.span_x / grid.n_x)
     ky = TWO_PI * sfft.fftfreq(grid.n_y, grid.span_y / grid.n_y)
-    return grid.omega_center + w_env, kx, ky
+    return _grid_center(crystal) + w_env, kx, ky
 
 
 def _pump_spectrum0(pump: pt.PumpSpec, grid: SimulationGrid) -> np.ndarray:
@@ -157,8 +160,9 @@ class _Propagator:
         self.grid = grid
         self.dz = crystal.length / grid.n_z
 
-        w_sig, kx, ky = _mode_frequencies(grid)
-        w_pmp = pump.omega_center + (w_sig - grid.omega_center)
+        omega0, omega_p = _grid_center(crystal), crystal.pump_center_omega
+        w_sig, kx, ky = _mode_frequencies(crystal, grid)
+        w_pmp = omega_p + (w_sig - omega0)
         kx3 = kx[None, :, None]
         ky3 = ky[None, None, :]
 
@@ -173,14 +177,14 @@ class _Propagator:
         # common reference: carrier wavevector plus the pump's group slowness
         # and transverse walk-off, one share per fluorescence photon; the
         # pair mismatch is invariant under this shift
-        k_ref = dm.kz_signal_grid(grid.omega_center, 0.0, 0.0, crystal)
-        beta_ref, rho_ref, _ = dm.kz_slopes("pump", pump.omega_center, 0.0, 0.0, crystal)
+        k_ref = dm.kz_signal_grid(omega0, 0.0, 0.0, crystal)
+        beta_ref, rho_ref, _ = dm.kz_slopes("pump", omega_p, 0.0, 0.0, crystal)
 
         phase_sig = (kz_sig - k_ref
-                     - beta_ref * (w_sig[:, None, None] - grid.omega_center)
+                     - beta_ref * (w_sig[:, None, None] - omega0)
                      - rho_ref * kx3)
         phase_pmp = (kz_pmp - 2.0 * k_ref
-                     - beta_ref * (w_pmp[:, None, None] - pump.omega_center)
+                     - beta_ref * (w_pmp[:, None, None] - omega_p)
                      - rho_ref * kx3)
 
         # largest signal phase one split step adds; it wraps at 2 pi
@@ -310,9 +314,9 @@ class FluxMap:
         return 0.5 * (self.alpha_edges_deg[:-1] + self.alpha_edges_deg[1:])
 
 
-def _mode_lambda_alpha(grid: SimulationGrid):
+def _mode_lambda_alpha(crystal: dm.CrystalSpec, grid: SimulationGrid):
     """Wavelength [nm] and exterior angle [deg] of every grid mode, raveled."""
-    w, kx, ky = _mode_frequencies(grid)
+    w, kx, ky = _mode_frequencies(crystal, grid)
     w3 = w[:, None, None]
     kperp = np.sqrt(kx[None, :, None] ** 2 + ky[None, None, :] ** 2)
     lam_nm = TWO_PI * C_LIGHT / w3 * 1e9 * np.ones_like(kperp)
@@ -333,8 +337,9 @@ def _bin_of_modes(lam, alpha, lam_edges, alpha_edges) -> np.ndarray:
     return np.where(inside, li * n_alpha + ai, -1)
 
 
-def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid,
-                      n_lambda: int = 48, n_alpha: int = 40) -> FluxMap:
+def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalSpec,
+                      grid: SimulationGrid, n_lambda: int = 48,
+                      n_alpha: int = 40) -> FluxMap:
     """Bin per-mode flux over (wavelength, exterior angle).
 
     The bins span the wavelengths of the grid's modes and the angles from 0
@@ -343,7 +348,7 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, grid: SimulationGrid
     contributions.  Modes beyond the vacuum light cone (cannot refract out)
     are excluded.
     """
-    lam, alpha = _mode_lambda_alpha(grid)
+    lam, alpha = _mode_lambda_alpha(crystal, grid)
     ok = ~np.isnan(alpha)
     lam_edges = np.linspace(lam[ok].min(), lam[ok].max(), n_lambda + 1)
     alpha_edges = np.linspace(0.0, alpha[ok].max(), n_alpha + 1)
@@ -507,9 +512,9 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         prop, first = calibration.propagator, calibration.probe
     flux, stderr, total, _ = _ensemble_flux(prop, pump.l_nl, ensemble,
                                             paired_subtraction, first)
-    alpha = pmm.exterior_angle(grid.omega_center,
-                               pmm.perfect_curve(grid.omega_center, crystal))
-    fmap = azimuthal_average(flux, stderr, grid, n_lambda=n_lambda, n_alpha=n_alpha)
+    omega0 = _grid_center(crystal)
+    alpha = pmm.exterior_angle(omega0, pmm.perfect_curve(omega0, crystal))
+    fmap = azimuthal_average(flux, stderr, crystal, grid, n_lambda, n_alpha)
     fmap.metadata = {
         "gain": crystal.length / pump.l_nl,
         "estimator": "paired" if paired_subtraction else "vacuum-half",

@@ -84,6 +84,11 @@ class TestConfigHandling:
         ("phasematch", "phasematch.lambda_max_nm", 0.0),
         ("pert-flux", "pert_flux.lambda_min_nm", 0),
         ("pert-flux", "pert_flux.lambda_max_nm", -1200.0),
+        # JSON integers have no bound; these lie beyond float range
+        pytest.param("pert-flux", "crystal.length_mm", 10**400, id="length_mm-1e400"),
+        pytest.param("wigner", "pump.tau_fs", 10**400, id="tau_fs-1e400"),
+        pytest.param("phasematch", "phasematch.n_points", 10**400, id="n_points-1e400"),
+        pytest.param("phasematch", "phasematch.n_points", -10**400, id="n_points--1e400"),
     ])
     @pytest.mark.parametrize("source", ["set", "file"])
     def test_malformed_setting_exits_2_naming_key(self, tmp_path, capsys, command,
@@ -100,6 +105,21 @@ class TestConfigHandling:
         code = cli.main([command, *TINY_GRID, *given, "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_integer_too_long_to_convert_exits_2(self, tmp_path, capsys, source):
+        # json refuses to convert an integer this long with a plain ValueError
+        digits = "9" * 5000
+        if source == "set":
+            given = ["--set", f"crystal.length_mm={digits}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"crystal": {"length_mm": %s}}' % digits)
+            given = ["--config", str(cfg)]
+        code = cli.main(["phasematch", *given, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert ("'crystal.length_mm'" if source == "set" else "cfg.json") in \
+            capsys.readouterr().err
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         code = cli.main(["wigner", *TINY_GRID, "--seed", "-1",
@@ -345,6 +365,23 @@ class TestPertFluxCommand:
         assert gaps and all(f[2:] == ["", "gaussianized", ""] for f in gaps)
         assert all(f[2] and f[4] for f in fields if f[1])
 
+    def test_exact_tracks_closed_form_at_405_nm(self, tmp_path):
+        # both routes centre the pump on the crystal's carrier: over 1.5 to
+        # 2.75 pump wavelengths exact/closed_form lies at 0.958-0.966, as at
+        # 400 nm, and at 0.017-0.046 against a 400 nm carrier
+        args = ["pert-flux", "--set", "crystal.pump_wavelength_nm=405",
+                "--set", "pert_flux.lambda_min_nm=607.5",
+                "--set", "pert_flux.lambda_max_nm=1113.75",
+                "--set", "pert_flux.n_points=11"]
+        rows = {}
+        for method in ("closed_form", "exact"):
+            assert cli.main(args + ["--method", method, "--out", str(tmp_path)]) == 0
+            rows[method] = read_csv(tmp_path / f"pert_flux_{method}.csv")
+        ratios = [float(e["flux"]) / float(c["flux"])
+                  for c, e in zip(rows["closed_form"], rows["exact"]) if c["flux"]]
+        assert len(ratios) == 11
+        assert all(0.94 <= r <= 0.99 for r in ratios)
+
     def test_flux_nonnegative(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["pert-flux", "--set", "pert_flux.n_points=15",
@@ -550,6 +587,12 @@ class TestSweepCommand:
         # any cell runs, wherever the cell stands in the list
         "[29, 60, -80], [120, 60, 80], [29, 60, 80]", "[29, 60, 80], [120, 60, 80]",
         "[29, 60]", '["29", 60, 80]',
+        # integers beyond float range, in the first cell or the last
+        pytest.param(f"[{10**400}, 60, 80]", id="theta-1e400"),
+        pytest.param(f"[29, 60, 80], [29, 60, {10**400}]", id="w-1e400"),
+        # two cells whose directory names agree: the second would overwrite
+        # the first (and, under --jobs, write beside it at once)
+        "[29, 60, 80], [29.0000001, 60, 80]", "[35, 60, 80], [35.0, 60, 80]",
     ])
     def test_refused_sweep_creates_no_directory(self, tmp_path, capsys, cell):
         out = tmp_path / "sweep"

@@ -18,8 +18,7 @@ from conftest import omega_of_nm
 
 @pytest.fixture(scope="module")
 def pump60_80():
-    return pt.PumpSpec(tau_p=60e-15, w_p=80e-6, omega_center=omega_of_nm(400),
-                       l_nl=20e-3)
+    return pt.PumpSpec(tau_p=60e-15, w_p=80e-6, l_nl=20e-3)
 
 
 def coeffs_at(lam_nm, crystal):
@@ -51,14 +50,15 @@ class TestPumpSpec:
 
 
 class TestPumpSpectrum:
-    def test_peak_value(self, pump60_80):
-        peak = pt.pump_spectrum(dm.SpectralPoint(pump60_80.omega_center), pump60_80)
+    def test_peak_value(self, bbo313, pump60_80):
+        peak = pt.pump_spectrum(dm.SpectralPoint(bbo313.pump_center_omega), bbo313,
+                                pump60_80)
         expected = pump60_80.w_p**2 * pump60_80.tau_p / (2 * np.pi) ** 1.5
         assert peak == pytest.approx(expected, rel=1e-14)
 
-    def test_normalization_integral(self, pump60_80):
+    def test_normalization_integral(self, bbo313, pump60_80):
         # separable Gaussian: product of three independent 1D quadratures
-        peak = float(pt.pump_spectrum(dm.SpectralPoint(pump60_80.omega_center),
+        peak = float(pt.pump_spectrum(dm.SpectralPoint(bbo313.pump_center_omega), bbo313,
                                       pump60_80))
         i_w, _ = scipy_quad(lambda u: np.exp(-0.5 * pump60_80.tau_p**2 * u**2),
                             -8 / pump60_80.tau_p, 8 / pump60_80.tau_p)
@@ -67,10 +67,11 @@ class TestPumpSpectrum:
         total = peak * i_w * i_k * i_k
         assert total == pytest.approx(1.0, rel=1e-6)
 
-    def test_one_sigma_frequency_offset(self, pump60_80):
-        w = pump60_80.omega_center + 1.0 / pump60_80.tau_p
-        peak = pt.pump_spectrum(dm.SpectralPoint(pump60_80.omega_center), pump60_80)
-        val = pt.pump_spectrum(dm.SpectralPoint(w), pump60_80)
+    def test_one_sigma_frequency_offset(self, bbo313, pump60_80):
+        w = bbo313.pump_center_omega + 1.0 / pump60_80.tau_p
+        peak = pt.pump_spectrum(dm.SpectralPoint(bbo313.pump_center_omega), bbo313,
+                                pump60_80)
+        val = pt.pump_spectrum(dm.SpectralPoint(w), bbo313, pump60_80)
         assert val == pytest.approx(peak * np.exp(-0.5), rel=1e-12)
 
 
@@ -91,8 +92,7 @@ class TestClosedForm:
         assert down == up  # depends on |d_beta1| only
 
     def test_gain_scaling_exact(self, bbo313, pump60_80):
-        half = pt.PumpSpec(tau_p=pump60_80.tau_p, w_p=pump60_80.w_p,
-                           omega_center=pump60_80.omega_center, l_nl=10e-3)
+        half = pt.PumpSpec(tau_p=pump60_80.tau_p, w_p=pump60_80.w_p, l_nl=10e-3)
         f1 = pt.flux_closed_form(coeffs_at(700, bbo313), bbo313, pump60_80)
         f2 = pt.flux_closed_form(coeffs_at(700, bbo313), bbo313, half)
         assert f2 / f1 == pytest.approx(4.0, rel=1e-14)
@@ -127,7 +127,6 @@ class TestQuadratures:
     def test_amplitude_scaling(self, bbo313, pump60_80):
         # halving l_nl quadruples the flux
         half = pt.PumpSpec(tau_p=pump60_80.tau_p, w_p=pump60_80.w_p,
-                           omega_center=pump60_80.omega_center,
                            l_nl=pump60_80.l_nl / 2)
         kappa = on_surface(700, bbo313)
         f1 = pt.flux_quadrature_exact(kappa, bbo313, pump60_80)[0]
@@ -155,8 +154,7 @@ class TestQuadratures:
 
     def test_wide_pump_limit_gaussian_vs_exact(self, bbo313):
         # localized integrand: linearization exact, only the sinc mass ratio remains
-        wide = pt.PumpSpec(tau_p=600e-15, w_p=800e-6, omega_center=omega_of_nm(400),
-                           l_nl=20e-3)
+        wide = pt.PumpSpec(tau_p=600e-15, w_p=800e-6, l_nl=20e-3)
         kappa = on_surface(700, bbo313)
         fe, err_e = pt.flux_quadrature_exact(kappa, bbo313, wide)
         fg, err_g = pt.flux_quadrature_gaussianized(kappa, coeffs_at(700, bbo313), bbo313,
@@ -172,7 +170,7 @@ class TestQuadratures:
 
     def test_signal_near_pump_frequency_is_out_of_window(self, bbo313, pump60_80):
         # the idler box would reach omega' <= 0
-        w = pump60_80.omega_center - 2.5 / (np.sqrt(2.0) * pump60_80.tau_p)
+        w = bbo313.pump_center_omega - 2.5 / (np.sqrt(2.0) * pump60_80.tau_p)
         with pytest.raises(OutOfDispersionWindow):
             pt.flux_quadrature_exact(dm.SpectralPoint(w, 0.0, 0.0), bbo313, pump60_80)
 
@@ -187,8 +185,7 @@ class TestBatchedQuadrature:
     @pytest.fixture(scope="class")
     def short_pump(self):
         # a 20 fs pulse widens the idler box, so the rows converge unevenly
-        return pt.PumpSpec(tau_p=20e-15, w_p=80e-6, omega_center=omega_of_nm(400),
-                           l_nl=20e-3)
+        return pt.PumpSpec(tau_p=20e-15, w_p=80e-6, l_nl=20e-3)
 
     @pytest.mark.parametrize("route", ["exact", "gaussianized"])
     def test_rows_equal_single_signal_calls_bitwise(self, bbo313, short_pump, route):
@@ -219,7 +216,7 @@ class TestBatchedQuadrature:
 
     @pytest.mark.parametrize("route", ["exact", "gaussianized"])
     def test_one_signal_near_the_pump_refuses_the_batch(self, bbo313, pump60_80, route):
-        near = pump60_80.omega_center - 2.5 / (np.sqrt(2.0) * pump60_80.tau_p)
+        near = bbo313.pump_center_omega - 2.5 / (np.sqrt(2.0) * pump60_80.tau_p)
         good = on_surface(700, bbo313)
         kappa = dm.SpectralPoint(np.array([good.omega, near]), np.array([good.kx, 0.0]), 0.0)
         with pytest.raises(OutOfDispersionWindow):
@@ -234,18 +231,18 @@ class TestBatchedQuadrature:
         assert np.ndim(flux) == np.ndim(err) == 0
 
 
-def full_box_level(kappa, pump, n, factor):
+def full_box_level(kappa, crystal, pump, n, factor):
     """Midpoint sum over the whole idler box at n nodes per axis, with the
     squared pump written out as one Gaussian."""
     half_u = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
     half_k = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p)
     s = (2.0 * np.arange(n) + 1.0) / n - 1.0
-    w_i = (pump.omega_center - kappa.omega + half_u * s)[:, None, None]
+    w_i = (crystal.pump_center_omega - kappa.omega + half_u * s)[:, None, None]
     kx_i = (-kappa.kx + half_k * s)[None, :, None]
     ky_i = (-kappa.ky + half_k * s)[None, None, :]
     peak = pump.w_p**2 * pump.tau_p / (2.0 * np.pi) ** 1.5
     weight = peak**2 * np.exp(
-        -pump.tau_p**2 * (kappa.omega + w_i - pump.omega_center) ** 2
+        -pump.tau_p**2 * (kappa.omega + w_i - crystal.pump_center_omega) ** 2
         - pump.w_p**2 * ((kappa.kx + kx_i) ** 2 + (kappa.ky + ky_i) ** 2))
     return np.nansum(weight * factor(w_i, kx_i, ky_i)) * (2.0 * half_u / n) * (
         2.0 * half_k / n) ** 2
@@ -268,7 +265,7 @@ class TestHalfBox:
             def factor(w_i, kx_i, ky_i):
                 dk = pmm.delta_k_linearized(coeffs, kappa.kx, kappa.ky, w_i, kx_i, ky_i)
                 return np.exp(-(L * dk) ** 2 / 12.0)
-        coarse, fine = (full_box_level(kappa, pump60_80, n, factor)
+        coarse, fine = (full_box_level(kappa, bbo313, pump60_80, n, factor)
                         for n in (n_init, 2 * n_init))
         expected = (L / pump60_80.l_nl) ** 2 * (fine + (fine - coarse) / 3.0)
         quad = pt.QuadratureSpec(n_init=n_init, max_doublings=1, rel_tol=1.0)
@@ -295,7 +292,7 @@ class TestHalfBox:
             return at
 
         quad = pt.QuadratureSpec(n_init=15, max_doublings=1, rel_tol=1.0)
-        pt._quadrature(kappa, pump60_80, quad, factor, bbo313.length)
+        pt._quadrature(kappa, bbo313, pump60_80, quad, factor)
         assert [len(k) for k in seen] == ([8, 15] if half else [15, 30])
         for k in seen:
             assert np.all(k >= 0) if half else (k.min() < 0 < k.max())
@@ -308,7 +305,7 @@ class TestHalfBox:
         kappa = on_surface(lam, bbo313)
         half_u = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump60_80.tau_p)
         half_k = pt.SUPPORT_SIGMA / (np.sqrt(2.0) * pump60_80.w_p)
-        w_i = pump60_80.omega_center - kappa.omega + u * half_u
+        w_i = bbo313.pump_center_omega - kappa.omega + u * half_u
         kx_i, ky_i = -kappa.kx + s * half_k, t * half_k
         up = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), bbo313)
         down = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, -ky_i), bbo313)
@@ -319,8 +316,7 @@ def peak_and_gvm_zero(theta_deg, tau_fs, w_um):
     """Wavelengths [nm] of the closed-form flux peak and of the |d_beta1|
     minimum over the matched points of a 1401-point grid over 500-1200 nm."""
     crystal = dm.make_crystal(np.deg2rad(theta_deg), 2e-3, 400e-9)
-    pump = pt.PumpSpec(tau_p=tau_fs * 1e-15, w_p=w_um * 1e-6,
-                       omega_center=omega_of_nm(400), l_nl=20e-3)
+    pump = pt.PumpSpec(tau_p=tau_fs * 1e-15, w_p=w_um * 1e-6, l_nl=20e-3)
     lams = np.linspace(500.0, 1200.0, 1401)
     coeffs = pmm.scan_curve(lams, crystal)[1]
     flux = pt.flux_closed_form(coeffs, crystal, pump)
@@ -347,8 +343,7 @@ class TestPaperClaims:
         around the minimum, so the same check there would not discriminate.
         """
         crystal = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
-        pump = pt.PumpSpec(tau_p=20e-15, w_p=2e-3, omega_center=omega_of_nm(400),
-                           l_nl=20e-3)
+        pump = pt.PumpSpec(tau_p=20e-15, w_p=2e-3, l_nl=20e-3)
         lams = np.linspace(520.0, 560.0, 81)
         coeffs = pmm.scan_curve(lams, crystal)[1]
         assert np.all(np.isfinite(coeffs.k0))
@@ -385,8 +380,7 @@ class TestSpectrumAlongCurve:
         lams = np.linspace(520, 1200, 60)
         flux = {}
         for tau_fs in (60, 120):
-            pump = pt.PumpSpec(tau_p=tau_fs * 1e-15, w_p=80e-6,
-                               omega_center=omega_of_nm(400), l_nl=20e-3)
+            pump = pt.PumpSpec(tau_p=tau_fs * 1e-15, w_p=80e-6, l_nl=20e-3)
             vals = pt.spectrum_along_curve(lams, bbo313, pump)[1]
             flux[tau_fs] = vals[~np.isnan(vals)]
         ratio60 = flux[60].max() / np.median(flux[60])
@@ -395,10 +389,8 @@ class TestSpectrumAlongCurve:
 
     def test_wider_beam_raises_flux_everywhere(self, bbo313):
         lams = np.linspace(550, 1150, 30)
-        narrow = pt.PumpSpec(tau_p=60e-15, w_p=80e-6,
-                             omega_center=omega_of_nm(400), l_nl=20e-3)
-        wide = pt.PumpSpec(tau_p=60e-15, w_p=160e-6,
-                           omega_center=omega_of_nm(400), l_nl=20e-3)
+        narrow = pt.PumpSpec(tau_p=60e-15, w_p=80e-6, l_nl=20e-3)
+        wide = pt.PumpSpec(tau_p=60e-15, w_p=160e-6, l_nl=20e-3)
         f_n = pt.spectrum_along_curve(lams, bbo313, narrow)[1]
         f_w = pt.spectrum_along_curve(lams, bbo313, wide)[1]
         matched = ~np.isnan(f_n)

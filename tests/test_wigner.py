@@ -32,14 +32,12 @@ def _degenerate_angle():
 @pytest.fixture(scope="module")
 def grid():
     return wg.SimulationGrid(n_t=32, n_x=16, n_y=16, span_t=480e-15,
-                             span_x=640e-6, span_y=640e-6, n_z=50,
-                             omega_center=omega_of_nm(800))
+                             span_x=640e-6, span_y=640e-6, n_z=50)
 
 
 @pytest.fixture(scope="module")
 def pump():
-    return pt.PumpSpec(tau_p=60e-15, w_p=80e-6, omega_center=omega_of_nm(400),
-                       l_nl=20e-3)
+    return pt.PumpSpec(tau_p=60e-15, w_p=80e-6, l_nl=20e-3)
 
 
 def _reference_strang(prop, batch, l_nl):
@@ -65,7 +63,7 @@ class TestGrid:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             wg.SimulationGrid(n_t=24, n_x=16, n_y=16, span_t=1e-13, span_x=1e-4,
-                              span_y=1e-4, n_z=10, omega_center=omega_of_nm(800))
+                              span_y=1e-4, n_z=10)
 
     @pytest.mark.parametrize("name", ["span_t", "span_x", "span_y"])
     def test_rejects_nan_span(self, grid, name):
@@ -79,8 +77,7 @@ class TestGrid:
     def test_underresolved_transverse_window(self, crystal, pump):
         # tiny spatial window pushes the transverse Nyquist beyond the light cone
         bad = wg.SimulationGrid(n_t=8, n_x=64, n_y=4, span_t=480e-15,
-                                span_x=12e-6, span_y=640e-6, n_z=10,
-                                omega_center=omega_of_nm(800))
+                                span_x=12e-6, span_y=640e-6, n_z=10)
         with pytest.raises(GridUnderresolved):
             wg._Propagator(crystal, pump, bad)
 
@@ -210,8 +207,7 @@ class TestPropagate:
         strong = replace(pump, l_nl=2e-3)  # gain 1
         fine_grid = wg.SimulationGrid(n_t=grid.n_t, n_x=grid.n_x, n_y=grid.n_y,
                                       span_t=grid.span_t, span_x=grid.span_x,
-                                      span_y=grid.span_y, n_z=2 * grid.n_z,
-                                      omega_center=grid.omega_center)
+                                      span_y=grid.span_y, n_z=2 * grid.n_z)
         _, _, t_coarse, _ = wg._ensemble_flux(wg._Propagator(crystal, strong, grid),
                                               strong.l_nl, ens, paired=True)
         _, _, t_fine, _ = wg._ensemble_flux(wg._Propagator(crystal, strong, fine_grid),
@@ -254,19 +250,19 @@ class TestEstimateFlux:
 
 
 class TestAzimuthalAverage:
-    def test_constant_field_and_populations(self, grid):
+    def test_constant_field_and_populations(self, crystal, grid):
         flux = np.full(grid.shape, 0.25)
         stderr = np.full(grid.shape, 0.01)
-        fmap = wg.azimuthal_average(flux, stderr, grid, n_lambda=8, n_alpha=5)
+        fmap = wg.azimuthal_average(flux, stderr, crystal, grid, n_lambda=8, n_alpha=5)
         assert fmap.n_modes.sum() == grid.n_modes
         filled = fmap.n_modes > 0
         assert np.allclose(fmap.flux[filled], 0.25)
 
-    def test_synthetic_radial_profile(self, grid):
-        w, kx, ky = wg._mode_frequencies(grid)
+    def test_synthetic_radial_profile(self, crystal, grid):
+        w, kx, ky = wg._mode_frequencies(crystal, grid)
         kperp = np.sqrt(kx[None, :, None] ** 2 + ky[None, None, :] ** 2)
         profile = np.exp(-((kperp - 4e4) / 2e4) ** 2) * np.ones((grid.n_t, 1, 1))
-        fmap = wg.azimuthal_average(profile, np.zeros(grid.shape), grid,
+        fmap = wg.azimuthal_average(profile, np.zeros(grid.shape), crystal, grid,
                                     n_lambda=4, n_alpha=12)
         from scipy.constants import c as c0
         for j, alpha in enumerate(np.deg2rad(fmap.alpha_centers_deg)):
@@ -409,16 +405,27 @@ class TestRunSimulation:
         crystal = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
         meta = wg.run_simulation(crystal, pump, replace(grid, n_z=4), ens,
                                  n_lambda=4, n_alpha=3).metadata
-        _, alpha = wg._mode_lambda_alpha(grid)
+        _, alpha = wg._mode_lambda_alpha(crystal, grid)
         assert meta["window_max_alpha_deg"] == np.nanmax(alpha)
-        k0 = float(pmm.perfect_curve(grid.omega_center, crystal))
-        expected = np.degrees(pmm.exterior_angle(grid.omega_center, k0))
+        omega0 = crystal.pump_center_omega / 2.0
+        k0 = float(pmm.perfect_curve(omega0, crystal))
+        expected = np.degrees(pmm.exterior_angle(omega0, k0))
         assert meta["matched_alpha_deg"] == pytest.approx(expected, rel=1e-12)
         # the cut below the degenerate angle has no ring at the grid center
         below = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9)
         meta = wg.run_simulation(below, pump, replace(grid, n_z=4), ens,
                                  n_lambda=4, n_alpha=3).metadata
         assert meta["matched_alpha_deg"] is None
+
+    def test_grid_centred_on_half_the_crystal_pump(self, pump, grid):
+        # a 405 nm pump puts the grid carrier at 810 nm; a 4.8 ps window
+        # keeps the band within +-8 nm of it, clear of 800 nm
+        crystal = dm.make_crystal(np.deg2rad(31.3), 2e-3, 405e-9)
+        fmap = wg.run_simulation(crystal, pump, replace(grid, span_t=4800e-15, n_z=4),
+                                 wg.EnsembleSpec(n_realizations=1, seed=3),
+                                 n_lambda=4, n_alpha=3)
+        lo, hi = fmap.lambda_edges_nm[[0, -1]]
+        assert 800.0 < lo < 810.0 < hi < 820.0
 
 
 GOLDEN_MAP = Path(__file__).parent / "data" / "wigner_small.csv"
@@ -473,10 +480,10 @@ def perturbative_bin_means(fmap: wg.FluxMap, grid: wg.SimulationGrid,
     This is the independent low-gain reference the stochastic flux is
     checked against.
     """
-    w, kx, ky = wg._mode_frequencies(grid)
+    w, kx, ky = wg._mode_frequencies(crystal, grid)
     w3, kx3, ky3 = (a.ravel() for a in np.meshgrid(w, kx, ky, indexing="ij"))
 
-    bins = wg._bin_of_modes(*wg._mode_lambda_alpha(grid), fmap.lambda_edges_nm,
+    bins = wg._bin_of_modes(*wg._mode_lambda_alpha(crystal, grid), fmap.lambda_edges_nm,
                             fmap.alpha_edges_deg)
     order = np.argsort(bins, kind="stable")  # each bin's members in mode order
     bounds = np.searchsorted(bins[order], np.arange(fmap.flux.size + 1))
@@ -505,8 +512,8 @@ class TestLowGainOracle:
         # the top wavelength and angle edges belong to the last bins in both
         # the map and the oracle, so the fullest bin of the last wavelength
         # row reaches min_modes when set to its map population
-        fmap = wg.azimuthal_average(np.zeros(grid.shape), np.zeros(grid.shape), grid,
-                                    n_lambda=10, n_alpha=6)
+        fmap = wg.azimuthal_average(np.zeros(grid.shape), np.zeros(grid.shape), crystal,
+                                    grid, n_lambda=10, n_alpha=6)
         fullest = int(fmap.n_modes[-1].max())
         pred = perturbative_bin_means(fmap, grid, crystal, pump, modes_per_bin=1,
                                       min_modes=fullest)
