@@ -40,8 +40,6 @@ from .errors import ConfigError, ParfluorError
 if TYPE_CHECKING:
     from . import wigner as wg
 
-DATA_DIR_ENV = dm.DATA_DIR_ENV  # where crystal.material names are looked up first
-
 # the four crystal cuts crossed with the three pump settings of the
 # reference parameter matrix: (theta_deg, tau_fs, w_um)
 DEFAULT_SWEEP_CELLS = [
@@ -67,7 +65,7 @@ DEFAULTS = {
     "phasematch": {"lambda_min_nm": 500.0, "lambda_max_nm": 1200.0, "n_points": 256},
     "pert_flux": {
         "lambda_min_nm": 500.0, "lambda_max_nm": 1200.0, "n_points": 121,
-        "method": "closed_form", "quad_rel_tol": 0.01,
+        "method": "closed_form", "quad_rel_tol": pt.QUAD_REL_TOL,
     },
     "wigner": {
         "target_photons": None, "lambda_bins": 48, "alpha_bins": 40,
@@ -139,10 +137,11 @@ def load_config(args) -> dict:
     overrides = []
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             user = json.loads(path.read_text())
+        except OSError as exc:  # missing, a directory or unreadable
+            raise ConfigError(f"cannot read config file {path}: "
+                              f"{exc.strerror or exc}") from exc
         except ValueError as exc:  # or an integer too long for int()
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(user, dict):
@@ -237,12 +236,6 @@ def build_ensemble(config: dict) -> wg.EnsembleSpec:
 # output helpers
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def atomic_write_bytes(path: Path, data: bytes) -> None:
     tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
     tmp.write_bytes(data)
@@ -274,11 +267,11 @@ def pgm_bytes(flux: np.ndarray) -> tuple[bytes, float]:
 
 @contextlib.contextmanager
 def _writing():
-    """Report a failure to create or write the output directory as a
-    configuration error."""
+    """Report a failure to create or write the output directory, or a path
+    the system refuses (one holding a NUL byte), as a configuration error."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write 'output_dir': {exc}") from exc
 
 
@@ -295,10 +288,8 @@ def write_manifest(command: str, config: dict, t0: float,
     with _writing():
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, data in outputs.items():
-            if isinstance(data, bytes):
-                atomic_write_bytes(out_dir / name, data)
-            else:
-                atomic_write_text(out_dir / name, data)
+            atomic_write_bytes(out_dir / name, data if isinstance(data, bytes)
+                               else data.encode())
         manifest = {
             "command": command,
             "version": __version__,
@@ -310,7 +301,8 @@ def write_manifest(command: str, config: dict, t0: float,
         }
         if extra:
             manifest.update(extra)
-        atomic_write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        atomic_write_bytes(out_dir / "manifest.json",
+                           (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +331,9 @@ def cmd_pert_flux(config: dict) -> int:
     method = s["method"]
     if method not in pt.METHODS:
         raise ConfigError(f"invalid 'pert_flux.method': {method!r}")
-    quad = pt.QuadratureSpec(rel_tol=s["quad_rel_tol"])
     lams = build_lambdas(config, "pert_flux", crystal)
-    alpha, flux, err = pt.spectrum_along_curve(lams, crystal, pump, method=method, quad=quad)
+    alpha, flux, err = pt.spectrum_along_curve(lams, crystal, pump, method=method,
+                                               rel_tol=s["quad_rel_tol"])
     table = csv_text({
         "lambda_nm": (".6f", lams), "alpha_ext_deg": (".6f", np.rad2deg(alpha)),
         "flux": (".8e", flux), "method": ("", [method] * lams.size),
@@ -460,7 +452,8 @@ def cmd_sweep(config: dict) -> int:
         ],
     }
     with _writing():
-        atomic_write_text(out_root / "index.json", json.dumps(index, indent=2) + "\n")
+        atomic_write_bytes(out_root / "index.json",
+                           (json.dumps(index, indent=2) + "\n").encode())
     n_failed = sum(1 for _, code, *_ in results if code != 0)
     if n_failed:
         print(f"sweep: {n_failed} of {len(results)} cells failed", file=sys.stderr)
@@ -485,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, wigner_opts=False):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", dest="output_dir", help="output directory")
-        p.add_argument("--seed", dest="ensemble.seed", metavar="N", type=int,
-                       help="ensemble seed override")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration entry (dotted path, "
                             "JSON value); repeatable")
         if wigner_opts:
+            p.add_argument("--seed", dest="ensemble.seed", metavar="N", type=int,
+                           help="ensemble seed override")
             p.add_argument("--realizations", dest="ensemble.realizations", metavar="N",
                            type=int, help="ensemble size override")
             p.add_argument("--target-photons", dest="wigner.target_photons", metavar="N",

@@ -52,16 +52,12 @@ class PumpSpec:
             raise ValueError("tau_p, w_p and l_nl must all be positive")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Midpoint tensor-product quadrature with refinement by doubling."""
-
-    n_init: int = 16
-    max_doublings: int = 3
-    rel_tol: float = 0.01
-
-
 SUPPORT_SIGMA = 5.0  # half-width of the idler box in pump-envelope sigmas
+# midpoint nodes per axis at the first level, and the doublings after it; n
+# stays even, so the half box of a ky = 0 signal holds no ky' = 0 node
+N_INIT = 16
+MAX_DOUBLINGS = 3
+QUAD_REL_TOL = 0.01  # default rel_tol: the Richardson error at which a signal stops doubling
 # idler nodes evaluated at once, which bounds the temporaries of a chunk of
 # signals: one signal's 32-node half box; larger chunks ran slower
 _CHUNK_NODES = 1 << 14
@@ -100,7 +96,7 @@ def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
 
 
 def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec,
-                quad: QuadratureSpec | None, factor):
+                rel_tol: float, factor):
     """Integral over the idler box of each signal of kappa (array-valued; a
     scalar is a batch of one) of the squared pump amplitude times a
     phase-matching factor.
@@ -113,15 +109,14 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
     evaluates the factor of the signals at those flat indices of kappa: the
     indices and signal points carry a leading row axis, and the idler nodes
     broadcast over it and the three box axes.  Its NaN values (evanescent
-    idlers) count as zero.  A signal with ky = 0 sees only the ky' >= 0 half
-    of its box, each node counted twice but the ky' = 0 node of an odd n, so
-    the factor must be even in ky' there.
+    idlers) count as zero.  A signal with ky = 0 sees only the ky' > 0 half
+    of its box, each node counted twice, so the factor must be even in ky'
+    there.
 
     Midpoint rule, doubled for each signal until its Richardson-extrapolated
-    value settles within quad.rel_tol; returns ((L / l_nl)^2 * integral,
+    value settles within rel_tol; returns ((L / l_nl)^2 * integral,
     err_rel), each of kappa's shape.
     """
-    quad = quad or QuadratureSpec()
     omega_p = crystal.pump_center_omega
     # the squared pump envelope has standard deviations 1/(sqrt(2) tau_p) in
     # frequency and 1/(sqrt(2) w_p) transversally
@@ -146,7 +141,7 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
             if not sel.size:
                 continue
             ky_p = (np.arange(n // 2 if half else 0, n) + 0.5 - 0.5 * n) * dk
-            counts = np.where(ky_p == 0.0, 1.0, 2.0) if half else 1.0
+            counts = 2.0 if half else 1.0
             kappa_p = dm.SpectralPoint(omega_p + (t - 0.5 * n)[:, None, None] * dw,
                                        ((t - 0.5 * n) * dk)[None, :, None],
                                        ky_p[None, None, :])
@@ -165,28 +160,28 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
 
     flux, err = np.empty((2, omega.size))
     todo = np.arange(omega.size)
-    n = quad.n_init
+    n = N_INIT
     coarse = level(n, todo)
-    for _ in range(quad.max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         n *= 2
         fine = level(n, todo)
         extrap = fine + (fine - coarse) / 3.0
         scale = np.where(extrap != 0.0, np.abs(extrap), 1.0)
         rel = np.abs(fine - coarse) / (3.0 * scale)
-        done = rel <= quad.rel_tol
+        done = rel <= rel_tol
         flux[todo[done]] = (crystal.length / pump.l_nl) ** 2 * extrap[done]
         err[todo[done]] = rel[done]
         todo, coarse = todo[~done], fine[~done]
     if todo.size:
         raise NotConverged(
-            f"quadrature not within {quad.rel_tol:.2g} after {quad.max_doublings} "
+            f"quadrature not within {rel_tol:.2g} after {MAX_DOUBLINGS} "
             f"doublings at {todo.size} signal point(s), the first at "
             f"omega={omega[todo[0]]:.6g}")
     return flux.reshape(shape)[()], err.reshape(shape)[()]
 
 
 def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
-                          pump: PumpSpec, quad: QuadratureSpec | None = None):
+                          pump: PumpSpec, rel_tol: float = QUAD_REL_TOL):
     """Exact-sinc^2 quadrature of the pair-generation integral at each signal
     of kappa; returns (flux, err_rel) of kappa's shape.
 
@@ -205,12 +200,12 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
             return np.square(sinc, out=sinc)
         return at
 
-    return _quadrature(kappa, crystal, pump, quad, sinc2)
+    return _quadrature(kappa, crystal, pump, rel_tol, sinc2)
 
 
 def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.LinearizedCoeffs,
                                  crystal: dm.CrystalSpec, pump: PumpSpec,
-                                 quad: QuadratureSpec | None = None):
+                                 rel_tol: float = QUAD_REL_TOL):
     """Quadrature with linearized mismatch and the Gaussian sinc^2 surrogate;
     returns (flux, err_rel) of kappa's shape.
 
@@ -231,7 +226,7 @@ def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.Linearized
             return np.exp(x, out=x)
         return at
 
-    return _quadrature(kappa, crystal, pump, quad, surrogate)
+    return _quadrature(kappa, crystal, pump, rel_tol, surrogate)
 
 
 METHODS = ("closed_form", "exact", "gaussianized")
@@ -239,7 +234,7 @@ METHODS = ("closed_form", "exact", "gaussianized")
 
 def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec,
                          method: str = "closed_form",
-                         quad: QuadratureSpec | None = None):
+                         rel_tol: float = QUAD_REL_TOL):
     """Flux along the matched surface over a wavelength grid [nm].
 
     The surface and its expansion coefficients are tabulated once for the
@@ -258,8 +253,8 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     ok = np.flatnonzero(np.isfinite(coeffs.k0))
     kappa = dm.SpectralPoint(coeffs.omega_obs[ok], coeffs.k0[ok], 0.0)
     if method == "exact":
-        flux[ok], err[ok] = flux_quadrature_exact(kappa, crystal, pump, quad)
+        flux[ok], err[ok] = flux_quadrature_exact(kappa, crystal, pump, rel_tol)
     else:
         flux[ok], err[ok] = flux_quadrature_gaussianized(kappa, coeffs.row(ok), crystal,
-                                                         pump, quad)
+                                                         pump, rel_tol)
     return alpha, flux, err

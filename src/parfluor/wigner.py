@@ -426,6 +426,8 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
 
 
 _PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe
+_CALIB_REL_TOL = 0.2  # accepted relative distance of a probe's total from the target
+_MAX_PROBES = 30
 
 
 @dataclass(frozen=True)
@@ -447,17 +449,16 @@ class CalibrationResult:
 
 def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
                    pump: pt.PumpSpec, grid: SimulationGrid,
-                   ensemble: EnsembleSpec, rel_tol: float = 0.2,
-                   max_probes: int = 30) -> CalibrationResult:
+                   ensemble: EnsembleSpec) -> CalibrationResult:
     """Adjust the nonlinear length until the total photon number meets the
-    target within rel_tol.
+    target within _CALIB_REL_TOL.
 
     Probes use the first _PROBE_REALIZATIONS realizations of the ensemble
     (common random numbers), so the total is deterministic and monotone in
     the gain; the search brackets in log-gain and bisects.  All probes share
     one _Propagator, and the returned l_nl is the last probe's, so its
     realizations are the ensemble's at that gain.  Raises NotConverged after
-    max_probes.
+    _MAX_PROBES.
     """
     if target_photons <= 0:
         raise ValueError("target_photons must be positive")
@@ -474,9 +475,9 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
 
     x = 0.0  # log(L / l_nl) = log-gain, starting at gain 1
     lo = hi = None
-    for _ in range(max_probes):
+    for _ in range(_MAX_PROBES):
         l_nl, total, probe = probe_at(x)
-        if total > 0 and abs(total - target_photons) <= rel_tol * target_photons:
+        if total > 0 and abs(total - target_photons) <= _CALIB_REL_TOL * target_photons:
             return CalibrationResult(l_nl, total, len(trace), tuple(trace), prop, probe)
         if len(trace) == 1 and total > 0:
             # quadratic low-gain scaling gives a useful first jump
@@ -489,7 +490,7 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
             x = 0.5 * (lo + hi) if lo is not None else x - np.log(4.0)
     raise NotConverged(
         f"gain calibration missed {target_photons:.3g} within "
-        f"{rel_tol:.0%} after {max_probes} probes")
+        f"{_CALIB_REL_TOL:.0%} after {_MAX_PROBES} probes")
 
 
 def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from parfluor import cli
+from parfluor import dispersion as dm
 
 
 TINY_GRID = [
@@ -41,6 +42,13 @@ class TestConfigHandling:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["phasematch", "--config", str(tmp_path), "--out", str(out)])
+        assert code == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_named_in_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -134,10 +142,14 @@ class TestConfigHandling:
         assert code == 2
         assert "'wigner.target_photons'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["wigner", "calibrate"])
-    def test_jobs_only_on_sweep(self, command):
+    @pytest.mark.parametrize("command, flag", [
+        ("wigner", "--jobs"), ("calibrate", "--jobs"),
+        # the perturbative commands draw no random numbers
+        ("phasematch", "--seed"), ("pert-flux", "--seed"),
+    ])
+    def test_flag_only_on_commands_it_serves(self, tmp_path, command, flag):
         with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--jobs", "4"])
+            cli.main([command, flag, "1", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
 
     def test_invalid_value_exits_2(self, tmp_path, capsys):
@@ -198,12 +210,15 @@ class TestConfigHandling:
         ["wigner", *TINY_GRID, "--realizations", "1"],
         ["sweep", *TINY_GRID, "--realizations", "1", "--set", "sweep.cells=[[29, 60, 80]]"],
     ], ids=["phasematch", "pert-flux", "wigner", "sweep"])
-    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, argv):
-        # a regular file as the parent of the output directory
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        assert cli.main([*argv, "--out", str(blocker / "out")]) == 2
+    @pytest.mark.parametrize("out", ["file/out", "a\0b"], ids=["under-a-file", "nul-byte"])
+    def test_unwritable_output_dir_exits_2(self, tmp_path, capsys, argv, out):
+        # a regular file as the parent of the output directory, or a name
+        # holding a NUL byte, which the JSON string escapes
+        (tmp_path / "file").write_text("")
+        out = json.dumps(str(tmp_path / out))
+        assert cli.main([*argv, "--set", f"output_dir={out}"]) == 2
         assert "'output_dir'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_readme_configuration_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -214,7 +229,7 @@ class TestConfigHandling:
 
     def test_env_var_data_dir(self, tmp_path, monkeypatch):
         (tmp_path / "mybbo.json").write_text(json.dumps(BBO_DOC))
-        monkeypatch.setenv(cli.DATA_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(dm.DATA_DIR_ENV, str(tmp_path))
         out = tmp_path / "out"
         code = cli.main(["phasematch", "--set", "crystal.material=mybbo",
                          "--set", "phasematch.n_points=5", "--out", str(out)])

@@ -163,10 +163,9 @@ class TestQuadratures:
         assert fg / fe == pytest.approx(1.0, abs=0.05)
 
     def test_not_converged(self, bbo313, pump60_80):
-        strict = pt.QuadratureSpec(n_init=4, max_doublings=1, rel_tol=1e-12)
         kappa = on_surface(700, bbo313)
         with pytest.raises(NotConverged):
-            pt.flux_quadrature_exact(kappa, bbo313, pump60_80, strict)
+            pt.flux_quadrature_exact(kappa, bbo313, pump60_80, rel_tol=1e-12)
 
     def test_signal_near_pump_frequency_is_out_of_window(self, bbo313, pump60_80):
         # the idler box would reach omega' <= 0
@@ -180,7 +179,7 @@ class TestBatchedQuadrature:
     signal alone gives, and refuses the whole batch for one bad signal."""
 
     LAMS = np.array([550.0, 700.0, 850.0, 1150.0])
-    QUAD = pt.QuadratureSpec(rel_tol=1e-3)
+    REL_TOL = 1e-3
 
     @pytest.fixture(scope="class")
     def short_pump(self):
@@ -193,26 +192,28 @@ class TestBatchedQuadrature:
         k0 = pmm.perfect_curve(omega, bbo313)
         coeffs = pmm.linearize(omega, k0, bbo313)
         _, flux, err = pt.spectrum_along_curve(self.LAMS, bbo313, short_pump,
-                                               method=route, quad=self.QUAD)
+                                               method=route, rel_tol=self.REL_TOL)
         for i in range(self.LAMS.size):
             kappa = dm.SpectralPoint(omega[i], k0[i], 0.0)
             if route == "exact":
-                one = pt.flux_quadrature_exact(kappa, bbo313, short_pump, self.QUAD)
+                one = pt.flux_quadrature_exact(kappa, bbo313, short_pump, self.REL_TOL)
             else:
                 one = pt.flux_quadrature_gaussianized(kappa, coeffs.row(i), bbo313,
-                                                      short_pump, self.QUAD)
+                                                      short_pump, self.REL_TOL)
             assert (flux[i], err[i]) == one
 
-    def test_middle_rows_need_another_doubling(self, bbo313, short_pump):
-        once = replace(self.QUAD, max_doublings=1)
+    def test_middle_rows_need_another_doubling(self, bbo313, short_pump, monkeypatch):
+        monkeypatch.setattr(pt, "MAX_DOUBLINGS", 1)
         for lam in self.LAMS[[0, 3]]:
-            pt.flux_quadrature_exact(on_surface(lam, bbo313), bbo313, short_pump, once)
+            pt.flux_quadrature_exact(on_surface(lam, bbo313), bbo313, short_pump,
+                                     self.REL_TOL)
         for lam in self.LAMS[[1, 2]]:
             with pytest.raises(NotConverged):
-                pt.flux_quadrature_exact(on_surface(lam, bbo313), bbo313, short_pump, once)
+                pt.flux_quadrature_exact(on_surface(lam, bbo313), bbo313, short_pump,
+                                         self.REL_TOL)
         with pytest.raises(NotConverged):
             pt.spectrum_along_curve(self.LAMS, bbo313, short_pump, method="exact",
-                                    quad=once)
+                                    rel_tol=self.REL_TOL)
 
     @pytest.mark.parametrize("route", ["exact", "gaussianized"])
     def test_one_signal_near_the_pump_refuses_the_batch(self, bbo313, pump60_80, route):
@@ -251,9 +252,8 @@ def full_box_level(kappa, crystal, pump, n, factor):
 class TestHalfBox:
     """At ky = 0 the quadratures sum only the ky' >= 0 half of the idler box."""
 
-    @pytest.mark.parametrize("n_init", [16, 15])
     @pytest.mark.parametrize("route", ["exact", "gaussianized"])
-    def test_matches_full_box_midpoint_sum(self, bbo313, pump60_80, route, n_init):
+    def test_matches_full_box_midpoint_sum(self, bbo313, pump60_80, route):
         lam, L = 760, bbo313.length
         kappa = on_surface(lam, bbo313)
         coeffs = coeffs_at(lam, bbo313)
@@ -266,13 +266,13 @@ class TestHalfBox:
                 dk = pmm.delta_k_linearized(coeffs, kappa.kx, kappa.ky, w_i, kx_i, ky_i)
                 return np.exp(-(L * dk) ** 2 / 12.0)
         coarse, fine = (full_box_level(kappa, bbo313, pump60_80, n, factor)
-                        for n in (n_init, 2 * n_init))
+                        for n in (pt.N_INIT, 2 * pt.N_INIT))
         expected = (L / pump60_80.l_nl) ** 2 * (fine + (fine - coarse) / 3.0)
-        quad = pt.QuadratureSpec(n_init=n_init, max_doublings=1, rel_tol=1.0)
+        # a tolerance of 1 accepts the first doubling
         if route == "exact":
-            got = pt.flux_quadrature_exact(kappa, bbo313, pump60_80, quad)[0]
+            got = pt.flux_quadrature_exact(kappa, bbo313, pump60_80, 1.0)[0]
         else:
-            got = pt.flux_quadrature_gaussianized(kappa, coeffs, bbo313, pump60_80, quad)[0]
+            got = pt.flux_quadrature_gaussianized(kappa, coeffs, bbo313, pump60_80, 1.0)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("ky_frac, half", [(0.0, True), (0.3, False)])
@@ -291,11 +291,10 @@ class TestHalfBox:
                                             idler.ky).shape)
             return at
 
-        quad = pt.QuadratureSpec(n_init=15, max_doublings=1, rel_tol=1.0)
-        pt._quadrature(kappa, bbo313, pump60_80, quad, factor)
-        assert [len(k) for k in seen] == ([8, 15] if half else [15, 30])
+        pt._quadrature(kappa, bbo313, pump60_80, 1.0, factor)
+        assert [len(k) for k in seen] == ([8, 16] if half else [16, 32])
         for k in seen:
-            assert np.all(k >= 0) if half else (k.min() < 0 < k.max())
+            assert np.all(k > 0) if half else (k.min() < 0 < k.max())
 
     @given(lam=st.floats(550, 1150), u=st.floats(-1, 1), s=st.floats(-1, 1),
            t=st.floats(0, 1))
@@ -348,7 +347,7 @@ class TestPaperClaims:
         coeffs = pmm.scan_curve(lams, crystal)[1]
         assert np.all(np.isfinite(coeffs.k0))
         _, flux, _ = pt.spectrum_along_curve(lams, crystal, pump, method="exact")
-        bound = (1.0 - pt.QuadratureSpec().rel_tol) * flux.max()
+        bound = (1.0 - pt.QUAD_REL_TOL) * flux.max()
         assert flux[np.argmin(np.abs(coeffs.d_beta1))] >= bound
         assert max(flux[0], flux[-1]) < bound
 

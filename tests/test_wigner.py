@@ -288,11 +288,11 @@ class TestCalibration:
         hi = wg.calibrate_gain(2e4, crystal, pump, grid, ens)
         assert 1.0 / hi.l_nl > 1.0 / lo.l_nl
 
-    def test_not_converged(self, crystal, pump, grid):
+    def test_not_converged(self, crystal, pump, grid, monkeypatch):
+        monkeypatch.setattr(wg, "_MAX_PROBES", 1)
         ens = wg.EnsembleSpec(n_realizations=2, seed=99)
         with pytest.raises(NotConverged):
-            wg.calibrate_gain(1e4, crystal, pump, grid, ens, max_probes=2,
-                              rel_tol=1e-6)
+            wg.calibrate_gain(1e4, crystal, pump, grid, ens)
 
 
 class TestCalibratedReuse:
@@ -464,7 +464,7 @@ def _assert_matches_golden(fmap, path):
     assert [int(r["n_modes"]) for r in ref] == fmap.n_modes.ravel().tolist()
 
 
-_ORACLE_QUAD = pt.QuadratureSpec(n_init=12, max_doublings=2, rel_tol=0.05)
+_ORACLE_REL_TOL = 0.05
 
 
 def perturbative_bin_means(fmap: wg.FluxMap, grid: wg.SimulationGrid,
@@ -473,7 +473,7 @@ def perturbative_bin_means(fmap: wg.FluxMap, grid: wg.SimulationGrid,
                            min_modes: int = 20) -> np.ndarray:
     """Single-pair quadrature prediction for each bin of a FluxMap.
 
-    Evaluates the exact-sinc^2 quadrature (at _ORACLE_QUAD) at a
+    Evaluates the exact-sinc^2 quadrature (at _ORACLE_REL_TOL) at a
     deterministic subsample of each bin's member modes, all in one call,
     converts to per-mode occupation with the grid's spectral cell volume,
     and averages.  Bins with fewer than min_modes members come back NaN.
@@ -500,7 +500,7 @@ def perturbative_bin_means(fmap: wg.FluxMap, grid: wg.SimulationGrid,
         return pred
     modes = np.concatenate(take)
     flux = pt.flux_quadrature_exact(dm.SpectralPoint(w3[modes], kx3[modes], ky3[modes]),
-                                    crystal, pump, _ORACLE_QUAD)[0]
+                                    crystal, pump, _ORACLE_REL_TOL)[0]
     ends = np.cumsum([len(t) for t in take])
     pred.flat[sampled] = grid.mode_volume * np.array(
         [np.mean(f) for f in np.split(flux, ends[:-1])])
