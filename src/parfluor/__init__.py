@@ -1,6 +1,6 @@
 """Angular and spectral photon flux of pulse-pumped type-I parametric fluorescence.
 
-Subpackages cover crystal dispersion, phase matching, perturbative (single
+Its modules cover crystal dispersion, phase matching, perturbative (single
 pair) flux estimates, and a stochastic phase-space simulation of the
 high-gain regime, plus a command-line front end.
 """

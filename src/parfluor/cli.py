@@ -395,6 +395,8 @@ def _run_sweep_cell(cell_config: dict) -> tuple[str, int, str, float]:
     t0 = time.perf_counter()
     try:
         code, err = cmd_wigner(cell_config), ""
+    except ConfigError as exc:  # the exit codes of main
+        code, err = 2, str(exc)
     except ParfluorError as exc:
         code, err = 3, str(exc)
     except Exception as exc:  # cell isolation: never kill the coordinator

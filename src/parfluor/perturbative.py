@@ -1,19 +1,22 @@
 """Single-pair-regime photon flux of the fluorescence.
 
-Three routes to the mean mode occupation n(kappa), cross-checking each other:
+Three routes to the mean mode occupation n(kappa), cross-checking each other
+(spectrum_along_curve's methods):
 
-* a closed-form estimate on the perfectly matched surface, from the Gaussian
-  pump and the linearized mismatch;
-* a direct 3D quadrature of the pair-generation integral with the exact
-  sinc^2 phase-matching factor (the reference the others are judged against);
-* the same quadrature with the sinc^2 replaced by its Gaussian surrogate
-  exp(-(L dk)^2 / 12) and the mismatch linearized, whose analytic integral
-  is the closed form above.
+* closed_form: an estimate on the perfectly matched surface, from the
+  Gaussian pump and the linearized mismatch, at every point of the surface
+  table (phasematch.scan_curve);
+* exact: a direct 3D quadrature of the pair-generation integral with the
+  exact sinc^2 phase-matching factor, at any array of signals (the
+  reference the others are judged against);
+* gaussianized: the same quadrature over the surface table with the sinc^2
+  replaced by its Gaussian surrogate exp(-(L dk)^2 / 12) and the mismatch
+  linearized, whose analytic integral is the closed form above.
 
-Both quadratures take array-valued signals and run through one midpoint
-driver: its idler box follows each signal, so the pump components fall on
-one lattice per refinement level, whose weight (and, for the exact route,
-k_z) is evaluated once for all signals.
+Both quadratures run through one midpoint driver: its idler box follows
+each signal, so the pump components fall on one lattice per refinement
+level, whose weight (and, for the exact route, k_z) is evaluated once for
+all signals.
 
 Fluxes are reported in mode-occupation units with the pump amplitude scale
 absorbed into the nonlinear length; only ratios and shapes are meaningful,
@@ -22,7 +25,7 @@ and everything scales exactly as (L / L_NL)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,30 +206,35 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
     return _quadrature(kappa, crystal, pump, rel_tol, sinc2)
 
 
-def flux_quadrature_gaussianized(kappa: dm.SpectralPoint, coeffs: pmm.LinearizedCoeffs,
-                                 crystal: dm.CrystalSpec, pump: PumpSpec,
-                                 rel_tol: float = QUAD_REL_TOL):
-    """Quadrature with linearized mismatch and the Gaussian sinc^2 surrogate;
-    returns (flux, err_rel) of kappa's shape.
+def flux_quadrature_gaussianized(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
+                                 pump: PumpSpec, rel_tol: float = QUAD_REL_TOL):
+    """Quadrature with linearized mismatch and the Gaussian sinc^2 surrogate
+    at the matched points of a table of expansion coefficients
+    (phasematch.scan_curve); returns (flux, err_rel) of the table's shape,
+    NaN where k0 is.
 
-    Expands around the matched point at each signal's frequency, whose
-    coefficients (phasematch.linearize, of kappa's shape) are passed in.
+    At a matched signal (w, k0, 0) the signal's walk-off terms and d_rho_py
+    are zero, so the mismatch is d_beta1 (w' - w_idler) + d_rho_px (kx' + k0).
     """
-    shape = np.broadcast(kappa.omega, kappa.kx, kappa.ky).shape
-    flat = pmm.LinearizedCoeffs(*(np.broadcast_to(getattr(coeffs, f.name), shape).ravel()
-                                  for f in fields(coeffs)))
+    table = np.broadcast_arrays(coeffs.k0, coeffs.omega_obs, coeffs.omega_idler,
+                                coeffs.d_beta1, coeffs.d_rho_px)
+    ok = np.isfinite(table[0])
+    k0, omega, omega_idler, d_beta1, d_rho_px = (a[ok] for a in table)
 
     def surrogate(kappa_p):
         def at(rows, signal, idler):
-            dk_lin = pmm.delta_k_linearized(flat.row(rows), signal.kx, signal.ky,
-                                            idler.omega, idler.kx, idler.ky)
-            x = crystal.length * dk_lin
+            x = (d_beta1[rows] * (idler.omega - omega_idler[rows])
+                 + d_rho_px[rows] * (idler.kx + k0[rows]))
+            x *= crystal.length
             np.square(x, out=x)
             x /= -12.0
             return np.exp(x, out=x)
         return at
 
-    return _quadrature(kappa, crystal, pump, rel_tol, surrogate)
+    flux, err = np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
+    flux[ok], err[ok] = _quadrature(dm.SpectralPoint(omega, k0, 0.0), crystal, pump,
+                                    rel_tol, surrogate)
+    return flux[()], err[()]
 
 
 METHODS = ("closed_form", "exact", "gaussianized")
@@ -247,14 +255,12 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {sorted(METHODS)}")
     alpha, coeffs = pmm.scan_curve(lambda_grid_nm, crystal)
+    if method == "gaussianized":
+        return (alpha,) + flux_quadrature_gaussianized(coeffs, crystal, pump, rel_tol)
     flux, err = np.full((2,) + alpha.shape, np.nan)
     if method == "closed_form":
         return alpha, flux_closed_form(coeffs, crystal, pump), err
     ok = np.flatnonzero(np.isfinite(coeffs.k0))
     kappa = dm.SpectralPoint(coeffs.omega_obs[ok], coeffs.k0[ok], 0.0)
-    if method == "exact":
-        flux[ok], err[ok] = flux_quadrature_exact(kappa, crystal, pump, rel_tol)
-    else:
-        flux[ok], err[ok] = flux_quadrature_gaussianized(kappa, coeffs.row(ok), crystal,
-                                                         pump, rel_tol)
+    flux[ok], err[ok] = flux_quadrature_exact(kappa, crystal, pump, rel_tol)
     return alpha, flux, err

@@ -15,7 +15,7 @@ walk-off differences).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +44,6 @@ class LinearizedCoeffs:
     d_rho_y: float
     d_rho_px: float
     d_rho_py: float
-
-    def row(self, i) -> "LinearizedCoeffs":
-        """The coefficients at index i (an int or an index array) of an array
-        of them."""
-        return LinearizedCoeffs(*(np.asarray(getattr(self, f.name))[i]
-                                  for f in fields(self)))
 
 
 def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
@@ -138,20 +132,6 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec) -> LinearizedCoeffs:
         d_rho_px=rho_pump_x - rho_idl_x,
         d_rho_py=rho_pump_y - rho_idl_y,
     )
-
-
-def delta_k_linearized(coeffs: LinearizedCoeffs, kx, ky, omega_prime, kxp, kyp):
-    """First-order mismatch for a signal at (omega_obs, kx, ky) and an idler
-    at (omega', kxp, kyp), absolute coordinates, broadcasting over arrays.
-
-    Valid at the expansion signal frequency; the signal-frequency deviation
-    carries no term here, so callers keep omega = omega_obs.
-    """
-    return (coeffs.d_beta1 * (np.asarray(omega_prime) - coeffs.omega_idler)
-            + coeffs.d_rho_x * (np.asarray(kx) - coeffs.k0)
-            + coeffs.d_rho_y * np.asarray(ky)
-            + coeffs.d_rho_px * (np.asarray(kxp) + coeffs.k0)
-            + coeffs.d_rho_py * np.asarray(kyp))
 
 
 def scan_curve(lams_nm, crystal: dm.CrystalSpec):

@@ -18,13 +18,15 @@ from both fields.  The pair mismatch only ever enters through phase
 differences, which the shift leaves invariant; it keeps the envelopes
 centered in the periodic simulation window.
 
-Mean photon numbers are ensemble averages of |alpha|^2 minus the half photon
-of input noise, optionally binned over (wavelength, exterior angle).
+Mean photon numbers are ensemble averages of |alpha|^2 minus the input
+noise: either its expectation, half a photon per mode (vacuum-half), or each
+realization's own entrance |alpha|^2 (paired).  They are always binned over
+(wavelength, exterior angle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
@@ -345,8 +347,8 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalS
     The bins span the wavelengths of the grid's modes and the angles from 0
     to the largest exterior angle among them.  Bin value is the mean over
     member modes; per-mode standard errors propagate as independent
-    contributions.  Modes beyond the vacuum light cone (cannot refract out)
-    are excluded.
+    contributions, and a NaN one (a single realization) makes its bin's NaN.
+    Modes beyond the vacuum light cone (cannot refract out) are excluded.
     """
     lam, alpha = _mode_lambda_alpha(crystal, grid)
     ok = ~np.isnan(alpha)
@@ -360,13 +362,11 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalS
     size = n_lambda * n_alpha
     counts = np.bincount(flat, minlength=size)
     sums = np.bincount(flat, weights=flux.ravel()[inside], minlength=size)
-    errsq = np.bincount(flat, weights=np.nan_to_num(stderr) ** 2, minlength=size)
+    errsq = np.bincount(flat, weights=stderr**2, minlength=size)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         err = np.where(counts > 0, np.sqrt(errsq) / np.maximum(counts, 1), np.nan)
-    if np.any(np.isnan(stderr)):
-        err = np.full(size, np.nan)
 
     return FluxMap(
         lambda_edges_nm=lam_edges,
@@ -505,19 +505,20 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
     calibrated run reuses the calibration's _Propagator and last probe.
     """
     calibration = first = None
+    l_nl = pump.l_nl
     if target_photons is None:
         prop = _Propagator(crystal, pump, grid)
     else:
         calibration = calibrate_gain(target_photons, crystal, pump, grid, ensemble)
-        pump = replace(pump, l_nl=calibration.l_nl)
+        l_nl = calibration.l_nl
         prop, first = calibration.propagator, calibration.probe
-    flux, stderr, total, _ = _ensemble_flux(prop, pump.l_nl, ensemble,
-                                            paired_subtraction, first)
+    flux, stderr, total, _ = _ensemble_flux(prop, l_nl, ensemble, paired_subtraction,
+                                            first)
     omega0 = _grid_center(crystal)
     alpha = pmm.exterior_angle(omega0, pmm.perfect_curve(omega0, crystal))
     fmap = azimuthal_average(flux, stderr, crystal, grid, n_lambda, n_alpha)
     fmap.metadata = {
-        "gain": crystal.length / pump.l_nl,
+        "gain": crystal.length / l_nl,
         "estimator": "paired" if paired_subtraction else "vacuum-half",
         "total_photons": total,
         "max_step_phase_rad": prop.max_step_phase,
@@ -527,6 +528,7 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         "matched_alpha_deg": None if np.isnan(alpha) else float(np.degrees(alpha)),
     }
     if calibration is not None:
+        # the probe's raw is None where its two realizations took two batches
         fmap.metadata["calibration"] = {
             **calibration.summary(),
             "reused_realizations": 0 if first is None else len(first)}

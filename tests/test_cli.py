@@ -631,6 +631,21 @@ class TestSweepCommand:
         assert sum(1 for v in codes.values() if v == 0) == 2
         assert sum(1 for v in codes.values() if v != 0) == 1
 
+    def test_blocked_cell_directory_is_a_configuration_error(self, tmp_path):
+        # a regular file where the first cell's directory would go
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "theta29_tau60fs_w80um").write_text("")
+        code = cli.main(["sweep", *TINY_GRID, "--realizations", "1",
+                         "--set", "sweep.cells=[[29.0,60.0,80.0],[35.0,60.0,80.0]]",
+                         "--set", "wigner.lambda_bins=4",
+                         "--set", "wigner.alpha_bins=3",
+                         "--out", str(out)])
+        assert code == 1
+        cells = json.loads((out / "index.json").read_text())["cells"]
+        assert [c["exit_code"] for c in cells] == [2, 0]
+        assert "output_dir" in cells[0]["error"]
+
     @pytest.mark.parametrize("jobs, n_cells, workers", [(64, 2, [2]), (8, 1, [])])
     def test_pool_never_larger_than_the_cells(self, tmp_path, monkeypatch, jobs, n_cells,
                                               workers):
