@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -195,10 +196,21 @@ def build_crystal(config: dict) -> dm.CrystalSpec:
 
 def build_lambdas(config: dict, section: str, crystal: dm.CrystalSpec) -> np.ndarray:
     """The wavelength grid [nm] of a phasematch or pert_flux section, whose
-    ends must lie in the crystal's window_nm."""
+    ends must lie in the crystal's window_nm, and so must the idler
+    1/(1/lambda_p - 1/lambda) of each end longer than the pump; the idler
+    wavelength falls as the signal's rises, so the ends bound the grid's."""
     s = config[section]
+    lam_p = config["crystal"]["pump_wavelength_nm"]
+    lo, hi = window = crystal.sellmeier_o.window_nm
     for end in ("lambda_min_nm", "lambda_max_nm"):
-        _check_wavelength(f"{section}.{end}", s[end], crystal.sellmeier_o.window_nm)
+        key, lam = f"{section}.{end}", s[end]
+        _check_wavelength(key, lam, window)
+        if lam > lam_p:
+            idler = 1.0 / (1.0 / lam_p - 1.0 / lam)
+            if not lo <= idler <= hi:
+                raise ConfigError(f"'{key}' = {lam:g} nm pairs with an idler at "
+                                  f"{idler:.1f} nm, outside the material's window_nm "
+                                  f"[{lo:g}, {hi:g}] nm")
     return np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
 
 
@@ -467,7 +479,9 @@ def cmd_sweep(config: dict) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="parfluor",
         description="Angular and spectral photon flux of pulse-pumped "

@@ -50,6 +50,14 @@ class SpectralPoint:
         if not np.all(np.asarray(self.omega) > 0):
             raise ValueError("omega must be positive")
 
+    def __getitem__(self, rows):
+        """The points at rows of the leading axis, which every field spans;
+        points picked from checked ones are not checked again."""
+        part = object.__new__(SpectralPoint)
+        for name in ("omega", "kx", "ky"):
+            object.__setattr__(part, name, getattr(self, name)[rows])
+        return part
+
 
 @dataclass(frozen=True)
 class SellmeierSet:
@@ -70,7 +78,7 @@ class SellmeierSet:
         lam_nm = lam_um * 1e3
         lo, hi = self.window_nm
         if np.any(lam_nm < lo) or np.any(lam_nm > hi):
-            bad = float(np.atleast_1d(lam_nm)[np.argmax((lam_nm < lo) | (lam_nm > hi))])
+            bad = float(np.ravel(lam_nm)[np.argmax((lam_nm < lo) | (lam_nm > hi))])
             raise OutOfDispersionWindow(
                 f"wavelength {bad:.1f} nm outside Sellmeier window [{lo:.0f}, {hi:.0f}] nm"
             )
@@ -198,17 +206,25 @@ def index_extraordinary_principal(omega, crystal: CrystalSpec):
     return crystal.sellmeier_e.index_at_omega(omega)
 
 
-def kz_signal_grid(omega, kx, ky, crystal: CrystalSpec, allow_evanescent=False):
-    """o-ray longitudinal wavevector sqrt(n_o^2 w^2/c^2 - kx^2 - ky^2).
+def k_ordinary(omega, crystal: CrystalSpec):
+    """o-ray wavenumber n_o w / c [rad/m] at angular frequency omega [rad/s]."""
+    omega = np.asarray(omega, dtype=float)
+    return index_ordinary(omega, crystal) * omega / C_LIGHT
+
+
+def kz_signal_grid(omega, kx, ky, crystal: CrystalSpec, allow_evanescent=False,
+                   k2=None):
+    """o-ray longitudinal wavevector sqrt(k2 - kx^2 - ky^2), k2 = (n_o w/c)^2.
 
     Broadcasts over array inputs.  Components on the light cone to within
     rounding get k_z = 0.  Evanescent components (negative radicand) raise
     EvanescentMode unless allow_evanescent is set, in which case they come
-    back as NaN so callers can mask them.
+    back as NaN so callers can mask them.  k2, when given, is
+    k_ordinary(omega)^2, computed once by a caller that evaluates many
+    transverse wavevectors at the same frequencies; omega is then not read.
     """
-    omega = np.asarray(omega, dtype=float)
-    n_o = index_ordinary(omega, crystal)
-    k2 = (n_o * omega / C_LIGHT) ** 2
+    if k2 is None:
+        k2 = k_ordinary(omega, crystal) ** 2
     radicand = k2 - np.asarray(kx) ** 2 - np.asarray(ky) ** 2
     if np.any(radicand < 0):
         radicand = np.where(radicand >= -_CONE_RTOL * k2, np.maximum(radicand, 0.0),

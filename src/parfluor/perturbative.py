@@ -61,8 +61,11 @@ SUPPORT_SIGMA = 5.0  # half-width of the idler box in pump-envelope sigmas
 N_INIT = 16
 MAX_DOUBLINGS = 3
 QUAD_REL_TOL = 0.01  # default rel_tol: the Richardson error at which a signal stops doubling
-# idler nodes evaluated at once, which bounds the temporaries of a chunk of
-# signals: one signal's 32-node half box; larger chunks ran slower
+# nodes the factor evaluates at once, which bounds each temporary of a chunk
+# of signals to 128 kB: one signal's 32-node half box for exact, sixteen
+# signals' 32-node (omega', kx') planes for gaussianized; on the benchmark's
+# four cuts, chunks of 2^13 to 2^16 nodes took the same time to within the
+# noise (about 5%), and 2^16 raised the peak memory by 0.9 MB
 _CHUNK_NODES = 1 << 14
 
 
@@ -98,6 +101,30 @@ def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
             * (L / pump.l_nl) ** 2 / np.sqrt(bracket))
 
 
+def _half_widths(pump: PumpSpec):
+    """Half-widths (half_u, half_k) of every idler box, SUPPORT_SIGMA standard
+    deviations of the squared pump envelope: 1/(sqrt(2) tau_p) in frequency
+    and 1/(sqrt(2) w_p) transversally."""
+    return (SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p),
+            SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p))
+
+
+def _idler_omega(omega, n, crystal: dm.CrystalSpec, pump: PumpSpec):
+    """Frequencies omega' of the n midpoint nodes along the idler box of the
+    signal at each frequency of the column omega, one row each."""
+    half_u = _half_widths(pump)[0]
+    t = np.arange(n) + 0.5
+    return ((crystal.pump_center_omega - omega) - half_u
+            + (t * (2.0 * half_u / n))[:, None, None])
+
+
+def _columns(kappa: dm.SpectralPoint):
+    """omega, kx and ky of the signals of kappa, broadcast together and
+    flattened into columns of shape (signals, 1, 1, 1)."""
+    return tuple(np.asarray(a, dtype=float).reshape(-1, 1, 1, 1)
+                 for a in np.broadcast_arrays(kappa.omega, kappa.kx, kappa.ky))
+
+
 def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec,
                 rel_tol: float, factor):
     """Integral over the idler box of each signal of kappa (array-valued; a
@@ -106,33 +133,33 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
 
     Each box is centred on the conjugate point of its signal, so the pump
     component kappa + kappa' falls on one lattice, the pump carrier +- half_u by
-    +-half_k by +-half_k, for every signal.  Per level the lattice and its
-    weight are built once, and factor(kappa_p), given the lattice broadcast
-    over three axes, returns the function at(rows, signal, idler) that
-    evaluates the factor of the signals at those flat indices of kappa: the
-    indices and signal points carry a leading row axis, and the idler nodes
-    broadcast over it and the three box axes.  Its NaN values (evanescent
-    idlers) count as zero.  A signal with ky = 0 sees only the ky' > 0 half
-    of its box, each node counted twice, so the factor must be even in ky'
-    there.
+    +-half_k by +-half_k, for every signal.  Per level the lattice, its weight
+    and the idler nodes kappa' = kappa_p - kappa of the signals still doubling
+    are built once, and factor(kappa_p), given the lattice broadcast over
+    three axes, returns the function at(rows, signal, idler) that evaluates
+    the factor of the signals at those flat indices of kappa (a 1-D array):
+    the signal points and idler nodes carry a leading row axis, and the
+    idler nodes broadcast over it and the three box axes.  It returns one
+    row per index over the box, or over its (omega', kx') plane where the
+    factor does not vary along ky', which is then summed against the weight
+    summed over ky'.  Its NaN values (evanescent idlers) count as zero.  A
+    signal with ky = 0 sees only the ky' > 0 half of its box, each node
+    counted twice, so the factor must be even in ky' there.
 
     Midpoint rule, doubled for each signal until its Richardson-extrapolated
     value settles within rel_tol; returns ((L / l_nl)^2 * integral,
     err_rel), each of kappa's shape.
     """
     omega_p = crystal.pump_center_omega
-    # the squared pump envelope has standard deviations 1/(sqrt(2) tau_p) in
-    # frequency and 1/(sqrt(2) w_p) transversally
-    half_u = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.tau_p)
-    half_k = SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p)
-    omega, kx, ky = np.broadcast_arrays(kappa.omega, kappa.kx, kappa.ky)
-    shape = omega.shape
-    omega, kx, ky = (np.asarray(a, dtype=float).ravel() for a in (omega, kx, ky))
+    half_u, half_k = _half_widths(pump)
+    shape = np.broadcast(kappa.omega, kappa.kx, kappa.ky).shape
+    omega, kx, ky = _columns(kappa)
     near = omega_p - omega <= half_u
     if np.any(near):
         raise OutOfDispersionWindow(f"the idler box of the signal at omega="
                                     f"{omega[near][0]:.6g} reaches omega' <= 0")
-    on_axis = ky == 0
+    signals = dm.SpectralPoint(omega, kx, ky)
+    on_axis = ky.ravel() == 0
 
     def level(n, rows):
         """Midpoint sums at n nodes per axis over the boxes of these rows."""
@@ -143,22 +170,35 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
             sel = np.flatnonzero(on_axis[rows] == half)
             if not sel.size:
                 continue
-            ky_p = (np.arange(n // 2 if half else 0, n) + 0.5 - 0.5 * n) * dk
-            counts = 2.0 if half else 1.0
             kappa_p = dm.SpectralPoint(omega_p + (t - 0.5 * n)[:, None, None] * dw,
                                        ((t - 0.5 * n) * dk)[None, :, None],
-                                       ky_p[None, None, :])
-            weight = pump_spectrum(kappa_p, crystal, pump) ** 2 * (dw * dk * dk * counts)
+                                       ((t[n // 2:] if half else t) - 0.5 * n)[None, None, :] * dk)
+            weight = pump_spectrum(kappa_p, crystal, pump) ** 2 * (
+                dw * dk * dk * (2.0 if half else 1.0))
+            part = rows[sel]
+            signal = signals[part]
+            # a half box has ky = 0, so its ky' are the lattice's
+            idler = dm.SpectralPoint(_idler_omega(signal.omega, n, crystal, pump),
+                                     -signal.kx - half_k + (t * dk)[None, :, None],
+                                     kappa_p.ky - signal.ky if half
+                                     else -signal.ky - half_k + t * dk)
             at = factor(kappa_p)
-            step = max(1, _CHUNK_NODES // weight.size)
-            for c in range(0, sel.size, step):
-                r = rows[sel[c:c + step], None, None, None]
-                signal = dm.SpectralPoint(omega[r], kx[r], ky[r])
-                w_i = (omega_p - signal.omega) - half_u + (t * dw)[:, None, None]
-                kx_i = -signal.kx - half_k + (t * dk)[None, :, None]
-                ky_i = ky_p[None, None, :] if half else -signal.ky - half_k + t * dk
-                terms = weight * at(r, signal, dm.SpectralPoint(w_i, kx_i, ky_i))
-                sums[sel[c:c + step]] = np.nansum(terms.reshape(r.size, -1), axis=1)
+            # one row first: it shows how many nodes the factor evaluates
+            c, step, w = 0, 1, None
+            while c < part.size:
+                f = at(part[c:c + step], signal[c:c + step], idler[c:c + step])
+                if w is None:
+                    w = (weight.sum(axis=-1) if f.shape[-1] == 1 else weight).ravel()
+                f = f.reshape(-1, w.size)
+                # a dot product per row, as a stack of (1, nodes) @ (nodes, 1)
+                # products: each row's sum is the same in any chunk
+                row_sums = np.matmul(f[:, None, :], w[:, None])[:, 0, 0]
+                nan = np.isnan(row_sums)
+                if np.any(nan):
+                    row_sums[nan] = np.nansum(f[nan] * w, axis=1)
+                sums[sel[c:c + step]] = row_sums
+                c += step
+                step = max(1, _CHUNK_NODES // w.size)
         return sums
 
     flux, err = np.empty((2, omega.size))
@@ -179,7 +219,7 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
         raise NotConverged(
             f"quadrature not within {rel_tol:.2g} after {MAX_DOUBLINGS} "
             f"doublings at {todo.size} signal point(s), the first at "
-            f"omega={omega[todo[0]]:.6g}")
+            f"omega={omega.flat[todo[0]]:.6g}")
     return flux.reshape(shape)[()], err.reshape(shape)[()]
 
 
@@ -188,15 +228,23 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
     """Exact-sinc^2 quadrature of the pair-generation integral at each signal
     of kappa; returns (flux, err_rel) of kappa's shape.
 
-    The pump's k_z is evaluated once per level on the lattice every signal
-    shares; per signal only the idler's k_z is."""
+    The signals' k_z is evaluated once per call; per level, the pump's k_z
+    on the lattice every signal shares and the idlers' squared wavenumbers,
+    which vary along omega' only; per node, only the idler's k_z and the
+    sinc^2."""
+    half_length = 0.5 * crystal.length
+    omega, kx, ky = _columns(kappa)
+    kz_s = dm.kz_signal_grid(omega, kx, ky, crystal)
 
     def sinc2(kappa_p):
         kz_p = dm.kz_pump_grid(kappa_p.omega, kappa_p.kx, kappa_p.ky, crystal)
+        k2_i = dm.k_ordinary(_idler_omega(omega, kappa_p.omega.shape[0], crystal, pump),
+                             crystal) ** 2
 
         def at(rows, signal, idler):
-            h = pmm.delta_k(signal, idler, crystal, kz_pump=kz_p)
-            h *= 0.5 * crystal.length
+            h = pmm.delta_k(signal, idler, crystal, kz_pump=kz_p, kz_signal=kz_s[rows],
+                            k2_idler=k2_i[rows])
+            h *= half_length
             h[h == 0.0] = 1e-20  # where sin(h) / h is exactly 1, as in np.sinc
             sinc = np.sin(h)
             sinc /= h
@@ -214,7 +262,8 @@ def flux_quadrature_gaussianized(coeffs: pmm.LinearizedCoeffs, crystal: dm.Cryst
     NaN where k0 is.
 
     At a matched signal (w, k0, 0) the signal's walk-off terms and d_rho_py
-    are zero, so the mismatch is d_beta1 (w' - w_idler) + d_rho_px (kx' + k0).
+    are zero, so the mismatch is d_beta1 (w' - w_idler) + d_rho_px (kx' + k0),
+    constant along ky'.
     """
     table = np.broadcast_arrays(coeffs.k0, coeffs.omega_obs, coeffs.omega_idler,
                                 coeffs.d_beta1, coeffs.d_rho_px)
@@ -223,8 +272,9 @@ def flux_quadrature_gaussianized(coeffs: pmm.LinearizedCoeffs, crystal: dm.Cryst
 
     def surrogate(kappa_p):
         def at(rows, signal, idler):
-            x = (d_beta1[rows] * (idler.omega - omega_idler[rows])
-                 + d_rho_px[rows] * (idler.kx + k0[rows]))
+            r = rows[:, None, None, None]
+            x = (d_beta1[r] * (idler.omega - omega_idler[r])
+                 + d_rho_px[r] * (idler.kx + k0[r]))
             x *= crystal.length
             np.square(x, out=x)
             x /= -12.0

@@ -47,21 +47,24 @@ class LinearizedCoeffs:
 
 
 def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
-            crystal: dm.CrystalSpec, kz_pump=None):
+            crystal: dm.CrystalSpec, kz_pump=None, kz_signal=None, k2_idler=None):
     """Wavevector mismatch of the pair (kappa, kappa') with its pump component;
     broadcasts over array-valued points.  NaN where the idler kappa' is
     evanescent; an evanescent signal kappa raises EvanescentMode.
 
-    kz_pump, when given, is the pump's k_z at kappa + kappa', computed once
-    by a caller whose pairs share their pump components."""
+    kz_pump, kz_signal and k2_idler, when given, are the pump's k_z at
+    kappa + kappa', the signal's k_z and the idler's squared wavenumber
+    (dispersion.kz_signal_grid's k2), computed once by a caller whose pairs
+    share them."""
     if kz_pump is None:
         kz_pump = dm.kz_pump_grid(kappa.omega + kappa_prime.omega,
                                   kappa.kx + kappa_prime.kx,
                                   kappa.ky + kappa_prime.ky, crystal)
-    return (kz_pump
-            - dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
+    if kz_signal is None:
+        kz_signal = dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
+    return (kz_pump - kz_signal
             - dm.kz_signal_grid(kappa_prime.omega, kappa_prime.kx, kappa_prime.ky,
-                                crystal, allow_evanescent=True))
+                                crystal, allow_evanescent=True, k2=k2_idler))
 
 
 def perfect_curve(omega_obs, crystal: dm.CrystalSpec) -> np.ndarray:
@@ -86,8 +89,8 @@ def perfect_curve(omega_obs, crystal: dm.CrystalSpec) -> np.ndarray:
             f"wavelength {lam_nm[1]:.1f} nm, so it leaves no idler frequency")
     omega_idler = crystal.pump_center_omega - omega
     kz_p = dm.kz_pump_grid(crystal.pump_center_omega, 0.0, 0.0, crystal)
-    a = dm.index_ordinary(omega, crystal) * omega / C_LIGHT
-    b = dm.index_ordinary(omega_idler, crystal) * omega_idler / C_LIGHT
+    a = dm.k_ordinary(omega, crystal)
+    b = dm.k_ordinary(omega_idler, crystal)
     p = (kz_p * kz_p + a * a - b * b) / (2.0 * kz_p)
     # a collinear pair matched to within rounding sits on the axis
     excess = a + b - kz_p

@@ -165,6 +165,9 @@ class TestConfigHandling:
         ("phasematch", "crystal.pump_wavelength_nm", 1e-300),
         ("pert-flux", "pert_flux.lambda_max_nm", 3000),
         ("pert-flux", "crystal.pump_wavelength_nm", 2601),
+        # inside the window, but its idler at 8400 nm is not
+        ("phasematch", "phasematch.lambda_min_nm", 420),
+        ("pert-flux", "pert_flux.lambda_min_nm", 420),
         ("wigner", "crystal.pump_wavelength_nm", 1e-300),
     ])
     def test_out_of_window_exits_2(self, tmp_path, capsys, command, key, value):
@@ -177,6 +180,22 @@ class TestConfigHandling:
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_idler_outside_window_is_named(self, tmp_path, capsys):
+        code = cli.main(["pert-flux", "--set", "pert_flux.lambda_min_nm=420",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "idler at 8400.0 nm" in capsys.readouterr().err
+
+    def test_parser_is_built_once_and_keeps_no_settings(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["pert-flux", "--method", "gaussianized",
+                         "--set", "pert_flux.n_points=3", "--out", str(first)]) == 0
+        assert cli.main(["pert-flux", "--out", str(second)]) == 0
+        config = json.loads((second / "manifest.json").read_text())["config"]
+        assert config["pert_flux"] == cli.DEFAULTS["pert_flux"]
+        assert len(read_csv(second / "pert_flux_closed_form.csv")) == 121
 
     @pytest.mark.parametrize("doc", [
         {**BBO_DOC, "sellmeier_o": {**BBO_DOC["sellmeier_o"], "b3": 0.0}},

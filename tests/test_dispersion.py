@@ -64,6 +64,10 @@ class TestSellmeierIndices:
             dm.index_ordinary(omega_of_nm(100), bbo29)
         with pytest.raises(OutOfDispersionWindow):
             dm.index_extraordinary_principal(omega_of_nm(3000), bbo29)
+        # one wavelength beyond the window in an array of rows is named
+        rows = omega_of_nm(np.array([[700.0, 800.0], [2700.0, 900.0]]))[..., None]
+        with pytest.raises(OutOfDispersionWindow, match="2700.0 nm"):
+            dm.index_ordinary(rows, bbo29)
 
     def test_normal_dispersion_monotonic(self, bbo29):
         lam = np.linspace(500, 1200, 200)

@@ -324,6 +324,31 @@ class TestHalfBox:
         np.testing.assert_array_equal(up, down)
 
 
+class TestEvanescentIdlers:
+    def test_nodes_beyond_the_light_cone_count_as_zero(self, bbo313, pump60_80):
+        # an off-axis signal whose transverse wavevector has the length of
+        # the idler's o-ray wavenumber: its idler box straddles the light
+        # cone, so part of its nodes are NaN
+        L, omega = bbo313.length, omega_of_nm(650)
+        k_idler = float(dm.k_ordinary(bbo313.pump_center_omega - omega, bbo313))
+        kappa = dm.SpectralPoint(omega, 0.6 * k_idler, 0.8 * k_idler)
+        nan_share = []
+
+        def factor(w_i, kx_i, ky_i):
+            dk = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), bbo313)
+            nan_share.append(np.isnan(dk).mean())
+            return np.sinc(L * dk / (2.0 * np.pi)) ** 2
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coarse, fine = (full_box_level(kappa, bbo313, pump60_80, n, factor)
+                            for n in (pt.N_INIT, 2 * pt.N_INIT))
+            got = pt.flux_quadrature_exact(kappa, bbo313, pump60_80, 1.0)[0]
+        assert all(0.1 < share < 0.9 for share in nan_share)
+        expected = (L / pump60_80.l_nl) ** 2 * (fine + (fine - coarse) / 3.0)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
 def peak_and_gvm_zero(theta_deg, tau_fs, w_um):
     """Wavelengths [nm] of the closed-form flux peak and of the |d_beta1|
     minimum over the matched points of a 1401-point grid over 500-1200 nm."""
