@@ -154,8 +154,10 @@ def _pump_spectrum0(pump: pt.PumpSpec, grid: SimulationGrid) -> np.ndarray:
 
 
 class _Propagator:
-    """Precomputed phase tables and the split-step loop for one configuration;
-    they do not depend on pump.l_nl, which each propagation passes."""
+    """The split-step loop for one configuration, and what its tables are
+    built from: the phase rates phase_sig and phase_pmp [rad/m] of every
+    mode in the common reference frame, and the entrance pump spectrum
+    pump0.  None depends on pump.l_nl, which each propagation passes."""
 
     def __init__(self, crystal: dm.CrystalSpec, pump: pt.PumpSpec,
                  grid: SimulationGrid):
@@ -182,22 +184,23 @@ class _Propagator:
         k_ref = dm.kz_signal_grid(omega0, 0.0, 0.0, crystal)
         beta_ref, rho_ref, _ = dm.kz_slopes("pump", omega_p, 0.0, 0.0, crystal)
 
-        phase_sig = (kz_sig - k_ref
-                     - beta_ref * (w_sig[:, None, None] - omega0)
-                     - rho_ref * kx3)
-        phase_pmp = (kz_pmp - 2.0 * k_ref
-                     - beta_ref * (w_pmp[:, None, None] - omega_p)
-                     - rho_ref * kx3)
+        self.phase_sig = (kz_sig - k_ref
+                          - beta_ref * (w_sig[:, None, None] - omega0)
+                          - rho_ref * kx3)
+        self.phase_pmp = (kz_pmp - 2.0 * k_ref
+                          - beta_ref * (w_pmp[:, None, None] - omega_p)
+                          - rho_ref * kx3)
+        self.pump0 = _pump_spectrum0(pump, grid)
 
-        # largest signal phase one split step adds; it wraps at 2 pi
-        self.max_step_phase = float(np.max(np.abs(phase_sig))) * self.dz
-
-        self.half_linear = np.exp(0.5j * phase_sig * self.dz)
-        self.full_linear = np.exp(1.0j * phase_sig * self.dz)
-        self.pump_step = np.exp(1.0j * phase_pmp * self.dz)
-        # the pump spectrum at z = dz/2, where the first step samples it
-        self.pump_mid = _pump_spectrum0(pump, grid)
-        self.pump_mid *= np.exp(0.5j * phase_pmp * self.dz)
+    def pump_fields(self):
+        """Yield the pump's position field at z = (j + 1/2) dz, where step j
+        samples it, for each of the n_z steps."""
+        pump_spec = self.pump0 * np.exp(0.5j * self.phase_pmp * self.dz)
+        pump_step = np.exp(1.0j * self.phase_pmp * self.dz)
+        for step in range(self.grid.n_z):
+            if step:
+                pump_spec *= pump_step
+            yield to_position(pump_spec)
 
     def _bogoliubov_tables(self, pump_pos, l_nl):
         """cosh(m) and g_dz sinh(m)/m for the pointwise two-quadrature step,
@@ -221,10 +224,11 @@ class _Propagator:
         """
         a = batch
         conj = np.empty_like(a)
-        pump_spec = self.pump_mid.copy()
-        a *= self.half_linear
-        for step in range(self.grid.n_z):
-            ch, psh = self._bogoliubov_tables(to_position(pump_spec), l_nl)
+        half_linear = np.exp(0.5j * self.phase_sig * self.dz)
+        full_linear = np.exp(1.0j * self.phase_sig * self.dz)
+        a *= half_linear
+        for step, pump_pos in enumerate(self.pump_fields()):
+            ch, psh = self._bogoliubov_tables(pump_pos, l_nl)
             pos = to_position(a, overwrite_x=True)
             np.conjugate(pos, out=conj)
             conj *= psh
@@ -232,9 +236,8 @@ class _Propagator:
             pos += conj
             a = to_spectral(pos, overwrite_x=True)
             if step < self.grid.n_z - 1:
-                a *= self.full_linear
-                pump_spec *= self.pump_step
-        a *= self.half_linear
+                a *= full_linear
+        a *= half_linear
         return a
 
 
@@ -521,7 +524,8 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         "gain": crystal.length / l_nl,
         "estimator": "paired" if paired_subtraction else "vacuum-half",
         "total_photons": total,
-        "max_step_phase_rad": prop.max_step_phase,
+        # largest signal phase one split step adds; it wraps at 2 pi
+        "max_step_phase_rad": float(np.max(np.abs(prop.phase_sig))) * prop.dz,
         "window_max_alpha_deg": float(fmap.alpha_edges_deg[-1]),
         # exterior angle of the matched ring at the grid center; None where
         # no matched mode there leaves the crystal (NaN fails the test)

@@ -187,6 +187,24 @@ class TestConfigHandling:
         assert code == 2
         assert "idler at 8400.0 nm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, code", [
+        ("exact", 2), ("closed_form", 0), ("gaussianized", 0)])
+    def test_exact_idler_box_outside_window_exits_2(self, tmp_path, capsys, method, code):
+        # the idler of 476.3 nm lies at 2497 nm, inside the window, but the
+        # exact quadrature's box around it reaches past 2600 nm; the other
+        # methods evaluate no refractive index across the box
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["pert-flux", "--method", method,
+                             "--set", "pert_flux.lambda_min_nm=476.3",
+                             "--set", "pert_flux.lambda_max_nm=480",
+                             "--set", "pert_flux.n_points=3", "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "'pert_flux.lambda_min_nm'" in err and "box edge at 2708.6 nm" in err
+            assert not out.exists()
+
     def test_parser_is_built_once_and_keeps_no_settings(self, tmp_path):
         assert cli.build_parser() is cli.build_parser()
         first, second = tmp_path / "first", tmp_path / "second"

@@ -41,12 +41,15 @@ def pump():
 
 
 def _reference_strang(prop, batch, l_nl):
-    """The split step written out of place, with the complex tables
-    (g/|g|) sinh(|g| dz) and cosh(|g| dz), at complex128."""
-    a = batch.astype(np.complex128) * prop.half_linear
-    pump_spec = prop.pump_mid
+    """The split step written out of place from the propagator's phase rates
+    and entrance pump, with the complex tables (g/|g|) sinh(|g| dz) and
+    cosh(|g| dz), at complex128; each step's pump takes its whole phase
+    from the entrance face at once."""
+    half_linear = np.exp(0.5j * prop.phase_sig * prop.dz)
+    a = batch.astype(np.complex128) * half_linear
     for step in range(prop.grid.n_z):
-        g = wg.to_position(pump_spec) / l_nl
+        z = (step + 0.5) * prop.dz
+        g = wg.to_position(prop.pump0 * np.exp(1j * prop.phase_pmp * z)) / l_nl
         m = np.abs(g) * prop.dz
         with np.errstate(invalid="ignore", divide="ignore"):
             phase = np.where(m > 0, g / np.where(m > 0, np.abs(g), 1.0), 1.0 + 0j)
@@ -54,9 +57,8 @@ def _reference_strang(prop, batch, l_nl):
         pos = np.cosh(m) * pos + phase * np.sinh(m) * np.conj(pos)
         a = wg.to_spectral(pos)
         if step < prop.grid.n_z - 1:
-            a = a * prop.full_linear
-            pump_spec = pump_spec * prop.pump_step
-    return a * prop.half_linear
+            a = a * np.exp(1j * prop.phase_sig * prop.dz)
+    return a * half_linear
 
 
 class TestGrid:
@@ -118,7 +120,7 @@ class TestTransforms:
 
 class TestPumpField:
     """The pump the propagator steps along: its entrance-face envelope and
-    the reference-frame phase tables that carry it to the exit face."""
+    the reference-frame phase rates that carry it to the exit face."""
 
     def test_entrance_face_gaussian(self, crystal, pump, grid):
         P = wg.to_position(wg._pump_spectrum0(pump, grid))
@@ -129,12 +131,24 @@ class TestPumpField:
         assert (it, ix, iy) == (grid.n_t // 2, grid.n_x // 2, grid.n_y // 2)
 
     def test_spectral_norm_z_independent(self, crystal, pump, grid):
-        # pure phase tables: every pump mode keeps its magnitude at every
-        # step, and the half step to z = dz/2 turns only phases too
+        # real phase rates turn only phases: every field pump_fields yields
+        # keeps the entrance energy, and every pump mode its magnitude
         prop = wg._Propagator(crystal, pump, grid)
-        assert np.max(np.abs(np.abs(prop.pump_step) - 1.0)) < 1e-12
+        assert np.isrealobj(prop.phase_pmp)
         entrance = np.abs(wg._pump_spectrum0(pump, grid))
-        assert np.max(np.abs(np.abs(prop.pump_mid) - entrance)) < 1e-12 * entrance.max()
+        energy = np.sum(entrance**2)
+        for pump_pos in prop.pump_fields():
+            assert abs(np.sum(wg._mag_squared(pump_pos)) - energy) < 1e-12 * energy
+            spec = np.abs(wg.to_spectral(pump_pos))
+            assert np.max(np.abs(spec - entrance)) < 1e-12 * entrance.max()
+
+    def test_pump_fields_start_at_half_step(self, crystal, pump, grid):
+        # one field per step, the first at z = dz/2 from the entrance face
+        prop = wg._Propagator(crystal, pump, grid)
+        fields = list(prop.pump_fields())
+        assert len(fields) == grid.n_z
+        first = wg.to_position(prop.pump0 * np.exp(0.5j * prop.phase_pmp * prop.dz))
+        np.testing.assert_array_equal(fields[0], first)
 
     def test_walkoff_drift_slope(self, pump, grid, bbo29, bbo313, bbo40):
         # the reference frame moves with the pump's group slowness and
@@ -144,13 +158,11 @@ class TestPumpField:
         center = np.array([grid.n_t // 2, grid.n_x // 2])
         for crystal in (bbo29, bbo313, bbo40):
             prop = wg._Propagator(crystal, pump, grid)
-            pump_spec = prop.pump_mid  # at z = dz/2
-            for _ in range(grid.n_z):
-                intensity = np.abs(wg.to_position(pump_spec)) ** 2
+            for pump_pos in prop.pump_fields():
+                intensity = np.abs(pump_pos) ** 2
                 centroid = [np.average(np.arange(n), weights=intensity.sum(axis=other))
                             for n, other in ((grid.n_t, (1, 2)), (grid.n_x, (0, 2)))]
                 assert np.max(np.abs(centroid - center)) < 0.01
-                pump_spec = pump_spec * prop.pump_step
 
 
 class TestPropagate:
@@ -167,20 +179,20 @@ class TestPropagate:
 
     def test_bogoliubov_determinant(self, crystal, pump, grid):
         prop = wg._Propagator(crystal, pump, grid)
-        pump_pos = wg.to_position(prop.pump_mid)
-        ch, psh = prop._bogoliubov_tables(pump_pos, pump.l_nl)
-        assert ch.dtype == np.float64 and psh.dtype == np.complex128
-        det = ch**2 - np.abs(psh) ** 2
-        assert np.max(np.abs(det - 1.0)) < 1e-12
+        for pump_pos in prop.pump_fields():
+            ch, psh = prop._bogoliubov_tables(pump_pos, pump.l_nl)
+            assert ch.dtype == np.float64 and psh.dtype == np.complex128
+            det = ch**2 - np.abs(psh) ** 2
+            assert np.max(np.abs(det - 1.0)) < 1e-12
 
     def test_bogoliubov_tables_at_zero_pump(self, crystal, pump, grid):
         # m = 0 everywhere: the sinh(m)/m branch must not divide by zero
         prop = wg._Propagator(crystal, pump, grid)
-        pump_pos = wg.to_position(prop.pump_mid)
-        with np.errstate(all="raise"):
-            ch, psh = prop._bogoliubov_tables(pump_pos, np.inf)
-        assert np.all(ch == 1.0)
-        assert np.all(psh == 0.0)
+        for pump_pos in prop.pump_fields():
+            with np.errstate(all="raise"):
+                ch, psh = prop._bogoliubov_tables(pump_pos, np.inf)
+            assert np.all(ch == 1.0)
+            assert np.all(psh == 0.0)
 
     def test_run_batch_matches_reference_strang(self, crystal, pump, grid):
         strong = replace(pump, l_nl=2e-3)  # gain 1
@@ -538,3 +550,40 @@ class TestLowGainOracle:
         total_w = float(np.sum(w * n_modes))
         total_q = float(np.sum(q * n_modes))
         assert total_w == pytest.approx(total_q, rel=0.15)
+
+
+def _neg_k(a):
+    """a at -k for every mode k (indices mod the grid) of the last three axes."""
+    return np.roll(a[..., ::-1, ::-1, ::-1], 1, axis=(-3, -2, -1))
+
+
+class TestPairOracle:
+    """A pump much wider than the window puts the whole pump in the spectral
+    cell q = 0, so its position field is uniform and the nonlinear step
+    couples mode k only to -k.  Each pair (a_k, a*_-k) then follows the
+    Strang splitting of the plane-wave parametric amplifier, a product of
+    2x2 matrices that needs no FFT; the engine must reproduce it to
+    rounding at any gain."""
+
+    @pytest.mark.parametrize("gain", [0.1, 3.0, 8.0])
+    def test_run_batch_matches_pair_recursion(self, crystal, grid, gain):
+        wide = pt.PumpSpec(tau_p=np.inf, w_p=np.inf, l_nl=crystal.length / gain)
+        prop = wg._Propagator(crystal, wide, grid)
+        peak = prop.pump0.flat[0]
+        assert np.max(np.abs(prop.pump0.ravel()[1:])) <= 1e-15 * abs(peak)
+
+        probes = np.ones((2,) + grid.shape) * np.array([1.0, 1j])[:, None, None, None]
+        half_linear = np.exp(0.5j * prop.phase_sig * prop.dz)
+        want = probes * half_linear
+        m = abs(peak) / np.sqrt(grid.n_modes) * prop.dz / wide.l_nl
+        for step in range(grid.n_z):
+            # the uniform pump's phase at z = (step + 1/2) dz
+            s = np.sinh(m) * np.exp(1j * (np.angle(peak) + prop.phase_pmp.flat[0]
+                                          * (step + 0.5) * prop.dz))
+            want = np.cosh(m) * want + s * np.conj(_neg_k(want))
+            if step < grid.n_z - 1:
+                want = want * np.exp(1j * prop.phase_sig * prop.dz)
+        want = want * half_linear
+
+        got = prop.run_batch(probes.copy(), wide.l_nl)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
