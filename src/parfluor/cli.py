@@ -197,24 +197,26 @@ def build_crystal(config: dict) -> dm.CrystalSpec:
 def build_lambdas(config: dict, section: str, crystal: dm.CrystalSpec,
                   box_pump: pt.PumpSpec | None = None) -> np.ndarray:
     """The wavelength grid [nm] of a phasematch or pert_flux section, whose
-    ends must lie in the crystal's window_nm, and so must the idler
-    1/(1/lambda_p - 1/lambda) of each end longer than the pump; the idler
-    wavelength falls as the signal's rises, so the ends bound the grid's.
-    With box_pump, the exact quadrature's pump, so must the low-frequency
-    edge of each end's idler box; an edge at or below zero frequency is
-    outside."""
+    ends must be longer than the pump wavelength and lie in the crystal's
+    window_nm, and so must the idler 1/(1/lambda_p - 1/lambda) of each end;
+    the idler wavelength falls as the signal's rises, so the ends bound the
+    grid's.  With box_pump, the exact quadrature's pump, so must the
+    low-frequency edge of each end's idler box; an edge at or below zero
+    frequency is outside."""
     s = config[section]
     lam_p = config["crystal"]["pump_wavelength_nm"]
     lo, hi = window = crystal.sellmeier_o.window_nm
     for end in ("lambda_min_nm", "lambda_max_nm"):
         key, lam = f"{section}.{end}", s[end]
         _check_wavelength(key, lam, window)
-        if lam > lam_p:
-            idler = 1.0 / (1.0 / lam_p - 1.0 / lam)
-            if not lo <= idler <= hi:
-                raise ConfigError(f"'{key}' = {lam:g} nm pairs with an idler at "
-                                  f"{idler:.1f} nm, outside the material's window_nm "
-                                  f"[{lo:g}, {hi:g}] nm")
+        if lam <= lam_p:
+            raise ConfigError(f"'{key}' = {lam:g} nm is not longer than the pump "
+                              f"wavelength {lam_p:g} nm, so it leaves no idler frequency")
+        idler = 1.0 / (1.0 / lam_p - 1.0 / lam)
+        if not lo <= idler <= hi:
+            raise ConfigError(f"'{key}' = {lam:g} nm pairs with an idler at "
+                              f"{idler:.1f} nm, outside the material's window_nm "
+                              f"[{lo:g}, {hi:g}] nm")
         if box_pump is not None:
             edge = (crystal.pump_center_omega - dm.TWO_PI * dm.C_LIGHT / (lam * 1e-9)
                     - pt._half_widths(box_pump)[0])

@@ -192,26 +192,24 @@ class _Propagator:
                           - rho_ref * kx3)
         self.pump0 = _pump_spectrum0(pump, grid)
 
-    def pump_fields(self):
-        """Yield the pump's position field at z = (j + 1/2) dz, where step j
-        samples it, for each of the n_z steps."""
+    def steps(self, l_nl):
+        """Yield the pointwise step's tables (cosh m, g_dz sinh(m)/m) at
+        nonlinear length l_nl for each of the n_z steps: g_dz = g dz is the
+        pump's position field at z = (j + 1/2) dz, where step j samples it,
+        times dz/l_nl, and m = |g_dz|; the second is (g/|g|) sinh(|g| dz)."""
         pump_spec = self.pump0 * np.exp(0.5j * self.phase_pmp * self.dz)
         pump_step = np.exp(1.0j * self.phase_pmp * self.dz)
         for step in range(self.grid.n_z):
             if step:
                 pump_spec *= pump_step
-            yield to_position(pump_spec)
-
-    def _bogoliubov_tables(self, pump_pos, l_nl):
-        """cosh(m) and g_dz sinh(m)/m for the pointwise two-quadrature step,
-        with g_dz = g dz and m = |g_dz|; the second is (g/|g|) sinh(|g| dz)."""
-        g_dz = pump_pos * (self.dz / l_nl)
-        m = np.abs(g_dz)
-        ch = np.cosh(m)
-        sh = np.sinh(m)
-        # where m = 0, g_dz is 0 too, so the skipped entries never matter
-        g_dz *= np.divide(sh, m, out=sh, where=m > 0)
-        return ch, g_dz
+            g_dz = to_position(pump_spec)
+            g_dz *= self.dz / l_nl
+            m = np.abs(g_dz)
+            ch = np.cosh(m)
+            sh = np.sinh(m)
+            # where m = 0, g_dz is 0 too, so the skipped entries never matter
+            g_dz *= np.divide(sh, m, out=sh, where=m > 0)
+            yield ch, g_dz
 
     def run_batch(self, batch: np.ndarray, l_nl: float) -> np.ndarray:
         """Propagate a (realizations, n_t, n_x, n_y) complex128 spectral
@@ -227,8 +225,7 @@ class _Propagator:
         half_linear = np.exp(0.5j * self.phase_sig * self.dz)
         full_linear = np.exp(1.0j * self.phase_sig * self.dz)
         a *= half_linear
-        for step, pump_pos in enumerate(self.pump_fields()):
-            ch, psh = self._bogoliubov_tables(pump_pos, l_nl)
+        for step, (ch, psh) in enumerate(self.steps(l_nl)):
             pos = to_position(a, overwrite_x=True)
             np.conjugate(pos, out=conj)
             conj *= psh
@@ -328,20 +325,6 @@ def _mode_lambda_alpha(crystal: dm.CrystalSpec, grid: SimulationGrid):
     return lam_nm.ravel(), np.degrees(pmm.exterior_angle(w3, kperp)).ravel()
 
 
-def _bin_of_modes(lam, alpha, lam_edges, alpha_edges) -> np.ndarray:
-    """Flat bin index of every grid mode from its _mode_lambda_alpha, and -1
-    for modes outside the edges or beyond the vacuum light cone.  The top
-    edge of each axis belongs to its last bin."""
-    n_lambda = len(lam_edges) - 1
-    n_alpha = len(alpha_edges) - 1
-    li = np.digitize(lam, lam_edges) - 1
-    ai = np.digitize(alpha, alpha_edges) - 1
-    li[lam == lam_edges[-1]] = n_lambda - 1
-    ai[alpha == alpha_edges[-1]] = n_alpha - 1
-    inside = ~np.isnan(alpha) & (li >= 0) & (li < n_lambda) & (ai >= 0) & (ai < n_alpha)
-    return np.where(inside, li * n_alpha + ai, -1)
-
-
 def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalSpec,
                       grid: SimulationGrid, n_lambda: int = 48,
                       n_alpha: int = 40) -> FluxMap:
@@ -357,15 +340,11 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalS
     ok = ~np.isnan(alpha)
     lam_edges = np.linspace(lam[ok].min(), lam[ok].max(), n_lambda + 1)
     alpha_edges = np.linspace(0.0, alpha[ok].max(), n_alpha + 1)
-    bins = _bin_of_modes(lam, alpha, lam_edges, alpha_edges)
-    inside = bins >= 0
-    flat = bins[inside]
-    stderr = stderr.ravel()[inside]
-
-    size = n_lambda * n_alpha
-    counts = np.bincount(flat, minlength=size)
-    sums = np.bincount(flat, weights=flux.ravel()[inside], minlength=size)
-    errsq = np.bincount(flat, weights=stderr**2, minlength=size)
+    # numpy's rules: the top edge of each axis belongs to its last bin, and
+    # the NaN angles of modes beyond the light cone fall in no bin
+    counts, sums, errsq = (
+        np.histogram2d(lam, alpha, [lam_edges, alpha_edges], weights=weights)[0]
+        for weights in (None, flux.ravel(), stderr.ravel() ** 2))
 
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
@@ -374,9 +353,9 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalS
     return FluxMap(
         lambda_edges_nm=lam_edges,
         alpha_edges_deg=alpha_edges,
-        flux=mean.reshape(n_lambda, n_alpha),
-        stderr=err.reshape(n_lambda, n_alpha),
-        n_modes=counts.reshape(n_lambda, n_alpha),
+        flux=mean,
+        stderr=err,
+        n_modes=counts.astype(int),
     )
 
 

@@ -229,17 +229,26 @@ class TestConfigHandling:
         assert code == 2
         assert "'crystal.material'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, lam", [("phasematch", 300.0), ("pert-flux", 400.0)])
-    def test_signal_not_longer_than_pump_exits_3(self, tmp_path, capsys, command, lam):
-        section = command.replace("-", "_")
+    @pytest.mark.parametrize("lam", [300.0, 400.0])
+    @pytest.mark.parametrize("argv", [
+        ["phasematch"],
+        ["pert-flux", "--method", "closed_form"],
+        ["pert-flux", "--method", "gaussianized"],
+        ["pert-flux", "--method", "exact"],
+    ], ids=["phasematch", "closed_form", "gaussianized", "exact"])
+    def test_signal_not_longer_than_pump_exits_2(self, tmp_path, capsys, argv, lam):
+        # refused before any arithmetic on every route: no warning, and no
+        # output directory
+        key = f"{argv[0].replace('-', '_')}.lambda_min_nm"
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli.main([command, "--set", f"{section}.lambda_min_nm={lam}",
-                             "--out", str(tmp_path / "out")])
-        assert code == 3
+            code = cli.main([*argv, "--set", f"{key}={lam}", "--out", str(out)])
+        assert code == 2
         err = capsys.readouterr().err
-        assert "OutOfDispersionWindow" in err
-        assert f"signal wavelength {lam:.1f} nm" in err and "pump wavelength 400.0 nm" in err
+        assert f"'{key}' = {lam:g} nm is not longer than the pump wavelength 400 nm" in err
+        assert "leaves no idler frequency" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["phasematch", "--set", "phasematch.n_points=3"],

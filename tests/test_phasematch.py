@@ -8,7 +8,7 @@ from scipy.constants import c as C_LIGHT
 
 from parfluor import dispersion as dm
 from parfluor import phasematch as pm
-from parfluor.errors import EvanescentMode
+from parfluor.errors import EvanescentMode, OutOfDispersionWindow
 
 from conftest import omega_of_nm
 
@@ -131,6 +131,14 @@ class TestPerfectCurve:
         # k_max at this wavelength once rounded past the idler light cone
         crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400.0 * 1e-9)
         assert np.isfinite(pm.perfect_curve(omega_of_nm(648.4989993328886), crystal))
+
+    @pytest.mark.parametrize("ratio", [1.0, 4.0 / 3.0])
+    def test_signal_not_longer_than_pump_raises(self, bbo29, ratio):
+        # at and above the pump frequency a signal leaves no idler frequency;
+        # one such row fails the whole solve
+        omega = np.array([omega_of_nm(800.0), ratio * bbo29.pump_center_omega])
+        with pytest.raises(OutOfDispersionWindow, match="not longer than the pump"):
+            pm.perfect_curve(omega, bbo29)
 
 
 class TestExteriorAngle:

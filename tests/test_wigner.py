@@ -61,6 +61,14 @@ def _reference_strang(prop, batch, l_nl):
     return a * half_linear
 
 
+def _pump_fields(prop):
+    """The pump's position field at z = (j + 1/2) dz for each of the n_z
+    steps, each phased from the entrance face at once, with no stepping."""
+    for step in range(prop.grid.n_z):
+        z = (step + 0.5) * prop.dz
+        yield wg.to_position(prop.pump0 * np.exp(1j * prop.phase_pmp * z))
+
+
 class TestGrid:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -131,24 +139,29 @@ class TestPumpField:
         assert (it, ix, iy) == (grid.n_t // 2, grid.n_x // 2, grid.n_y // 2)
 
     def test_spectral_norm_z_independent(self, crystal, pump, grid):
-        # real phase rates turn only phases: every field pump_fields yields
+        # real phase rates turn only phases: the pump field of every step
         # keeps the entrance energy, and every pump mode its magnitude
         prop = wg._Propagator(crystal, pump, grid)
         assert np.isrealobj(prop.phase_pmp)
         entrance = np.abs(wg._pump_spectrum0(pump, grid))
         energy = np.sum(entrance**2)
-        for pump_pos in prop.pump_fields():
+        for pump_pos in _pump_fields(prop):
             assert abs(np.sum(wg._mag_squared(pump_pos)) - energy) < 1e-12 * energy
             spec = np.abs(wg.to_spectral(pump_pos))
             assert np.max(np.abs(spec - entrance)) < 1e-12 * entrance.max()
 
-    def test_pump_fields_start_at_half_step(self, crystal, pump, grid):
-        # one field per step, the first at z = dz/2 from the entrance face
+    def test_steps_sample_the_pump_at_half_steps(self, crystal, pump, grid):
+        # one pair of tables per step, step j's built from the pump field at
+        # z = (j + 1/2) dz; bounds are absolute, since the tails are ~1e-19
         prop = wg._Propagator(crystal, pump, grid)
-        fields = list(prop.pump_fields())
-        assert len(fields) == grid.n_z
-        first = wg.to_position(prop.pump0 * np.exp(0.5j * prop.phase_pmp * prop.dz))
-        np.testing.assert_array_equal(fields[0], first)
+        tables = list(prop.steps(pump.l_nl))
+        assert len(tables) == grid.n_z
+        for (ch, psh), pump_pos in zip(tables, _pump_fields(prop)):
+            g_dz = pump_pos * (prop.dz / pump.l_nl)
+            m = np.abs(g_dz)
+            want = g_dz * np.sinh(m) / m
+            assert np.max(np.abs(ch - np.cosh(m))) < 1e-13
+            assert np.max(np.abs(psh - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_walkoff_drift_slope(self, pump, grid, bbo29, bbo313, bbo40):
         # the reference frame moves with the pump's group slowness and
@@ -158,7 +171,7 @@ class TestPumpField:
         center = np.array([grid.n_t // 2, grid.n_x // 2])
         for crystal in (bbo29, bbo313, bbo40):
             prop = wg._Propagator(crystal, pump, grid)
-            for pump_pos in prop.pump_fields():
+            for pump_pos in _pump_fields(prop):
                 intensity = np.abs(pump_pos) ** 2
                 centroid = [np.average(np.arange(n), weights=intensity.sum(axis=other))
                             for n, other in ((grid.n_t, (1, 2)), (grid.n_x, (0, 2)))]
@@ -179,8 +192,7 @@ class TestPropagate:
 
     def test_bogoliubov_determinant(self, crystal, pump, grid):
         prop = wg._Propagator(crystal, pump, grid)
-        for pump_pos in prop.pump_fields():
-            ch, psh = prop._bogoliubov_tables(pump_pos, pump.l_nl)
+        for ch, psh in prop.steps(pump.l_nl):
             assert ch.dtype == np.float64 and psh.dtype == np.complex128
             det = ch**2 - np.abs(psh) ** 2
             assert np.max(np.abs(det - 1.0)) < 1e-12
@@ -188,11 +200,10 @@ class TestPropagate:
     def test_bogoliubov_tables_at_zero_pump(self, crystal, pump, grid):
         # m = 0 everywhere: the sinh(m)/m branch must not divide by zero
         prop = wg._Propagator(crystal, pump, grid)
-        for pump_pos in prop.pump_fields():
-            with np.errstate(all="raise"):
-                ch, psh = prop._bogoliubov_tables(pump_pos, np.inf)
-            assert np.all(ch == 1.0)
-            assert np.all(psh == 0.0)
+        with np.errstate(all="raise"):
+            for ch, psh in prop.steps(np.inf):
+                assert np.all(ch == 1.0)
+                assert np.all(psh == 0.0)
 
     def test_run_batch_matches_reference_strang(self, crystal, pump, grid):
         strong = replace(pump, l_nl=2e-3)  # gain 1
@@ -269,6 +280,24 @@ class TestAzimuthalAverage:
         assert fmap.n_modes.sum() == grid.n_modes
         filled = fmap.n_modes > 0
         assert np.allclose(fmap.flux[filled], 0.25)
+
+    @pytest.mark.filterwarnings("error")
+    def test_modes_beyond_the_light_cone_fall_in_no_bin(self, bbo29):
+        # a 2 um beam's 8x window reaches transverse wavevectors whose modes
+        # cannot refract out: their angle is NaN, and no bin holds them
+        grid = wg.SimulationGrid(n_t=32, n_x=32, n_y=32, span_t=480e-15,
+                                 span_x=16e-6, span_y=16e-6, n_z=1)
+        refracting = ~np.isnan(wg._mode_lambda_alpha(bbo29, grid)[1])
+        assert refracting.sum() == grid.n_modes - 1064
+        flux = np.random.default_rng(3).random(grid.shape)
+        stderr = np.full(grid.shape, np.nan)
+        fmap = wg.azimuthal_average(flux, stderr, bbo29, grid, n_lambda=12, n_alpha=9)
+        assert np.issubdtype(fmap.n_modes.dtype, np.integer)
+        assert fmap.n_modes.sum() == refracting.sum()
+        filled = fmap.n_modes > 0
+        binned = np.sum(fmap.flux[filled] * fmap.n_modes[filled])
+        assert binned == pytest.approx(flux.ravel()[refracting].sum(), rel=1e-12)
+        assert not np.any(np.isfinite(fmap.stderr))
 
     def test_synthetic_radial_profile(self, crystal, grid):
         w, kx, ky = wg._mode_frequencies(crystal, grid)
@@ -495,8 +524,16 @@ def perturbative_bin_means(fmap: wg.FluxMap, grid: wg.SimulationGrid,
     w, kx, ky = wg._mode_frequencies(crystal, grid)
     w3, kx3, ky3 = (a.ravel() for a in np.meshgrid(w, kx, ky, indexing="ij"))
 
-    bins = wg._bin_of_modes(*wg._mode_lambda_alpha(crystal, grid), fmap.lambda_edges_nm,
-                            fmap.alpha_edges_deg)
+    # numpy's histogram rule: the top edge belongs to the last bin, and
+    # values outside the edges or NaN fall in no bin
+    index = []
+    for x, edges in zip(wg._mode_lambda_alpha(crystal, grid),
+                        (fmap.lambda_edges_nm, fmap.alpha_edges_deg)):
+        i = np.searchsorted(edges, x, side="right") - 1
+        i[x == edges[-1]] -= 1
+        index.append(np.where((i >= 0) & (i < len(edges) - 1), i, -1))
+    li, ai = index
+    bins = np.where((li >= 0) & (ai >= 0), li * fmap.flux.shape[1] + ai, -1)
     order = np.argsort(bins, kind="stable")  # each bin's members in mode order
     bounds = np.searchsorted(bins[order], np.arange(fmap.flux.size + 1))
 
