@@ -3,9 +3,9 @@
 Three routes to the mean mode occupation n(kappa), cross-checking each other
 (spectrum_along_curve's methods):
 
-* closed_form: an estimate on the perfectly matched surface, from the
-  Gaussian pump and the linearized mismatch, at every point of the surface
-  table (phasematch.scan_curve);
+* closed_form: an estimate from the Gaussian pump and the linearized
+  mismatch, at every point of the surface table (phasematch.scan_curve) or
+  at any signal off it, such as every mode of a Wigner grid;
 * exact: a direct 3D quadrature of the pair-generation integral with the
   exact sinc^2 phase-matching factor, at any array of signals (the
   reference the others are judged against);
@@ -85,20 +85,24 @@ def pump_spectrum(kappa_p: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: Pump
 
 def flux_closed_form(coeffs: pmm.LinearizedCoeffs, crystal: dm.CrystalSpec,
                      pump: PumpSpec):
-    """Closed-form occupation on the matched surface from expansion coefficients
-    (see phasematch.linearize), elementwise over array-valued coefficients
-    and NaN where they are.
+    """Closed-form occupation at the signals of expansion coefficients (see
+    phasematch.linearize): the matched surface or any grid mode, elementwise
+    over array-valued coefficients and NaN where they are.
 
-    Exact Gaussian integral of the gaussianized quadrature integrand; the
-    walk-off terms carry the 1/3 of the exp(-x^2/3) sinc^2 surrogate, so the
-    two routes agree to quadrature tolerance.
+    Exact Gaussian integral of the gaussianized quadrature integrand, the
+    sinc^2 replaced by exp(-(L dk)^2 / 12) and dk linearized around the
+    pair's own mismatch dk0; the walk-off terms carry the 1/3 of that
+    surrogate, so the two routes agree to quadrature tolerance.  Off the
+    surface the mismatch suppresses the flux by exp(-(L dk0)^2 / (3 bracket)),
+    which is exactly 1 on it.
     """
     L = crystal.length
     temporal = (L * coeffs.d_beta1 / pump.tau_p) ** 2
     spatial = L**2 * (coeffs.d_rho_px**2 + coeffs.d_rho_py**2) / pump.w_p**2
     bracket = 4.0 + (spatial + temporal) / 3.0
     return (pump.w_p**2 * pump.tau_p / (4.0 * np.pi**1.5)
-            * (L / pump.l_nl) ** 2 / np.sqrt(bracket))
+            * (L / pump.l_nl) ** 2 / np.sqrt(bracket)
+            * np.exp(-(L * coeffs.dk0) ** 2 / (3.0 * bracket)))
 
 
 def _half_widths(pump: PumpSpec):

@@ -26,14 +26,19 @@ from .errors import OutOfDispersionWindow
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
-    """First-order expansion coefficients of the mismatch around the matched
-    points at omega_obs; every field is a scalar or an array of one shape,
-    and all but the two frequencies are NaN where omega_obs has no match.
+    """First-order expansion coefficients of the mismatch around the pairs of
+    signals (omega_obs, k0, ky) with their idlers (2*omega0 - omega_obs, -k0,
+    -ky) and the central pump component; the fields broadcast together (on
+    a surface table, every field is a scalar or an array of one shape), and
+    all but the two frequencies are NaN where omega_obs has no match or the
+    idler is evanescent.
 
+    k0        : the signal's kx [rad/m], the matched |k_perp| on the surface
     d_beta1   : pump-idler inverse-group-velocity difference [s/m]
     d_rho_x/y : pump-signal walk-off differences (dimensionless)
     d_rho_px/py : pump-idler walk-off differences (dimensionless)
-    omega_idler : matched idler frequency 2*omega0 - omega_obs [rad/s]
+    omega_idler : idler frequency 2*omega0 - omega_obs [rad/s]
+    dk0       : the pair's own mismatch delta_k [rad/m], zero on the surface
     """
 
     omega_obs: float
@@ -44,6 +49,7 @@ class LinearizedCoeffs:
     d_rho_y: float
     d_rho_px: float
     d_rho_py: float
+    dk0: float
 
 
 def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
@@ -108,23 +114,35 @@ def exterior_angle(omega_obs, k_trans):
     return np.arcsin(np.where(ratio <= 1.0, ratio, np.nan))
 
 
-def linearize(omega_obs, k0, crystal: dm.CrystalSpec) -> LinearizedCoeffs:
-    """Expansion coefficients of the mismatch at the matched points (omega_obs, k0).
+def linearize(omega_obs, k0, crystal: dm.CrystalSpec, ky=0.0) -> LinearizedCoeffs:
+    """Expansion coefficients of the mismatch around the pairs of the signals
+    (omega_obs, k0, ky): the matched points of the surface at ky = 0, or any
+    grid mode.
 
     Each coefficient is the difference of a pump slope at the central pump
-    component and a fluorescence slope at the signal point (w, k0, 0) or the
-    idler point (2w0 - w, -k0, 0), all in closed form (dispersion.kz_slopes).
+    component and a fluorescence slope at the signal point (w, k0, ky) or the
+    idler point (2w0 - w, -k0, -ky), all in closed form (dispersion.kz_slopes),
+    and dk0 is the pair's mismatch at the central pump component.
     Broadcasts over arrays; where k0 is NaN (no matched point, see
-    perfect_curve) every coefficient but omega_obs and omega_idler is NaN.
+    perfect_curve) or the idler is evanescent, every coefficient but
+    omega_obs and omega_idler is NaN.  An evanescent signal raises
+    EvanescentMode.
     """
     omega = np.asarray(omega_obs, dtype=float)
     k0 = np.asarray(k0, dtype=float)
+    ky = np.asarray(ky, dtype=float)
     omega_idler = crystal.pump_center_omega - omega
+    ky_idler = 0.0 - ky  # +0.0, not -0.0, at ky = 0, where d_rho_py is then +0.0
+    dk0 = delta_k(dm.SpectralPoint(omega, k0, ky),
+                  dm.SpectralPoint(omega_idler, -k0, ky_idler), crystal,
+                  kz_pump=dm.kz_pump_grid(crystal.pump_center_omega, 0.0, 0.0, crystal))
     beta1_pump, rho_pump_x, rho_pump_y = dm.kz_slopes(
         "pump", crystal.pump_center_omega, 0.0, 0.0, crystal)
-    _, rho_sig_x, rho_sig_y = dm.kz_slopes("signal", omega, k0, 0.0, crystal)
-    beta1_idl, rho_idl_x, rho_idl_y = dm.kz_slopes("signal", omega_idler, -k0, 0.0,
-                                                   crystal)
+    _, rho_sig_x, rho_sig_y = dm.kz_slopes("signal", omega, k0, ky, crystal)
+    # NaN where the idler is evanescent, which kz_slopes then passes through
+    kx_idler = np.where(np.isnan(dk0), np.nan, -k0)
+    beta1_idl, rho_idl_x, rho_idl_y = dm.kz_slopes("signal", omega_idler, kx_idler,
+                                                   ky_idler, crystal)
     return LinearizedCoeffs(
         omega_obs=omega,
         omega_idler=omega_idler,
@@ -134,6 +152,7 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec) -> LinearizedCoeffs:
         d_rho_y=rho_pump_y - rho_sig_y,
         d_rho_px=rho_pump_x - rho_idl_x,
         d_rho_py=rho_pump_y - rho_idl_y,
+        dk0=dk0,
     )
 
 

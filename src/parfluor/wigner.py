@@ -26,7 +26,7 @@ realization's own entrance |alpha|^2 (paired).  They are always binned over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sfft
@@ -35,7 +35,7 @@ from . import dispersion as dm
 from . import perturbative as pt
 from . import phasematch as pmm
 from .dispersion import C_LIGHT, TWO_PI
-from .errors import GridUnderresolved, NotConverged
+from .errors import GridUnderresolved, NotConverged, OutOfDispersionWindow
 
 _FFT_WORKERS = -1  # scipy interprets -1 as "all cores"
 
@@ -410,6 +410,22 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
 _PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe
 _CALIB_REL_TOL = 0.2  # accepted relative distance of a probe's total from the target
 _MAX_PROBES = 30
+_MAX_JUMP = 2.0  # largest first step of the log-gain search, from its start or its first probe
+
+
+def predicted_total(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
+                    grid: SimulationGrid) -> float:
+    """Single-pair total photon number of the grid at gain 1 (l_nl = L):
+    mode_volume times the closed-form flux (perturbative.flux_closed_form)
+    summed over every grid mode, a mode whose idler is evanescent counting
+    as zero.  The idlers of the grid's top frequency plane lie a step below
+    its band; where that is outside the material's window, it raises
+    OutOfDispersionWindow."""
+    w, kx, ky = _mode_frequencies(crystal, grid)
+    coeffs = pmm.linearize(w[:, None, None], kx[None, :, None], crystal,
+                           ky=ky[None, None, :])
+    flux = pt.flux_closed_form(coeffs, crystal, replace(pump, l_nl=crystal.length))
+    return grid.mode_volume * float(np.nansum(flux))
 
 
 @dataclass(frozen=True)
@@ -418,15 +434,17 @@ class CalibrationResult:
     total_photons: float
     n_probes: int
     trace: tuple  # the {"gain": L/l_nl, "total"} of each probe, in order
+    predicted_total: float | None  # predicted_total(), None where it raised
     # the _Propagator of all probes, and the last probe's raw _ensemble_flux
     propagator: _Propagator = field(repr=False, compare=False)
     probe: np.ndarray | None = field(repr=False, compare=False)
 
     def summary(self) -> dict:
-        """The manifest's calibration block: the accepted gain and total, and
-        every probe."""
+        """The manifest's calibration block: the accepted gain and total,
+        every probe, and the predicted total at gain 1."""
         return {"gain": self.trace[-1]["gain"], "total_photons": self.total_photons,
-                "n_probes": self.n_probes, "trace": list(self.trace)}
+                "n_probes": self.n_probes, "trace": list(self.trace),
+                "predicted_total_at_gain_1": self.predicted_total}
 
 
 def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
@@ -435,6 +453,9 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     """Adjust the nonlinear length until the total photon number meets the
     target within _CALIB_REL_TOL.
 
+    The search starts at the gain where the single-pair prediction meets the
+    target, the log-gain x0 = log(target / predicted_total) / 2, when the
+    prediction is made, positive and |x0| <= _MAX_JUMP; otherwise at gain 1.
     Probes use the first _PROBE_REALIZATIONS realizations of the ensemble
     (common random numbers), so the total is deterministic and monotone in
     the gain; the search brackets in log-gain and bisects.  All probes share
@@ -445,6 +466,10 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     if target_photons <= 0:
         raise ValueError("target_photons must be positive")
     prop = _Propagator(crystal, pump, grid)
+    try:
+        predicted = predicted_total(crystal, pump, grid)
+    except OutOfDispersionWindow:  # no prediction: the search starts at gain 1
+        predicted = None
     probe_ens = EnsembleSpec(min(_PROBE_REALIZATIONS, ensemble.n_realizations),
                              ensemble.seed)
     trace = []
@@ -455,15 +480,21 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
         trace.append({"gain": crystal.length / l_nl, "total": total})
         return l_nl, total, probe
 
-    x = 0.0  # log(L / l_nl) = log-gain, starting at gain 1
+    x = 0.0  # log(L / l_nl) = log-gain, starting at gain 1 unless predicted
+    if predicted is not None and predicted > 0:
+        x0 = 0.5 * float(np.log(target_photons / predicted))
+        if abs(x0) <= _MAX_JUMP:
+            x = x0
     lo = hi = None
     for _ in range(_MAX_PROBES):
         l_nl, total, probe = probe_at(x)
         if total > 0 and abs(total - target_photons) <= _CALIB_REL_TOL * target_photons:
-            return CalibrationResult(l_nl, total, len(trace), tuple(trace), prop, probe)
+            return CalibrationResult(l_nl, total, len(trace), tuple(trace), predicted,
+                                     prop, probe)
         if len(trace) == 1 and total > 0:
             # quadratic low-gain scaling gives a useful first jump
-            x = float(np.clip(x + 0.5 * np.log(target_photons / total), x - 2.0, x + 2.0))
+            x = float(np.clip(x + 0.5 * np.log(target_photons / total),
+                              x - _MAX_JUMP, x + _MAX_JUMP))
         elif total < target_photons:
             lo = x
             x = 0.5 * (lo + hi) if hi is not None else x + np.log(4.0)

@@ -608,10 +608,30 @@ class TestCalibrateCommand:
                          "--seed", "1", "--realizations", "2",
                          "--target-photons", "50", "--out", str(out)])
         assert code == 0
-        trace = json.loads((out / "manifest.json").read_text())["calibration"]["trace"]
-        assert trace[0]["total"] <= 0
+        cal = json.loads((out / "manifest.json").read_text())["calibration"]
+        # the ring lies outside this window, so nothing seeds the search
+        assert cal["predicted_total_at_gain_1"] == 0.0
+        trace = cal["trace"]
+        assert trace[0]["gain"] == 1.0 and trace[0]["total"] <= 0
         gains = [probe["gain"] for probe in trace]
         assert len(set(gains)) == len(gains)
+
+    def test_search_starts_at_the_predicted_gain(self, tmp_path):
+        # at 29 deg the single-pair prediction of this grid's gain-1 total
+        # (about 20 photons) places the first probe within 20% of the target
+        out = tmp_path / "out"
+        code = cli.main(["calibrate", "--set", "crystal.theta_deg=29",
+                         "--set", "grid.n_t=16", "--set", "grid.n_x=16",
+                         "--set", "grid.n_y=16", "--set", "grid.n_z=20",
+                         "--realizations", "2", "--target-photons", "80",
+                         "--out", str(out)])
+        assert code == 0
+        cal = json.loads((out / "manifest.json").read_text())["calibration"]
+        predicted = cal["predicted_total_at_gain_1"]
+        assert 0 < predicted < 80
+        assert cal["trace"][0]["gain"] == pytest.approx(np.sqrt(80 / predicted), rel=1e-12)
+        assert cal["n_probes"] == 1
+        assert abs(cal["total_photons"] - 80) <= 0.2 * 80
 
     def test_requires_target(self, tmp_path):
         assert cli.main(["calibrate", *TINY_GRID,

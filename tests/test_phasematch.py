@@ -236,6 +236,62 @@ class TestLinearize:
         e1, e2 = err(0.01), err(0.005)
         assert e2 == pytest.approx(e1 / 4, rel=0.2)
 
+    def test_dk0_vanishes_on_the_surface_only(self, bbo313):
+        omega = omega_of_nm(np.linspace(550, 1150, 13))
+        k0 = pm.perfect_curve(omega, bbo313)
+        on = pm.linearize(omega, k0, bbo313).dk0
+        assert np.all(np.abs(on) * bbo313.length < 1e-6)
+        off = pm.linearize(omega, 0.98 * k0, bbo313).dk0
+        assert np.all(np.abs(off) * bbo313.length > 1.0)
+
+    def test_off_surface_expansion_halving_quarters_error(self, bbo313):
+        # around the pair of an off-ring, off-axis signal and its conjugate
+        # idler: dk0 plus the linear terms in the idler's offsets
+        omega = omega_of_nm(700)
+        k0 = float(pm.perfect_curve(omega, bbo313))
+        kx, ky = 0.98 * k0 * np.cos(2.0), 0.98 * k0 * np.sin(2.0)
+        coeffs = pm.linearize(omega, kx, bbo313, ky=ky)
+        signal = dm.SpectralPoint(omega, kx, ky)
+        direction = np.random.default_rng(5).uniform(-1, 1, size=3)
+
+        def err(scale):
+            du, dkx, dky = direction * scale * np.array([0.01 * coeffs.omega_idler, k0, k0])
+            idler = dm.SpectralPoint(coeffs.omega_idler + du, -kx + dkx, -ky + dky)
+            lin = (coeffs.dk0 + coeffs.d_beta1 * du + coeffs.d_rho_px * dkx
+                   + coeffs.d_rho_py * dky)
+            return abs(lin - pm.delta_k(signal, idler, bbo313))
+
+        e1, e2 = err(0.01), err(0.005)
+        assert e2 == pytest.approx(e1 / 4, rel=0.2)
+
+    def test_grid_modes_match_scalar_linearization(self, bbo29):
+        # axes that broadcast to a grid of modes, as the Wigner engine's
+        omega = omega_of_nm(np.array([760.0, 800.0, 840.0]))[:, None, None]
+        kx = np.array([-3e4, 0.0, 5e4])[None, :, None]
+        ky = np.array([0.0, 2e4])[None, None, :]
+        coeffs = pm.linearize(omega, kx, bbo29, ky=ky)
+        assert coeffs.d_beta1.shape == coeffs.dk0.shape == (3, 3, 2)
+        for i, j, k in np.ndindex(3, 3, 2):
+            single = pm.linearize(omega[i, 0, 0], kx[0, j, 0], bbo29, ky=ky[0, 0, k])
+            for name in ("dk0", "d_beta1", "d_rho_x", "d_rho_y", "d_rho_px", "d_rho_py"):
+                assert getattr(coeffs, name)[i, j, k] == pytest.approx(
+                    getattr(single, name), rel=1e-12, abs=1e-300), name
+
+    def test_evanescent_idler_gives_nan_coefficients(self, bbo313):
+        # a 650 nm signal whose |k_perp| lies past the idler's o-ray
+        # wavenumber but inside its own: the signal's slopes stay finite
+        omega = omega_of_nm(650)
+        k_idler = float(dm.k_ordinary(bbo313.pump_center_omega - omega, bbo313))
+        kx = np.array([0.5, 0.6]) * k_idler
+        ky = np.array([0.0, 0.9]) * k_idler
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = pm.linearize(omega, kx, bbo313, ky=ky)
+        for name in ("dk0", "d_beta1", "d_rho_px", "d_rho_py"):
+            value = getattr(coeffs, name)
+            assert np.isfinite(value[0]) and np.isnan(value[1]), name
+        assert np.all(np.isfinite(coeffs.d_rho_x)) and np.all(np.isfinite(coeffs.d_rho_y))
+
 
 class TestScanCurve:
     def test_grid_shaped_table(self, bbo29):

@@ -9,7 +9,7 @@ from parfluor import dispersion as dm
 from parfluor import perturbative as pt
 from parfluor import phasematch as pmm
 from parfluor import wigner as wg
-from parfluor.errors import GridUnderresolved, NotConverged
+from parfluor.errors import GridUnderresolved, NotConverged, OutOfDispersionWindow
 
 from conftest import omega_of_nm
 
@@ -316,7 +316,88 @@ class TestAzimuthalAverage:
             assert np.nanmean(col[good]) == pytest.approx(expected, abs=0.2)
 
 
+# a theta 29 deg grid on which the single-pair prediction seeds the
+# calibration: its gain-1 total is predicted at about 20 photons
+SEEDED_TARGET = 80.0
+
+
+@pytest.fixture(scope="module")
+def seeded_grid():
+    return wg.SimulationGrid(n_t=16, n_x=16, n_y=16, span_t=480e-15,
+                             span_x=640e-6, span_y=640e-6, n_z=20)
+
+
+def first_probe_gain(monkeypatch, target, crystal, pump, grid):
+    """The gain of calibrate_gain's first probe, stopped before it propagates."""
+    class Stop(Exception):
+        pass
+
+    def stop(prop, l_nl, *args, **kwargs):
+        raise Stop(crystal.length / l_nl)
+
+    monkeypatch.setattr(wg, "_ensemble_flux", stop)
+    with pytest.raises(Stop) as probe:
+        wg.calibrate_gain(target, crystal, pump, grid, wg.EnsembleSpec(2, seed=1))
+    return probe.value.args[0]
+
+
+class TestPredictedTotal:
+    def test_near_the_exact_quadrature_at_29(self, bbo29, pump, seeded_grid):
+        # no ring is matched near degeneracy; over every 16th mode the closed
+        # form's total is within 10% of the exact quadrature's, the bound of
+        # test_perturbative's off-surface tests
+        w, kx, ky = wg._mode_frequencies(bbo29, seeded_grid)
+        w3, kx3, ky3 = (a.ravel() for a in np.meshgrid(w, kx, ky, indexing="ij"))
+        gain1 = replace(pump, l_nl=bbo29.length)
+        cf = pt.flux_closed_form(pmm.linearize(w3, kx3, bbo29, ky=ky3), bbo29, gain1)
+        assert wg.predicted_total(bbo29, pump, seeded_grid) == pytest.approx(
+            seeded_grid.mode_volume * cf.sum(), rel=1e-12)
+        exact = pt.flux_quadrature_exact(
+            dm.SpectralPoint(w3[::16], kx3[::16], ky3[::16]), bbo29, gain1)[0]
+        assert cf[::16].sum() / exact.sum() == pytest.approx(1.0, abs=0.1)
+
+    def test_independent_of_l_nl(self, bbo29, pump, seeded_grid):
+        assert (wg.predicted_total(bbo29, replace(pump, l_nl=1e-3), seeded_grid)
+                == wg.predicted_total(bbo29, pump, seeded_grid))
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_first_probe_at_the_predicted_gain(self, bbo29, pump, seeded_grid, seed):
+        predicted = wg.predicted_total(bbo29, pump, seeded_grid)
+        x0 = 0.5 * np.log(SEEDED_TARGET / predicted)
+        assert abs(x0) <= wg._MAX_JUMP
+        cal = wg.calibrate_gain(SEEDED_TARGET, bbo29, pump, seeded_grid,
+                                wg.EnsembleSpec(n_realizations=4, seed=seed))
+        assert cal.trace[0]["gain"] == pytest.approx(np.exp(x0), rel=1e-12)
+        assert cal.n_probes == 1
+        assert abs(cal.total_photons - SEEDED_TARGET) <= 0.2 * SEEDED_TARGET
+        assert cal.summary()["predicted_total_at_gain_1"] == predicted
+
+    def test_starts_at_gain_1_beyond_the_first_jump(self, monkeypatch, crystal, pump,
+                                                    grid):
+        # the fixture's predicted gain-1 total is about 38 photons: 2e4 lies
+        # further than the first jump of the log-gain search
+        predicted = wg.predicted_total(crystal, pump, grid)
+        assert 0.5 * np.log(2e4 / predicted) > wg._MAX_JUMP
+        assert first_probe_gain(monkeypatch, 2e4, crystal, pump, grid) == 1.0
+
+    def test_starts_at_gain_1_where_nothing_is_predicted(self, monkeypatch, bbo40, pump):
+        # at 40 deg the ring lies far outside this window: nothing is predicted
+        tiny = wg.SimulationGrid(8, 8, 8, 480e-15, 640e-6, 640e-6, 8)
+        assert wg.predicted_total(bbo40, pump, tiny) == 0.0
+        assert first_probe_gain(monkeypatch, 50.0, bbo40, pump, tiny) == 1.0
+
+    def test_starts_at_gain_1_where_the_prediction_fails(self, monkeypatch, bbo29):
+        # a 15.2 fs pump on 64 frequencies: the grid's band ends at 2502 nm,
+        # and the idlers of its top plane at 2687 nm, past the 2600 nm window
+        short = pt.PumpSpec(tau_p=15.2e-15, w_p=80e-6, l_nl=2e-3)
+        band = wg.SimulationGrid(64, 8, 8, 8 * short.tau_p, 8 * short.w_p,
+                                 8 * short.w_p, 10)
+        with pytest.raises(OutOfDispersionWindow):
+            wg.predicted_total(bbo29, short, band)
+        assert first_probe_gain(monkeypatch, 50.0, bbo29, short, band) == 1.0
+
     def test_reaches_target_within_tolerance(self, crystal, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=4, seed=99)
         cal = wg.calibrate_gain(2e4, crystal, pump, grid, ens)
@@ -346,7 +427,7 @@ class TestCalibratedReuse:
     def small(self, grid):
         return replace(grid, n_t=16, n_x=8, n_y=8, n_z=10)
 
-    def _counted_run(self, monkeypatch, crystal, pump, grid, ens):
+    def _counted_run(self, monkeypatch, crystal, pump, grid, ens, target=TARGET):
         """A calibrated run_simulation, with the _Propagator builds and the
         fields each run_batch propagated."""
         builds, fields = [], []
@@ -362,7 +443,7 @@ class TestCalibratedReuse:
 
         monkeypatch.setattr(wg, "_Propagator", Counting)
         fmap = wg.run_simulation(crystal, pump, grid, ens, n_lambda=6, n_alpha=4,
-                                 target_photons=self.TARGET)
+                                 target_photons=target)
         return fmap, builds, fields
 
     def test_probe_is_a_fresh_propagation_at_the_returned_l_nl(self, crystal, pump,
@@ -393,13 +474,22 @@ class TestCalibratedReuse:
             want.metadata["total_photons"], rel=1e-12)
         assert got.metadata["calibration"]["reused_realizations"] == min(2, n_real)
 
+    @pytest.mark.parametrize("seeded", [False, True])
     @pytest.mark.parametrize("n_real", [1, 2, 5])
     def test_propagates_each_realization_once(self, monkeypatch, crystal, pump, small,
-                                              n_real):
+                                              bbo29, seeded_grid, n_real, seeded):
         ens = wg.EnsembleSpec(n_realizations=n_real, seed=41)
-        fmap, _, fields = self._counted_run(monkeypatch, crystal, pump, small, ens)
-        n_probes = fmap.metadata["calibration"]["n_probes"]
-        assert n_probes >= 2
+        if seeded:
+            fmap, _, fields = self._counted_run(monkeypatch, bbo29, pump, seeded_grid,
+                                                ens, SEEDED_TARGET)
+        else:
+            fmap, _, fields = self._counted_run(monkeypatch, crystal, pump, small, ens)
+        cal = fmap.metadata["calibration"]
+        n_probes = cal["n_probes"]
+        # from gain 1 the search takes several probes here; seeded, its first
+        # probe runs at the predicted gain
+        assert (cal["trace"][0]["gain"] != 1.0) == seeded
+        assert seeded or n_probes >= 2
         reused = min(2, n_real)
         assert sum(fields) == n_probes * reused + n_real - reused
 
