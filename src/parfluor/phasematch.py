@@ -26,16 +26,15 @@ from .errors import OutOfDispersionWindow
 
 @dataclass(frozen=True)
 class LinearizedCoeffs:
-    """First-order expansion coefficients of the mismatch around the pairs of
-    signals (omega_obs, k0, ky) with their idlers (2*omega0 - omega_obs, -k0,
-    -ky) and the central pump component; the fields broadcast together (on
-    a surface table, every field is a scalar or an array of one shape), and
-    all but the two frequencies are NaN where omega_obs has no match or the
-    idler is evanescent.
+    """First-order expansion coefficients of the mismatch in the idler's
+    offsets, around the pairs of signals (omega_obs, k0, ky) with their
+    idlers (2*omega0 - omega_obs, -k0, -ky) and the central pump component;
+    the fields broadcast together (on a surface table, every field is a
+    scalar or an array of one shape), and all but the two frequencies are
+    NaN where omega_obs has no match or the idler is evanescent.
 
     k0        : the signal's kx [rad/m], the matched |k_perp| on the surface
     d_beta1   : pump-idler inverse-group-velocity difference [s/m]
-    d_rho_x/y : pump-signal walk-off differences (dimensionless)
     d_rho_px/py : pump-idler walk-off differences (dimensionless)
     omega_idler : idler frequency 2*omega0 - omega_obs [rad/s]
     dk0       : the pair's own mismatch delta_k [rad/m], zero on the surface
@@ -45,8 +44,6 @@ class LinearizedCoeffs:
     omega_idler: float
     k0: float
     d_beta1: float
-    d_rho_x: float
-    d_rho_y: float
     d_rho_px: float
     d_rho_py: float
     dk0: float
@@ -120,9 +117,9 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec, ky=0.0) -> LinearizedCoeff
     grid mode.
 
     Each coefficient is the difference of a pump slope at the central pump
-    component and a fluorescence slope at the signal point (w, k0, ky) or the
-    idler point (2w0 - w, -k0, -ky), all in closed form (dispersion.kz_slopes),
-    and dk0 is the pair's mismatch at the central pump component.
+    component and the idler's slope at (2w0 - w, -k0, -ky), both in closed
+    form (dispersion.kz_slopes), and dk0 is the pair's mismatch at the
+    central pump component.
     Broadcasts over arrays; where k0 is NaN (no matched point, see
     perfect_curve) or the idler is evanescent, every coefficient but
     omega_obs and omega_idler is NaN.  An evanescent signal raises
@@ -138,7 +135,6 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec, ky=0.0) -> LinearizedCoeff
                   kz_pump=dm.kz_pump_grid(crystal.pump_center_omega, 0.0, 0.0, crystal))
     beta1_pump, rho_pump_x, rho_pump_y = dm.kz_slopes(
         "pump", crystal.pump_center_omega, 0.0, 0.0, crystal)
-    _, rho_sig_x, rho_sig_y = dm.kz_slopes("signal", omega, k0, ky, crystal)
     # NaN where the idler is evanescent, which kz_slopes then passes through
     kx_idler = np.where(np.isnan(dk0), np.nan, -k0)
     beta1_idl, rho_idl_x, rho_idl_y = dm.kz_slopes("signal", omega_idler, kx_idler,
@@ -148,8 +144,6 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec, ky=0.0) -> LinearizedCoeff
         omega_idler=omega_idler,
         k0=k0,
         d_beta1=beta1_pump - beta1_idl,
-        d_rho_x=rho_pump_x - rho_sig_x,
-        d_rho_y=rho_pump_y - rho_sig_y,
         d_rho_px=rho_pump_x - rho_idl_x,
         d_rho_py=rho_pump_y - rho_idl_y,
         dk0=dk0,

@@ -410,7 +410,7 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
 _PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe
 _CALIB_REL_TOL = 0.2  # accepted relative distance of a probe's total from the target
 _MAX_PROBES = 30
-_MAX_JUMP = 2.0  # largest first step of the log-gain search, from its start or its first probe
+_MAX_JUMP = 2.0  # largest step of the log-gain search, also from gain 1 to its start
 
 
 def predicted_total(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
@@ -458,7 +458,11 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     prediction is made, positive and |x0| <= _MAX_JUMP; otherwise at gain 1.
     Probes use the first _PROBE_REALIZATIONS realizations of the ensemble
     (common random numbers), so the total is deterministic and monotone in
-    the gain; the search brackets in log-gain and bisects.  All probes share
+    the gain.  Each probe steps the log-gain by log(target / total) / s,
+    within +-_MAX_JUMP: s is the log-log secant through this probe and the
+    previous one, but at least 2, as a pair total grows at least as gain^2
+    (a total <= 0 steps +_MAX_JUMP).  A step that leaves the bracket of the
+    probes below and above the target bisects it in log-gain.  All probes share
     one _Propagator, and the returned l_nl is the last probe's, so its
     realizations are the ensemble's at that gain.  Raises NotConverged after
     _MAX_PROBES.
@@ -473,34 +477,33 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     probe_ens = EnsembleSpec(min(_PROBE_REALIZATIONS, ensemble.n_realizations),
                              ensemble.seed)
     trace = []
-
-    def probe_at(log_gain):
-        l_nl = crystal.length / float(np.exp(log_gain))
-        _, _, total, probe = _ensemble_flux(prop, l_nl, probe_ens, paired=True)
-        trace.append({"gain": crystal.length / l_nl, "total": total})
-        return l_nl, total, probe
-
     x = 0.0  # log(L / l_nl) = log-gain, starting at gain 1 unless predicted
     if predicted is not None and predicted > 0:
         x0 = 0.5 * float(np.log(target_photons / predicted))
         if abs(x0) <= _MAX_JUMP:
             x = x0
-    lo = hi = None
+    lo, hi = -np.inf, np.inf  # log-gains whose totals fell below / above the target
+    last_x, last_total = x, 0.0  # the previous probe; a total <= 0 has no secant
     for _ in range(_MAX_PROBES):
-        l_nl, total, probe = probe_at(x)
+        l_nl = crystal.length / float(np.exp(x))
+        _, _, total, probe = _ensemble_flux(prop, l_nl, probe_ens, paired=True)
+        trace.append({"gain": crystal.length / l_nl, "total": total})
         if total > 0 and abs(total - target_photons) <= _CALIB_REL_TOL * target_photons:
             return CalibrationResult(l_nl, total, len(trace), tuple(trace), predicted,
                                      prop, probe)
-        if len(trace) == 1 and total > 0:
-            # quadratic low-gain scaling gives a useful first jump
-            x = float(np.clip(x + 0.5 * np.log(target_photons / total),
-                              x - _MAX_JUMP, x + _MAX_JUMP))
-        elif total < target_photons:
+        if total < target_photons:
             lo = x
-            x = 0.5 * (lo + hi) if hi is not None else x + np.log(4.0)
         else:
             hi = x
-            x = 0.5 * (lo + hi) if lo is not None else x - np.log(4.0)
+        step = _MAX_JUMP
+        if total > 0:
+            # a pair total grows at least as gain^2: log-log slope >= 2
+            slope = 2.0 if last_total <= 0 else max(
+                2.0, float(np.log(total / last_total)) / (x - last_x))
+            step = float(np.clip(np.log(target_photons / total) / slope,
+                                 -_MAX_JUMP, _MAX_JUMP))
+        last_x, last_total = x, total
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
     raise NotConverged(
         f"gain calibration missed {target_photons:.3g} within "
         f"{_CALIB_REL_TOL:.0%} after {_MAX_PROBES} probes")

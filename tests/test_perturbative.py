@@ -34,8 +34,7 @@ def on_surface(lam_nm, crystal):
 def synthetic_coeffs(d_beta1=0.0, d_rho_px=0.0, d_rho_py=0.0):
     return pmm.LinearizedCoeffs(
         omega_obs=omega_of_nm(800), omega_idler=omega_of_nm(800), k0=0.0,
-        d_beta1=d_beta1, d_rho_x=0.0, d_rho_y=0.0,
-        d_rho_px=d_rho_px, d_rho_py=d_rho_py, dk0=0.0)
+        d_beta1=d_beta1, d_rho_px=d_rho_px, d_rho_py=d_rho_py, dk0=0.0)
 
 
 class TestPumpSpec:

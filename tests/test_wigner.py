@@ -398,6 +398,25 @@ class TestCalibration:
             wg.predicted_total(bbo29, short, band)
         assert first_probe_gain(monkeypatch, 50.0, bbo29, short, band) == 1.0
 
+    def test_secant_steps_stay_inside_the_bracket(self, monkeypatch, bbo40, pump):
+        # a total fitted to the theta 31.3 deg cell on a 4w window (13.2
+        # photons at gain 1, 516 at 4.76), searched from gain 1: the secant
+        # meets 300 at the third probe, each probe inside the bracket that
+        # the earlier ones set
+        def ensemble_flux(prop, l_nl, *args, **kwargs):
+            return None, None, 161.78 * np.sinh(bbo40.length / l_nl / 3.5451) ** 2, None
+
+        monkeypatch.setattr(wg, "_ensemble_flux", ensemble_flux)
+        monkeypatch.setattr(wg, "predicted_total", lambda *args: 0.0)
+        tiny = wg.SimulationGrid(8, 8, 8, 480e-15, 640e-6, 640e-6, 8)
+        cal = wg.calibrate_gain(300.0, bbo40, pump, tiny, wg.EnsembleSpec(2, seed=1))
+        assert cal.n_probes <= 3
+        for k in range(1, cal.n_probes):
+            earlier = cal.trace[:k]
+            lo = max((p["gain"] for p in earlier if p["total"] < 300.0), default=0.0)
+            hi = min((p["gain"] for p in earlier if p["total"] > 300.0), default=np.inf)
+            assert lo < cal.trace[k]["gain"] < hi
+
     def test_reaches_target_within_tolerance(self, crystal, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=4, seed=99)
         cal = wg.calibrate_gain(2e4, crystal, pump, grid, ens)
