@@ -195,14 +195,16 @@ def build_crystal(config: dict) -> dm.CrystalSpec:
 
 
 def build_lambdas(config: dict, section: str, crystal: dm.CrystalSpec,
-                  box_pump: pt.PumpSpec | None = None) -> np.ndarray:
+                  box_pump: pt.PumpSpec | None = None,
+                  box_in_window: bool = False) -> np.ndarray:
     """The wavelength grid [nm] of a phasematch or pert_flux section, whose
     ends must be longer than the pump wavelength and lie in the crystal's
     window_nm, and so must the idler 1/(1/lambda_p - 1/lambda) of each end;
     the idler wavelength falls as the signal's rises, so the ends bound the
-    grid's.  With box_pump, the exact quadrature's pump, so must the
-    low-frequency edge of each end's idler box; an edge at or below zero
-    frequency is outside."""
+    grid's.  With box_pump, a quadrature's pump, the low-frequency edge of
+    each end's idler box (perturbative.lowest_idler_omega) must lie above
+    zero frequency, and with box_in_window too, as the exact quadrature
+    needs, in the window."""
     s = config[section]
     lam_p = config["crystal"]["pump_wavelength_nm"]
     lo, hi = window = crystal.sellmeier_o.window_nm
@@ -217,14 +219,18 @@ def build_lambdas(config: dict, section: str, crystal: dm.CrystalSpec,
             raise ConfigError(f"'{key}' = {lam:g} nm pairs with an idler at "
                               f"{idler:.1f} nm, outside the material's window_nm "
                               f"[{lo:g}, {hi:g}] nm")
-        if box_pump is not None:
-            edge = (crystal.pump_center_omega - dm.TWO_PI * dm.C_LIGHT / (lam * 1e-9)
-                    - pt._half_widths(box_pump)[0])
-            edge_nm = dm.TWO_PI * dm.C_LIGHT / edge * 1e9 if edge > 0 else np.inf
-            if not lo <= edge_nm <= hi:
-                raise ConfigError(f"'{key}' = {lam:g} nm has an idler box edge at "
-                                  f"{edge_nm:.1f} nm, outside the material's window_nm "
-                                  f"[{lo:g}, {hi:g}] nm")
+        if box_pump is None:
+            continue
+        edge = pt.lowest_idler_omega(dm.TWO_PI * dm.C_LIGHT / (lam * 1e-9), crystal,
+                                     box_pump)
+        if edge <= 0:
+            raise ConfigError(f"'{key}' = {lam:g} nm has an idler box that reaches "
+                              f"zero frequency")
+        edge_nm = dm.TWO_PI * dm.C_LIGHT / edge * 1e9
+        if box_in_window and not lo <= edge_nm <= hi:
+            raise ConfigError(f"'{key}' = {lam:g} nm has an idler box edge at "
+                              f"{edge_nm:.1f} nm, outside the material's window_nm "
+                              f"[{lo:g}, {hi:g}] nm")
     return np.linspace(s["lambda_min_nm"], s["lambda_max_nm"], s["n_points"])
 
 
@@ -357,7 +363,8 @@ def cmd_pert_flux(config: dict) -> int:
     method = s["method"]
     if method not in pt.METHODS:
         raise ConfigError(f"invalid 'pert_flux.method': {method!r}")
-    lams = build_lambdas(config, "pert_flux", crystal, pump if method == "exact" else None)
+    lams = build_lambdas(config, "pert_flux", crystal,
+                         None if method == "closed_form" else pump, method == "exact")
     alpha, flux, err = pt.spectrum_along_curve(lams, crystal, pump, method=method,
                                                rel_tol=s["quad_rel_tol"])
     table = csv_text({

@@ -36,7 +36,8 @@ _CONE_RTOL = 8.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """One plane-wave component: angular frequency and transverse wavevector.
+    """One plane-wave component: angular frequency and transverse wavevector;
+    the fields may be arrays that broadcast together, a set of components.
 
     omega : rad/s, must be positive
     kx, ky : rad/m
@@ -49,14 +50,6 @@ class SpectralPoint:
     def __post_init__(self):
         if not np.all(np.asarray(self.omega) > 0):
             raise ValueError("omega must be positive")
-
-    def __getitem__(self, rows):
-        """The points at rows of the leading axis, which every field spans;
-        points picked from checked ones are not checked again."""
-        part = object.__new__(SpectralPoint)
-        for name in ("omega", "kx", "ky"):
-            object.__setattr__(part, name, getattr(self, name)[rows])
-        return part
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ Three routes to the mean mode occupation n(kappa), cross-checking each other
   replaced by its Gaussian surrogate exp(-(L dk)^2 / 12) and the mismatch
   linearized, whose analytic integral is the closed form above.
 
-Both quadratures run through one midpoint driver: its idler box follows
-each signal, so the pump components fall on one lattice per refinement
-level, whose weight (and, for the exact route, k_z) is evaluated once for
-all signals.
+Both quadratures run through one midpoint driver over the pump's spectral
+components: the pump component kappa_p feeds the pair of the signal kappa and
+the idler kappa' = kappa_p - kappa, so every signal integrates over one
+lattice of kappa_p per refinement level, whose weight (and, for the exact
+route, k_z) is evaluated once for all signals, and no idler node is built.
 
 Fluxes are reported in mode-occupation units with the pump amplitude scale
 absorbed into the nonlinear length; only ratios and shapes are meaningful,
@@ -61,9 +62,9 @@ SUPPORT_SIGMA = 5.0  # half-width of the idler box in pump-envelope sigmas
 N_INIT = 16
 MAX_DOUBLINGS = 3
 QUAD_REL_TOL = 0.01  # default rel_tol: the Richardson error at which a signal stops doubling
-# nodes the factor evaluates at once, which bounds each temporary of a chunk
-# of signals to 128 kB: one signal's 32-node half box for exact, sixteen
-# signals' 32-node (omega', kx') planes for gaussianized; on the benchmark's
+# lattice nodes the factor evaluates at once, which bounds each temporary of a
+# chunk of signals to 128 kB: one signal's 32-node half box for exact, sixteen
+# signals' 32-node (omega, kx) lattice planes for gaussianized; on the benchmark's
 # four cuts, chunks of 2^13 to 2^16 nodes took the same time to within the
 # noise (about 5%), and 2^16 raised the peak memory by 0.9 MB
 _CHUNK_NODES = 1 << 14
@@ -113,13 +114,12 @@ def _half_widths(pump: PumpSpec):
             SUPPORT_SIGMA / (np.sqrt(2.0) * pump.w_p))
 
 
-def _idler_omega(omega, n, crystal: dm.CrystalSpec, pump: PumpSpec):
-    """Frequencies omega' of the n midpoint nodes along the idler box of the
-    signal at each frequency of the column omega, one row each."""
-    half_u = _half_widths(pump)[0]
-    t = np.arange(n) + 0.5
-    return ((crystal.pump_center_omega - omega) - half_u
-            + (t * (2.0 * half_u / n))[:, None, None])
+def lowest_idler_omega(omega, crystal: dm.CrystalSpec, pump: PumpSpec):
+    """Lowest idler frequency omega_p - omega - half_u [rad/s] the quadratures
+    reach for a signal at omega: the low-frequency edge of its idler box,
+    which must lie above zero (and, for the exact route, in the dispersion
+    window)."""
+    return crystal.pump_center_omega - np.asarray(omega) - _half_widths(pump)[0]
 
 
 def _columns(kappa: dm.SpectralPoint):
@@ -131,42 +131,40 @@ def _columns(kappa: dm.SpectralPoint):
 
 def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec,
                 rel_tol: float, factor):
-    """Integral over the idler box of each signal of kappa (array-valued; a
-    scalar is a batch of one) of the squared pump amplitude times a
-    phase-matching factor.
+    """Integral over the pump components kappa_p of the squared pump amplitude
+    times a phase-matching factor of the pair (kappa, kappa_p - kappa), at each
+    signal of kappa (array-valued; a scalar is a batch of one).
 
-    Each box is centred on the conjugate point of its signal, so the pump
-    component kappa + kappa' falls on one lattice, the pump carrier +- half_u by
-    +-half_k by +-half_k, for every signal.  Per level the lattice, its weight
-    and the idler nodes kappa' = kappa_p - kappa of the signals still doubling
-    are built once, and factor(kappa_p), given the lattice broadcast over
-    three axes, returns the function at(rows, signal, idler) that evaluates
-    the factor of the signals at those flat indices of kappa (a 1-D array):
-    the signal points and idler nodes carry a leading row axis, and the
-    idler nodes broadcast over it and the three box axes.  It returns one
-    row per index over the box, or over its (omega', kx') plane where the
-    factor does not vary along ky', which is then summed against the weight
-    summed over ky'.  Its NaN values (evanescent idlers) count as zero.  A
-    signal with ky = 0 sees only the ky' > 0 half of its box, each node
-    counted twice, so the factor must be even in ky' there.
+    kappa_p runs over one lattice, the pump carrier +- half_u by +-half_k by
+    +-half_k, for every signal: it is the idler box of each signal, centred
+    on its conjugate point, shifted by the signal.  Per level the lattice
+    and its weight are built once, and factor(kappa_p), given the lattice
+    broadcast over three axes, returns the function at(rows) that evaluates
+    the factor of the signals at those flat indices of kappa (a 1-D array),
+    each with the idler kappa_p - kappa implicit: one row per index over
+    the lattice, or over its (omega, kx) plane where the factor does not
+    vary along kappa_p.ky, which is then summed against the weight summed
+    over kappa_p.ky.  Its NaN values (evanescent idlers) count as zero.  A
+    signal with ky = 0 sees only the kappa_p.ky > 0 half of the lattice,
+    each node counted twice, so the factor must be even in kappa_p.ky there.
 
     Midpoint rule, doubled for each signal until its Richardson-extrapolated
     value settles within rel_tol; returns ((L / l_nl)^2 * integral,
-    err_rel), each of kappa's shape.
+    err_rel), each of kappa's shape.  A signal whose idler box reaches zero
+    frequency (lowest_idler_omega) raises OutOfDispersionWindow.
     """
     omega_p = crystal.pump_center_omega
     half_u, half_k = _half_widths(pump)
     shape = np.broadcast(kappa.omega, kappa.kx, kappa.ky).shape
-    omega, kx, ky = _columns(kappa)
-    near = omega_p - omega <= half_u
+    omega, _, ky = _columns(kappa)
+    near = lowest_idler_omega(omega, crystal, pump) <= 0.0
     if np.any(near):
         raise OutOfDispersionWindow(f"the idler box of the signal at omega="
-                                    f"{omega[near][0]:.6g} reaches omega' <= 0")
-    signals = dm.SpectralPoint(omega, kx, ky)
+                                    f"{omega[near][0]:.6g} reaches zero frequency")
     on_axis = ky.ravel() == 0
 
     def level(n, rows):
-        """Midpoint sums at n nodes per axis over the boxes of these rows."""
+        """Midpoint sums at n nodes per axis over the lattice for these rows."""
         dw, dk = 2.0 * half_u / n, 2.0 * half_k / n
         t = np.arange(n) + 0.5
         sums = np.empty(rows.size)
@@ -180,17 +178,11 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
             weight = pump_spectrum(kappa_p, crystal, pump) ** 2 * (
                 dw * dk * dk * (2.0 if half else 1.0))
             part = rows[sel]
-            signal = signals[part]
-            # a half box has ky = 0, so its ky' are the lattice's
-            idler = dm.SpectralPoint(_idler_omega(signal.omega, n, crystal, pump),
-                                     -signal.kx - half_k + (t * dk)[None, :, None],
-                                     kappa_p.ky - signal.ky if half
-                                     else -signal.ky - half_k + t * dk)
             at = factor(kappa_p)
             # one row first: it shows how many nodes the factor evaluates
             c, step, w = 0, 1, None
             while c < part.size:
-                f = at(part[c:c + step], signal[c:c + step], idler[c:c + step])
+                f = at(part[c:c + step])
                 if w is None:
                     w = (weight.sum(axis=-1) if f.shape[-1] == 1 else weight).ravel()
                 f = f.reshape(-1, w.size)
@@ -234,20 +226,20 @@ def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
 
     The signals' k_z is evaluated once per call; per level, the pump's k_z
     on the lattice every signal shares and the idlers' squared wavenumbers,
-    which vary along omega' only; per node, only the idler's k_z and the
-    sinc^2."""
+    which vary along kappa_p.omega only; per node, only the idler's k_z at
+    kappa_p - kappa and the sinc^2."""
     half_length = 0.5 * crystal.length
     omega, kx, ky = _columns(kappa)
     kz_s = dm.kz_signal_grid(omega, kx, ky, crystal)
 
     def sinc2(kappa_p):
         kz_p = dm.kz_pump_grid(kappa_p.omega, kappa_p.kx, kappa_p.ky, crystal)
-        k2_i = dm.k_ordinary(_idler_omega(omega, kappa_p.omega.shape[0], crystal, pump),
-                             crystal) ** 2
+        k2_i = dm.k_ordinary(kappa_p.omega - omega, crystal) ** 2
 
-        def at(rows, signal, idler):
-            h = pmm.delta_k(signal, idler, crystal, kz_pump=kz_p, kz_signal=kz_s[rows],
-                            k2_idler=k2_i[rows])
+        def at(rows):
+            h = kz_p - kz_s[rows] - dm.kz_signal_grid(
+                None, kappa_p.kx - kx[rows], kappa_p.ky - ky[rows], crystal,
+                allow_evanescent=True, k2=k2_i[rows])
             h *= half_length
             h[h == 0.0] = 1e-20  # where sin(h) / h is exactly 1, as in np.sinc
             sinc = np.sin(h)
@@ -266,19 +258,22 @@ def flux_quadrature_gaussianized(coeffs: pmm.LinearizedCoeffs, crystal: dm.Cryst
     NaN where k0 is.
 
     At a matched signal (w, k0, 0) the signal's walk-off terms and d_rho_py
-    are zero, so the mismatch is d_beta1 (w' - w_idler) + d_rho_px (kx' + k0),
-    constant along ky'.
+    are zero, so the mismatch d_beta1 (w' - w_idler) + d_rho_px (kx' + k0)
+    of the idler kappa' = kappa_p - kappa is d_beta1 (kappa_p.omega - 2 w0)
+    + d_rho_px kappa_p.kx: a function of the pump lattice alone, constant
+    along kappa_p.ky.
     """
-    table = np.broadcast_arrays(coeffs.k0, coeffs.omega_obs, coeffs.omega_idler,
-                                coeffs.d_beta1, coeffs.d_rho_px)
+    table = np.broadcast_arrays(coeffs.k0, coeffs.omega_obs, coeffs.d_beta1,
+                                coeffs.d_rho_px)
     ok = np.isfinite(table[0])
-    k0, omega, omega_idler, d_beta1, d_rho_px = (a[ok] for a in table)
+    k0, omega, d_beta1, d_rho_px = (a[ok] for a in table)
 
     def surrogate(kappa_p):
-        def at(rows, signal, idler):
+        du = kappa_p.omega - crystal.pump_center_omega
+
+        def at(rows):
             r = rows[:, None, None, None]
-            x = (d_beta1[r] * (idler.omega - omega_idler[r])
-                 + d_rho_px[r] * (idler.kx + k0[r]))
+            x = d_beta1[r] * du + d_rho_px[r] * kappa_p.kx
             x *= crystal.length
             np.square(x, out=x)
             x /= -12.0

@@ -50,24 +50,22 @@ class LinearizedCoeffs:
 
 
 def delta_k(kappa: dm.SpectralPoint, kappa_prime: dm.SpectralPoint,
-            crystal: dm.CrystalSpec, kz_pump=None, kz_signal=None, k2_idler=None):
+            crystal: dm.CrystalSpec, kz_pump=None):
     """Wavevector mismatch of the pair (kappa, kappa') with its pump component;
     broadcasts over array-valued points.  NaN where the idler kappa' is
     evanescent; an evanescent signal kappa raises EvanescentMode.
 
-    kz_pump, kz_signal and k2_idler, when given, are the pump's k_z at
-    kappa + kappa', the signal's k_z and the idler's squared wavenumber
-    (dispersion.kz_signal_grid's k2), computed once by a caller whose pairs
-    share them."""
+    kz_pump, when given, is the pump's k_z at kappa + kappa', computed once
+    by a caller whose pairs share it (linearize's central pump component).
+    The exact quadrature forms the same difference itself, from the pump
+    lattice with each idler kappa_p - kappa implicit."""
     if kz_pump is None:
         kz_pump = dm.kz_pump_grid(kappa.omega + kappa_prime.omega,
                                   kappa.kx + kappa_prime.kx,
                                   kappa.ky + kappa_prime.ky, crystal)
-    if kz_signal is None:
-        kz_signal = dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
-    return (kz_pump - kz_signal
+    return (kz_pump - dm.kz_signal_grid(kappa.omega, kappa.kx, kappa.ky, crystal)
             - dm.kz_signal_grid(kappa_prime.omega, kappa_prime.kx, kappa_prime.ky,
-                                crystal, allow_evanescent=True, k2=k2_idler))
+                                crystal, allow_evanescent=True))
 
 
 def perfect_curve(omega_obs, crystal: dm.CrystalSpec) -> np.ndarray:

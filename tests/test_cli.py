@@ -205,6 +205,22 @@ class TestConfigHandling:
             assert "'pert_flux.lambda_min_nm'" in err and "box edge at 2708.6 nm" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("method, code", [
+        ("exact", 2), ("gaussianized", 2), ("closed_form", 0)])
+    def test_idler_box_at_zero_frequency_exits_2(self, tmp_path, capsys, method, code):
+        # a 1 fs pulse widens the idler box of either end past zero
+        # frequency: both quadratures refuse it by one rule, while the
+        # closed form integrates no box
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["pert-flux", "--method", method, "--set", "pump.tau_fs=1",
+                             "--set", "pert_flux.n_points=5", "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "'pert_flux.lambda_min_nm'" in err and "reaches zero frequency" in err
+            assert not out.exists()
+
     def test_parser_is_built_once_and_keeps_no_settings(self, tmp_path):
         assert cli.build_parser() is cli.build_parser()
         first, second = tmp_path / "first", tmp_path / "second"

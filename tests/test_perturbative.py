@@ -234,6 +234,16 @@ class TestQuadratures:
         with pytest.raises(OutOfDispersionWindow):
             pt.flux_quadrature_exact(dm.SpectralPoint(w, 0.0, 0.0), bbo313, pump60_80)
 
+    def test_box_at_zero_frequency_is_refused_on_both_routes(self, bbo313, pump60_80):
+        # one rule for both quadratures, on the box's lowest idler frequency
+        w = bbo313.pump_center_omega - 2.5 / (np.sqrt(2.0) * pump60_80.tau_p)
+        assert pt.lowest_idler_omega(w, bbo313, pump60_80) < 0
+        with pytest.raises(OutOfDispersionWindow, match="reaches zero frequency"):
+            pt.flux_quadrature_exact(dm.SpectralPoint(w, 0.0, 0.0), bbo313, pump60_80)
+        with pytest.raises(OutOfDispersionWindow, match="reaches zero frequency"):
+            pt.flux_quadrature_gaussianized(replace(synthetic_coeffs(), omega_obs=w),
+                                            bbo313, pump60_80)
+
 
 class TestBatchedQuadrature:
     """One quadrature call for many signals gives each what a call for that
@@ -261,6 +271,20 @@ class TestBatchedQuadrature:
                 table = pmm.linearize(omega[i:i + 1], k0[i:i + 1], bbo313)
                 one = tuple(a[0] for a in pt.flux_quadrature_gaussianized(
                     table, bbo313, short_pump, self.REL_TOL))
+            assert (flux[i], err[i]) == one
+
+    def test_mixed_axis_rows_equal_single_signal_calls_bitwise(self, bbo313, short_pump):
+        # on-axis rows sum the half box, off-axis rows the full one, in one call
+        lams = np.array([550.0, 700.0, 760.0, 850.0])
+        omega = omega_of_nm(lams)
+        k0 = pmm.perfect_curve(omega, bbo313)
+        kx = k0 * np.array([1.0, 0.6, 1.0, 0.9])
+        ky = k0 * np.array([0.0, 0.8, 0.0, 0.3])
+        flux, err = pt.flux_quadrature_exact(dm.SpectralPoint(omega, kx, ky), bbo313,
+                                             short_pump, self.REL_TOL)
+        for i in range(lams.size):
+            one = pt.flux_quadrature_exact(dm.SpectralPoint(omega[i], kx[i], ky[i]),
+                                           bbo313, short_pump, self.REL_TOL)
             assert (flux[i], err[i]) == one
 
     def test_gaussianized_table_with_gap(self, bbo29, short_pump):
@@ -327,12 +351,15 @@ def full_box_level(kappa, crystal, pump, n, factor):
 class TestHalfBox:
     """At ky = 0 the quadratures sum only the ky' >= 0 half of the idler box."""
 
-    @pytest.mark.parametrize("route", ["exact", "gaussianized"])
+    @pytest.mark.parametrize("route", ["exact", "exact-off-axis", "gaussianized"])
     def test_matches_full_box_midpoint_sum(self, bbo313, pump60_80, route):
         lam, L = 760, bbo313.length
         kappa = on_surface(lam, bbo313)
         coeffs = coeffs_at(lam, bbo313)
-        if route == "exact":
+        if route == "exact-off-axis":
+            # ky != 0: the quadrature sums the full box, against the same sum
+            kappa = dm.SpectralPoint(kappa.omega, 0.6 * kappa.kx, 0.8 * kappa.kx)
+        if route.startswith("exact"):
             def factor(w_i, kx_i, ky_i):
                 dk = pmm.delta_k(kappa, dm.SpectralPoint(w_i, kx_i, ky_i), bbo313)
                 return np.sinc(L * dk / (2.0 * np.pi)) ** 2
@@ -346,7 +373,7 @@ class TestHalfBox:
                         for n in (pt.N_INIT, 2 * pt.N_INIT))
         expected = (L / pump60_80.l_nl) ** 2 * (fine + (fine - coarse) / 3.0)
         # a tolerance of 1 accepts the first doubling
-        if route == "exact":
+        if route.startswith("exact"):
             got = pt.flux_quadrature_exact(kappa, bbo313, pump60_80, 1.0)[0]
         else:
             got = pt.flux_quadrature_gaussianized(coeffs, bbo313, pump60_80, 1.0)[0]
@@ -359,13 +386,11 @@ class TestHalfBox:
         seen = []
 
         def factor(kappa_p):
-            def at(rows, signal, idler):
-                seen.append(idler.ky.ravel() + kappa.ky)  # ky' relative to the box center
-                # which is also the ky of the pump lattice, kappa + kappa'
-                np.testing.assert_allclose(kappa_p.ky.ravel(), seen[-1], rtol=0,
-                                           atol=1e-9 * kappa.kx)
-                return np.ones(np.broadcast(signal.omega, idler.omega, idler.kx,
-                                            idler.ky).shape)
+            def at(rows):
+                # the pump lattice's ky is ky' relative to the idler box center
+                seen.append(kappa_p.ky.ravel())
+                return np.ones((rows.size,) + np.broadcast(
+                    kappa_p.omega, kappa_p.kx, kappa_p.ky).shape)
             return at
 
         pt._quadrature(kappa, bbo313, pump60_80, 1.0, factor)
