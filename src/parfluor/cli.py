@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -315,7 +316,8 @@ def config_hash(config: dict) -> str:
 def write_manifest(command: str, config: dict, t0: float,
                    outputs: dict[str, str | bytes], extra: dict | None = None) -> None:
     """Write each named output into config's output_dir, then the manifest;
-    the wall time runs from t0 (perf_counter) to the last output."""
+    the wall time runs from t0 (perf_counter) to the last output, and the
+    peak RSS is this process's high-water mark (ru_maxrss, KiB on Linux)."""
     out_dir = Path(config["output_dir"])
     with _writing():
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -329,6 +331,7 @@ def write_manifest(command: str, config: dict, t0: float,
             "config_sha256": config_hash(config),
             "seed": config["ensemble"]["seed"],
             "wall_time_s": round(time.perf_counter() - t0, 3),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "outputs": list(outputs),
         }
         if extra:

@@ -192,59 +192,72 @@ class _Propagator:
                           - rho_ref * kx3)
         self.pump0 = _pump_spectrum0(pump, grid)
 
+    def _phase_factor(self, coef, phase):
+        """np.exp(coef * phase * dz) to the bit, built in one buffer."""
+        table = coef * phase
+        return np.exp(np.multiply(table, self.dz, out=table), out=table)
+
     def steps(self, l_nl):
         """Yield the pointwise step's tables (cosh m, g_dz sinh(m)/m) at
         nonlinear length l_nl for each of the n_z steps: g_dz = g dz is the
         pump's position field at z = (j + 1/2) dz, where step j samples it,
         times dz/l_nl, and m = |g_dz|; the second is (g/|g|) sinh(|g| dz)."""
-        pump_spec = self.pump0 * np.exp(0.5j * self.phase_pmp * self.dz)
-        pump_step = np.exp(1.0j * self.phase_pmp * self.dz)
+        pump_spec = self.pump0 * self._phase_factor(0.5j, self.phase_pmp)
+        pump_step = self._phase_factor(1.0j, self.phase_pmp)
         for step in range(self.grid.n_z):
             if step:
                 pump_spec *= pump_step
             g_dz = to_position(pump_spec)
             g_dz *= self.dz / l_nl
             m = np.abs(g_dz)
-            ch = np.cosh(m)
             sh = np.sinh(m)
             # where m = 0, g_dz is 0 too, so the skipped entries never matter
             g_dz *= np.divide(sh, m, out=sh, where=m > 0)
+            ch = np.cosh(m, out=m)  # m's last use: ch takes its buffer
             yield ch, g_dz
+            del ch, g_dz, m, sh  # dropped before the next step's tables are built
 
     def run_batch(self, batch: np.ndarray, l_nl: float) -> np.ndarray:
         """Propagate a (realizations, n_t, n_x, n_y) complex128 spectral
         batch to z = L at nonlinear length l_nl.
 
         The caller's array is consumed: the batch propagates in place, and
-        the exit field comes back in its memory.  Besides it a step holds one
-        conjugate scratch buffer: the FFTs write into their input, and the
-        pointwise step runs in place.
+        the exit field comes back in its memory.  The FFTs write into their
+        input and the pointwise step runs field by field, so besides it a
+        step holds one field of scratch for alpha*, the linear table, the
+        stepped pump and one step's tables: about 6 fields at any batch size.
         """
-        a = batch
-        conj = np.empty_like(a)
-        half_linear = np.exp(0.5j * self.phase_sig * self.dz)
-        full_linear = np.exp(1.0j * self.phase_sig * self.dz)
-        a *= half_linear
-        for step, (ch, psh) in enumerate(self.steps(l_nl)):
-            pos = to_position(a, overwrite_x=True)
-            np.conjugate(pos, out=conj)
-            conj *= psh
-            pos *= ch
-            pos += conj
-            a = to_spectral(pos, overwrite_x=True)
+        batch *= self._phase_factor(0.5j, self.phase_sig)
+        full_linear = self._phase_factor(1.0j, self.phase_sig)
+        conj = np.empty(self.grid.shape, dtype=np.complex128)
+        tables = self.steps(l_nl)
+        for step in range(self.grid.n_z):
+            ch, psh = next(tables)
+            pos = to_position(batch, overwrite_x=True)
+            for row in pos:
+                np.conjugate(row, out=conj)
+                conj *= psh
+                row *= ch
+                row += conj
+            del ch, psh  # free before the next step's tables are built
+            batch = to_spectral(pos, overwrite_x=True)
             if step < self.grid.n_z - 1:
-                a *= full_linear
-        a *= half_linear
-        return a
+                batch *= full_linear
+        del full_linear, tables
+        batch *= self._phase_factor(0.5j, self.phase_sig)
+        return batch
 
 
 # ---------------------------------------------------------------------------
 # flux estimation
 
 
-def _mag_squared(data: np.ndarray) -> np.ndarray:
-    """|a|^2 as re^2 + im^2 (no sqrt roundtrip)."""
-    return data.real * data.real + data.imag * data.imag
+def _mag_squared(data: np.ndarray, out=None) -> np.ndarray:
+    """|a|^2 as re^2 + im^2 (no sqrt roundtrip), into out if given.  The
+    input is consumed: its real and imaginary parts are squared in place."""
+    parts = data.view(data.real.dtype)
+    np.square(parts, out=parts)
+    return np.add(parts[..., 0::2], parts[..., 1::2], out=out)
 
 
 class _FluxAccumulator:
@@ -368,9 +381,10 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     """Propagate the ensemble at nonlinear length l_nl with a _Propagator,
     returning per-mode (flux, stderr, total, raw).
 
-    Realizations go through in batches of up to 32 and at most about
-    256 MB.  raw is the exit-face |a|^2 (float64, one row per realization)
-    of the first batch if that batch is the whole ensemble, else None.
+    Realizations go through in batches of up to 32 and at most 256 MB of
+    fields; besides one step's tables, a batch of R peaks at 24 R bytes per
+    mode (32 R paired).  raw is the exit-face |a|^2 (float64, one row per
+    realization) of the first batch if that is the whole ensemble, else None.
     first, the raw of a smaller ensemble with the same seed at the same l_nl
     (a calibration probe), opens the first batch in place of propagating
     those realizations again; their entrance fields are drawn again from
@@ -382,23 +396,25 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     """
     grid = prop.grid
     chunk_size = int(np.clip(256e6 // (16 * grid.n_modes), 1, 32))
-    n_first = 0 if first is None else len(first)
+    first = np.empty((0,) + grid.shape) if first is None else first
     acc = _FluxAccumulator(grid.shape)
     for r in range(0, ensemble.n_realizations, chunk_size):
         stop = min(r + chunk_size, ensemble.n_realizations)
         batch = np.empty((stop - r,) + grid.shape, dtype=np.complex128)
+        entrance = np.empty(batch.shape) if paired else None
         for i, k in enumerate(range(r, stop)):
-            batch[i] = sample_vacuum(grid, vacuum_rng(ensemble.seed, k))
-        # the entrance |a|^2, taken before run_batch overwrites the batch
-        entrance = _mag_squared(batch) if paired else None
-        todo = batch[max(n_first - r, 0):]
-        mags = _mag_squared(prop.run_batch(todo, l_nl) if len(todo) else todo)
-        if r < n_first:
-            mags = np.concatenate([first[r:stop], mags])
-        raw = mags if r == 0 else None
-        if paired:
-            mags = np.subtract(mags, entrance, out=entrance)
-        acc.add(mags)
+            batch[i] = row = sample_vacuum(grid, vacuum_rng(ensemble.seed, k))
+            if paired:  # the entrance |a|^2 of the draw, whose copy batch[i] keeps
+                _mag_squared(row, out=entrance[i])
+        n_reused = max(len(first) - r, 0)
+        done = prop.run_batch(batch[n_reused:], l_nl) if n_reused < len(batch) else batch[:0]
+        mags = np.empty(batch.shape)  # after run_batch, to reuse what its tables held
+        mags[:n_reused] = first[r:stop]
+        _mag_squared(done, out=mags[n_reused:])
+        del batch, done  # the exit field is dead once its |a|^2 exists
+        raw = mags if len(mags) == ensemble.n_realizations else None
+        acc.add(np.subtract(mags, entrance, out=entrance) if paired else mags)
+        del mags, entrance  # nothing of this batch outlives it
     flux = acc.mean() - (0.0 if paired else 0.5)
     total = float(flux.sum())
     if not np.isfinite(total):  # NaN or inf in any mode mean reaches the total

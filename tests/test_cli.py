@@ -1,7 +1,9 @@
 import concurrent.futures
 import csv
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -603,6 +605,16 @@ class TestWignerCommand:
         cal = manifests["calibrate"]["calibration"]
         assert set(run["calibration"]) == set(cal) | {"reused_realizations"}
         assert run["calibration"]["gain"] == run["gain"]
+
+    @pytest.mark.parametrize("command", ["wigner", "calibrate"])
+    def test_manifest_records_peak_rss(self, tmp_path, command):
+        out = tmp_path / command
+        assert cli.main([command, *TINY_GRID, "--realizations", "2",
+                         "--target-photons", "500", "--out", str(out)]) == 0
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        # this process's high-water mark (KiB on Linux), which never falls
+        assert math.isfinite(peak)
+        assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 class TestCalibrateCommand:

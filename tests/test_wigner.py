@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,6 +60,21 @@ def _reference_strang(prop, batch, l_nl):
         if step < prop.grid.n_z - 1:
             a = a * np.exp(1j * prop.phase_sig * prop.dz)
     return a * half_linear
+
+
+def _traced_peak(fn, *args):
+    """The peak traced memory fn(*args) allocates beyond what is live when
+    it starts: the scratch it holds besides its arguments."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def _pump_fields(prop):
@@ -146,7 +162,7 @@ class TestPumpField:
         entrance = np.abs(wg._pump_spectrum0(pump, grid))
         energy = np.sum(entrance**2)
         for pump_pos in _pump_fields(prop):
-            assert abs(np.sum(wg._mag_squared(pump_pos)) - energy) < 1e-12 * energy
+            assert abs(np.sum(wg._mag_squared(pump_pos.copy())) - energy) < 1e-12 * energy
             spec = np.abs(wg.to_spectral(pump_pos))
             assert np.max(np.abs(spec - entrance)) < 1e-12 * entrance.max()
 
@@ -216,6 +232,32 @@ class TestPropagate:
         assert np.shares_memory(got, batch)  # propagated in place
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
+    def test_phase_tables_match_the_expression_to_the_bit(self, crystal, pump, grid):
+        prop = wg._Propagator(crystal, pump, grid)
+        for phase in (prop.phase_sig, prop.phase_pmp):
+            for coef in (0.5j, 1.0j):
+                np.testing.assert_array_equal(prop._phase_factor(coef, phase),
+                                              np.exp(coef * phase * prop.dz))
+
+    # fixed before measuring: the alpha* scratch, the full-step linear table,
+    # the stepped pump spectrum and its step factor, and one step's tables
+    # with the temporaries that build them come to about 7.1 fields here
+    # (numpy's 8192-element cast buffer is one field of this 8192-mode grid)
+    MAX_SCRATCH_FIELDS = 8
+
+    def test_run_batch_scratch_is_independent_of_batch_size(self, crystal, pump, grid):
+        strong = replace(pump, l_nl=2e-3)
+        prop = wg._Propagator(crystal, strong, grid)
+        field = 16 * grid.n_modes
+        scratch = []
+        for n_real in (1, 8):
+            batch = np.stack([wg.sample_vacuum(grid, wg.vacuum_rng(3, r))
+                              for r in range(n_real)])
+            # traced peak of the call minus the batch, which exists before it
+            scratch.append(_traced_peak(prop.run_batch, batch, strong.l_nl) / field)
+        assert abs(scratch[1] - scratch[0]) <= 1.0
+        assert max(scratch) < self.MAX_SCRATCH_FIELDS
+
     def test_amplification_grows_with_gain(self, crystal, pump, grid):
         f = wg.sample_vacuum(grid, wg.vacuum_rng(11, 0))
         prop = wg._Propagator(crystal, pump, grid)
@@ -259,6 +301,29 @@ class TestEstimateFlux:
         prop = wg._Propagator(crystal, pump, replace(grid, n_z=2))
         _, stderr, _, _ = wg._ensemble_flux(prop, pump.l_nl, wg.EnsembleSpec(1, seed=1))
         assert np.all(np.isnan(stderr))
+
+    def test_mag_squared_is_re2_plus_im2_to_the_bit(self, grid):
+        data = wg.sample_vacuum(grid, wg.vacuum_rng(9, 0))[None]
+        want = data.real * data.real + data.imag * data.imag
+        np.testing.assert_array_equal(wg._mag_squared(data.copy()), want)
+        out = np.empty(want.shape)
+        assert wg._mag_squared(data, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("paired, row_bytes", [(False, 24), (True, 32)])
+    def test_memory_per_realization(self, crystal, pump, grid, paired, row_bytes):
+        # an extra realization holds its batch row (16 B per mode) and its
+        # exit |a|^2 row (8), and paired its entrance |a|^2 row (8); at the
+        # largest batch, 32, these outweigh the fixed scratch of a step, and
+        # the 1 kB allows for per-realization Python objects
+        prop = wg._Propagator(crystal, replace(pump, l_nl=2e-3), replace(grid, n_z=4))
+        peaks = [_traced_peak(wg._ensemble_flux, prop, 2e-3,
+                              wg.EnsembleSpec(n_real, seed=3), paired)
+                 for n_real in (1, 32, 64)]
+        assert (peaks[1] - peaks[0]) / 31 <= row_bytes * grid.n_modes + 1024
+        # a second batch of 32 finds nothing of the first but the
+        # accumulator's shift row (8 B per mode)
+        assert peaks[2] - peaks[1] <= 8 * grid.n_modes + 1024
 
     def test_accumulator_stable_at_large_mean(self):
         # sum(x^2) - sum(x)^2/n loses every digit of a unit spread at 1e9
