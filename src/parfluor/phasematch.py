@@ -30,18 +30,16 @@ class LinearizedCoeffs:
     offsets, around the pairs of signals (omega_obs, k0, ky) with their
     idlers (2*omega0 - omega_obs, -k0, -ky) and the central pump component;
     the fields broadcast together (on a surface table, every field is a
-    scalar or an array of one shape), and all but the two frequencies are
-    NaN where omega_obs has no match or the idler is evanescent.
+    scalar or an array of one shape), and all but omega_obs are NaN where
+    omega_obs has no match or the idler is evanescent.
 
     k0        : the signal's kx [rad/m], the matched |k_perp| on the surface
     d_beta1   : pump-idler inverse-group-velocity difference [s/m]
     d_rho_px/py : pump-idler walk-off differences (dimensionless)
-    omega_idler : idler frequency 2*omega0 - omega_obs [rad/s]
     dk0       : the pair's own mismatch delta_k [rad/m], zero on the surface
     """
 
     omega_obs: float
-    omega_idler: float
     k0: float
     d_beta1: float
     d_rho_px: float
@@ -120,8 +118,7 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec, ky=0.0) -> LinearizedCoeff
     central pump component.
     Broadcasts over arrays; where k0 is NaN (no matched point, see
     perfect_curve) or the idler is evanescent, every coefficient but
-    omega_obs and omega_idler is NaN.  An evanescent signal raises
-    EvanescentMode.
+    omega_obs is NaN.  An evanescent signal raises EvanescentMode.
     """
     omega = np.asarray(omega_obs, dtype=float)
     k0 = np.asarray(k0, dtype=float)
@@ -139,7 +136,6 @@ def linearize(omega_obs, k0, crystal: dm.CrystalSpec, ky=0.0) -> LinearizedCoeff
                                                    ky_idler, crystal)
     return LinearizedCoeffs(
         omega_obs=omega,
-        omega_idler=omega_idler,
         k0=k0,
         d_beta1=beta1_pump - beta1_idl,
         d_rho_px=rho_pump_x - rho_idl_x,

@@ -49,7 +49,8 @@ class SimulationGrid:
     """Discrete (t, x, y) <-> (omega, kx, ky) simulation box around the
     carrier _grid_center(crystal); the fields on it are complex128.
 
-    n_t, n_x, n_y : mode counts per axis, powers of two
+    n_t, n_x, n_y : mode counts per axis, each at least 2; any such size
+        runs, and sizes with no prime factor above 5 run fastest
     span_t [s], span_x, span_y [m] : window sizes (periodic)
     n_z : number of split-step slices through the crystal
     """
@@ -64,8 +65,8 @@ class SimulationGrid:
 
     def __post_init__(self):
         for n, name in ((self.n_t, "n_t"), (self.n_x, "n_x"), (self.n_y, "n_y")):
-            if n < 2 or (n & (n - 1)) != 0:
-                raise ValueError(f"{name} must be a power of two >= 2, got {n}")
+            if n < 2:
+                raise ValueError(f"{name} must be >= 2, got {n}")
         if not (self.span_t > 0 and self.span_x > 0 and self.span_y > 0):
             raise ValueError("window spans must be positive")
         if self.n_z < 1:
@@ -434,9 +435,10 @@ def predicted_total(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
     """Single-pair total photon number of the grid at gain 1 (l_nl = L):
     mode_volume times the closed-form flux (perturbative.flux_closed_form)
     summed over every grid mode, a mode whose idler is evanescent counting
-    as zero.  The idlers of the grid's top frequency plane lie a step below
-    its band; where that is outside the material's window, it raises
-    OutOfDispersionWindow."""
+    as zero.  With an even n_t the idlers of the top frequency plane lie a
+    step below the band; with an odd n_t the band is symmetric about omega0,
+    so every idler is a grid frequency.  Where an idler is outside the
+    material's window, it raises OutOfDispersionWindow."""
     w, kx, ky = _mode_frequencies(crystal, grid)
     coeffs = pmm.linearize(w[:, None, None], kx[None, :, None], crystal,
                            ky=ky[None, None, :])

@@ -33,7 +33,7 @@ def on_surface(lam_nm, crystal):
 
 def synthetic_coeffs(d_beta1=0.0, d_rho_px=0.0, d_rho_py=0.0):
     return pmm.LinearizedCoeffs(
-        omega_obs=omega_of_nm(800), omega_idler=omega_of_nm(800), k0=0.0,
+        omega_obs=omega_of_nm(800), k0=0.0,
         d_beta1=d_beta1, d_rho_px=d_rho_px, d_rho_py=d_rho_py, dk0=0.0)
 
 
@@ -365,8 +365,10 @@ class TestHalfBox:
                 return np.sinc(L * dk / (2.0 * np.pi)) ** 2
         else:
             # the on-ring mismatch: kappa is (w, k0, 0), where d_rho_py is zero
+            omega_idler = bbo313.pump_center_omega - coeffs.omega_obs
+
             def factor(w_i, kx_i, ky_i):
-                dk = (coeffs.d_beta1 * (w_i - coeffs.omega_idler)
+                dk = (coeffs.d_beta1 * (w_i - omega_idler)
                       + coeffs.d_rho_px * (kx_i + coeffs.k0))
                 return np.exp(-(L * dk) ** 2 / 12.0)
         coarse, fine = (full_box_level(kappa, bbo313, pump60_80, n, factor)

@@ -31,9 +31,17 @@ def _degenerate_angle():
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return wg.SimulationGrid(n_t=32, n_x=16, n_y=16, span_t=480e-15,
+def grid(request):
+    """32x16x16, or the (n_t, n_x, n_y) a test passes through on_grids."""
+    n_t, n_x, n_y = getattr(request, "param", (32, 16, 16))
+    return wg.SimulationGrid(n_t=n_t, n_x=n_x, n_y=n_y, span_t=480e-15,
                              span_x=640e-6, span_y=640e-6, n_z=50)
+
+
+# the fixture grid, and one even and one odd size that is no power of two
+on_grids = pytest.mark.parametrize(
+    "grid", [(32, 16, 16), (24, 12, 12), (15, 9, 9)], indirect=True,
+    ids=lambda shape: "x".join(map(str, shape)))
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +94,13 @@ def _pump_fields(prop):
 
 
 class TestGrid:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            wg.SimulationGrid(n_t=24, n_x=16, n_y=16, span_t=1e-13, span_x=1e-4,
-                              span_y=1e-4, n_z=10)
+    @pytest.mark.parametrize("name", ["n_t", "n_x", "n_y"])
+    def test_rejects_size_below_two(self, grid, name):
+        with pytest.raises(ValueError, match=name):
+            replace(grid, **{name: 1})
+
+    def test_accepts_sizes_that_are_no_power_of_two(self, grid):
+        assert replace(grid, n_t=24, n_x=15, n_y=15).shape == (24, 15, 15)
 
     @pytest.mark.parametrize("name", ["span_t", "span_x", "span_y"])
     def test_rejects_nan_span(self, grid, name):
@@ -146,6 +157,7 @@ class TestPumpField:
     """The pump the propagator steps along: its entrance-face envelope and
     the reference-frame phase rates that carry it to the exit face."""
 
+    @on_grids
     def test_entrance_face_gaussian(self, crystal, pump, grid):
         P = wg.to_position(wg._pump_spectrum0(pump, grid))
         assert P.shape == grid.shape
@@ -195,6 +207,7 @@ class TestPumpField:
 
 
 class TestPropagate:
+    @on_grids
     def test_zero_pump_is_unitary(self, crystal, pump, grid):
         f = wg.sample_vacuum(grid, wg.vacuum_rng(7, 0))
         prop = wg._Propagator(crystal, pump, grid)
@@ -221,6 +234,7 @@ class TestPropagate:
                 assert np.all(ch == 1.0)
                 assert np.all(psh == 0.0)
 
+    @on_grids
     def test_run_batch_matches_reference_strang(self, crystal, pump, grid):
         strong = replace(pump, l_nl=2e-3)  # gain 1
         batch = np.stack([wg.sample_vacuum(grid, wg.vacuum_rng(17, r))
@@ -338,6 +352,7 @@ class TestEstimateFlux:
 
 
 class TestAzimuthalAverage:
+    @on_grids
     def test_constant_field_and_populations(self, crystal, grid):
         flux = np.full(grid.shape, 0.25)
         stderr = np.full(grid.shape, 0.01)
@@ -777,6 +792,7 @@ class TestPairOracle:
     rounding at any gain."""
 
     @pytest.mark.parametrize("gain", [0.1, 3.0, 8.0])
+    @on_grids
     def test_run_batch_matches_pair_recursion(self, crystal, grid, gain):
         wide = pt.PumpSpec(tau_p=np.inf, w_p=np.inf, l_nl=crystal.length / gain)
         prop = wg._Propagator(crystal, wide, grid)
