@@ -66,8 +66,9 @@ class SellmeierSet:
     b2: float
     window_nm: tuple[float, float]
 
-    def index_at_wavelength_um(self, lam_um):
-        lam_um = np.asarray(lam_um, dtype=float)
+    def index_at_omega(self, omega):
+        """Refractive index n at angular frequency omega [rad/s]."""
+        lam_um = TWO_PI * C_LIGHT / np.asarray(omega, dtype=float) * 1e6
         lam_nm = lam_um * 1e3
         lo, hi = self.window_nm
         if np.any(lam_nm < lo) or np.any(lam_nm > hi):
@@ -83,18 +84,15 @@ class SellmeierSet:
             )
         return np.sqrt(n2)
 
-    def index_at_omega(self, omega):
-        lam_um = TWO_PI * C_LIGHT / np.asarray(omega, dtype=float) * 1e6
-        return self.index_at_wavelength_um(lam_um)
-
-    def slope_at_omega(self, omega):
-        """dn/d(omega) [s/rad] from the closed-form Sellmeier derivative."""
+    def index_and_slope(self, omega):
+        """(n, dn/d(omega) [s/rad]) at omega, the slope from the closed-form
+        Sellmeier derivative."""
         omega = np.asarray(omega, dtype=float)
+        n = self.index_at_omega(omega)
         lam_um = TWO_PI * C_LIGHT / omega * 1e6
-        n = self.index_at_wavelength_um(lam_um)
         lam2 = lam_um * lam_um
         # dn/dw = -(lam/w) dn/dlam, dn/dlam = -lam (b1/(lam^2-c1)^2 + b2) / n
-        return lam2 * (self.b1 / (lam2 - self.c1) ** 2 + self.b2) / (omega * n)
+        return n, lam2 * (self.b1 / (lam2 - self.c1) ** 2 + self.b2) / (omega * n)
 
 
 @dataclass(frozen=True)
@@ -189,20 +187,10 @@ def make_crystal(theta_cut, length, pump_wavelength, material="bbo") -> CrystalS
     )
 
 
-def index_ordinary(omega, crystal: CrystalSpec):
-    """Ordinary refractive index n_o at angular frequency omega [rad/s]."""
-    return crystal.sellmeier_o.index_at_omega(omega)
-
-
-def index_extraordinary_principal(omega, crystal: CrystalSpec):
-    """Principal extraordinary index n_e (field along the optic axis)."""
-    return crystal.sellmeier_e.index_at_omega(omega)
-
-
 def k_ordinary(omega, crystal: CrystalSpec):
     """o-ray wavenumber n_o w / c [rad/m] at angular frequency omega [rad/s]."""
     omega = np.asarray(omega, dtype=float)
-    return index_ordinary(omega, crystal) * omega / C_LIGHT
+    return crystal.sellmeier_o.index_at_omega(omega) * omega / C_LIGHT
 
 
 def kz_signal_grid(omega, kx, ky, crystal: CrystalSpec, allow_evanescent=False,
@@ -229,16 +217,19 @@ def kz_signal_grid(omega, kx, ky, crystal: CrystalSpec, allow_evanescent=False,
     return np.sqrt(radicand)
 
 
-def _pump_quadratic_coeffs(omega, kx, ky, crystal: CrystalSpec):
-    """Coefficients (a2, a1, a0) of the e-ray dispersion relation viewed as a
-    quadratic a2*kz^2 + a1*kz + a0 = 0 in the longitudinal wavevector.
+def kz_pump_grid(omega, kx, ky, crystal: CrystalSpec):
+    """e-ray longitudinal wavevector: forward root of the dispersion relation
+    u^2/n_e^2 + (v^2 + ky^2)/n_o^2 = w^2/c^2, a quadratic a2*kz^2 + a1*kz + a0
+    = 0 in kz, with u = sin(theta)*kz + cos(theta)*kx along the optic axis and
+    v = cos(theta)*kz - sin(theta)*kx across it in the x-z plane.
 
-    The optic axis lies in the x-z plane; the tilt sign is chosen so the
-    pump walk-off slope d(kz)/d(kx) is negative at kx = ky = 0.
+    The tilt sign is chosen so the pump walk-off slope d(kz)/d(kx) is negative
+    at kx = ky = 0.  The forward root is the one continuously connected to
+    +n_e(theta)*w/c at kx = ky = 0 (the larger of the two real roots).
     """
     omega = np.asarray(omega, dtype=float)
-    n_o = index_ordinary(omega, crystal)
-    n_e = index_extraordinary_principal(omega, crystal)
+    n_o = crystal.sellmeier_o.index_at_omega(omega)
+    n_e = crystal.sellmeier_e.index_at_omega(omega)
     inv_ne2 = 1.0 / (n_e * n_e)
     inv_no2 = 1.0 / (n_o * n_o)
     ct, st = np.cos(crystal.theta_cut), np.sin(crystal.theta_cut)
@@ -248,16 +239,6 @@ def _pump_quadratic_coeffs(omega, kx, ky, crystal: CrystalSpec):
     a2 = inv_ne2 * st * st + inv_no2 * ct * ct
     a1 = 2.0 * kx * ct * st * (inv_ne2 - inv_no2)
     a0 = inv_ne2 * kx * kx * ct * ct + inv_no2 * (kx * kx * st * st + ky * ky) - w2c2
-    return a2, a1, a0
-
-
-def kz_pump_grid(omega, kx, ky, crystal: CrystalSpec):
-    """e-ray longitudinal wavevector: forward root of the dispersion quadratic.
-
-    The forward root is the one continuously connected to +n_e(theta)*w/c at
-    kx = ky = 0 (the larger of the two real roots).
-    """
-    a2, a1, a0 = _pump_quadratic_coeffs(omega, kx, ky, crystal)
     disc = a1 * a1 - 4.0 * a2 * a0
     if np.any(disc < 0):
         raise NoRealRoot("e-ray dispersion quadratic has no real root")
@@ -275,19 +256,17 @@ def kz_slopes(ray: str, omega, kx, ky, crystal: CrystalSpec):
     omega = np.asarray(omega, dtype=float)
     kx = np.asarray(kx, dtype=float)
     ky = np.asarray(ky, dtype=float)
-    n_o = index_ordinary(omega, crystal)
-    dn_o = crystal.sellmeier_o.slope_at_omega(omega)
+    n_o, dn_o = crystal.sellmeier_o.index_and_slope(omega)
     if ray == "signal":
         kz = kz_signal_grid(omega, kx, ky, crystal)
         beta1 = n_o * omega * (n_o + omega * dn_o) / (C_LIGHT**2 * kz)
         return beta1, -kx / kz, -ky / kz
     if ray != "pump":
         raise ValueError(f"unknown ray {ray!r}, expected 'signal' or 'pump'")
-    n_e = index_extraordinary_principal(omega, crystal)
-    dn_e = crystal.sellmeier_e.slope_at_omega(omega)
+    n_e, dn_e = crystal.sellmeier_e.index_and_slope(omega)
     kz = kz_pump_grid(omega, kx, ky, crystal)
-    # the quadratic is F = u^2/n_e^2 + (v^2 + ky^2)/n_o^2 - w^2/c^2 = 0, with
-    # u along the optic axis and v across it in the x-z plane
+    # implicit differentiation of F = u^2/n_e^2 + (v^2 + ky^2)/n_o^2 - w^2/c^2
+    # = 0, u and v as in kz_pump_grid
     ct, st = np.cos(crystal.theta_cut), np.sin(crystal.theta_cut)
     u = st * kz + ct * kx
     v = ct * kz - st * kx

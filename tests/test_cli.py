@@ -1,8 +1,10 @@
 import concurrent.futures
 import csv
+import importlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -290,6 +292,21 @@ class TestConfigHandling:
         start = section.index("```json\n") + len("```json\n")
         block = section[start:section.index("```", start)]
         assert json.loads(block) == cli.DEFAULTS
+
+    def test_readme_library_names_exist(self):
+        # every module-qualified name the Library examples use is in the package
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Library"):readme.index("## Command line")]
+        code = "".join(re.findall(r"```python\n(.*?)```", section, re.S))
+        modules = {"dm": "dispersion", "pm": "phasematch", "pt": "perturbative",
+                   "wg": "wigner"}
+        imports = re.findall(r"(\w+) as (dm|pm|pt|wg)\b", code)
+        assert {alias: mod for mod, alias in imports} == modules
+        names = sorted(set(re.findall(r"\b(dm|pm|pt|wg)\.(\w+)", code)))
+        assert len(names) >= 10
+        missing = [f"{alias}.{name}" for alias, name in names if not hasattr(
+            importlib.import_module(f"parfluor.{modules[alias]}"), name)]
+        assert missing == []
 
     def test_env_var_data_dir(self, tmp_path, monkeypatch):
         (tmp_path / "mybbo.json").write_text(json.dumps(BBO_DOC))

@@ -13,13 +13,20 @@ from conftest import omega_of_nm
 
 
 def pump_dispersion_residual(kz, omega, kx, ky, crystal: dm.CrystalSpec):
-    """Relative residual of the e-ray dispersion relation at a candidate kz.
+    """Relative residual of the e-ray dispersion relation at a candidate kz,
+    stated in the optic-axis frame: u^2/n_e^2 + (v^2 + ky^2)/n_o^2 = w^2/c^2,
+    u = sin(theta)*kz + cos(theta)*kx, v = cos(theta)*kz - sin(theta)*kx.
 
     Zero (to rounding) when kz solves the relation; used for root checks.
     """
-    a2, a1, a0 = dm._pump_quadratic_coeffs(omega, kx, ky, crystal)
-    w2c2 = (np.asarray(omega, dtype=float) / C_LIGHT) ** 2
-    return (a2 * kz * kz + a1 * kz + a0) / w2c2
+    omega = np.asarray(omega, dtype=float)
+    n_o = crystal.sellmeier_o.index_at_omega(omega)
+    n_e = crystal.sellmeier_e.index_at_omega(omega)
+    ct, st_ = np.cos(crystal.theta_cut), np.sin(crystal.theta_cut)
+    u = st_ * kz + ct * kx
+    v = ct * kz - st_ * kx
+    w2c2 = (omega / C_LIGHT) ** 2
+    return (u * u / n_e**2 + (v * v + ky * ky) / n_o**2 - w2c2) / w2c2
 
 
 def sympy_sellmeier_kz_derivative(sellmeier, lam_nm):
@@ -50,29 +57,30 @@ def test_crystal_rejects_non_positive_and_nan(length, pump_wavelength):
 class TestSellmeierIndices:
     def test_ordinary_frozen_values(self, bbo29):
         # direct evaluation of the shipped ordinary Sellmeier formula
-        assert dm.index_ordinary(omega_of_nm(400), bbo29) == pytest.approx(1.6934, abs=1e-3)
-        assert dm.index_ordinary(omega_of_nm(800), bbo29) == pytest.approx(1.6614, abs=1e-3)
+        n_o = bbo29.sellmeier_o.index_at_omega
+        assert n_o(omega_of_nm(400)) == pytest.approx(1.6934, abs=1e-3)
+        assert n_o(omega_of_nm(800)) == pytest.approx(1.6614, abs=1e-3)
 
     def test_extraordinary_frozen_values(self, bbo29):
-        assert dm.index_extraordinary_principal(omega_of_nm(400), bbo29) == pytest.approx(
+        assert bbo29.sellmeier_e.index_at_omega(omega_of_nm(400)) == pytest.approx(
             1.5687, abs=1e-3)
-        assert dm.index_extraordinary_principal(omega_of_nm(800), bbo29) == pytest.approx(
+        assert bbo29.sellmeier_e.index_at_omega(omega_of_nm(800)) == pytest.approx(
             1.5462, abs=2e-3)
 
     def test_window_errors(self, bbo29):
         with pytest.raises(OutOfDispersionWindow):
-            dm.index_ordinary(omega_of_nm(100), bbo29)
+            bbo29.sellmeier_o.index_at_omega(omega_of_nm(100))
         with pytest.raises(OutOfDispersionWindow):
-            dm.index_extraordinary_principal(omega_of_nm(3000), bbo29)
+            bbo29.sellmeier_e.index_at_omega(omega_of_nm(3000))
         # one wavelength beyond the window in an array of rows is named
         rows = omega_of_nm(np.array([[700.0, 800.0], [2700.0, 900.0]]))[..., None]
         with pytest.raises(OutOfDispersionWindow, match="2700.0 nm"):
-            dm.index_ordinary(rows, bbo29)
+            bbo29.sellmeier_o.index_at_omega(rows)
 
     def test_normal_dispersion_monotonic(self, bbo29):
         lam = np.linspace(500, 1200, 200)
         omegas = np.sort([omega_of_nm(l) for l in lam])
-        n = dm.index_ordinary(omegas, bbo29)
+        n = bbo29.sellmeier_o.index_at_omega(omegas)
         assert np.all(np.diff(n) > 0)
 
 
@@ -80,11 +88,12 @@ class TestKzSignal:
     def test_collinear_identity(self, bbo29):
         w = omega_of_nm(800)
         kz = dm.kz_signal_grid(w, 0.0, 0.0, bbo29)
-        assert kz == pytest.approx(float(dm.index_ordinary(w, bbo29)) * w / C_LIGHT, rel=1e-14)
+        assert kz == pytest.approx(float(bbo29.sellmeier_o.index_at_omega(w)) * w / C_LIGHT,
+                                   rel=1e-14)
 
     def test_grazing_limit(self, bbo29):
         w = omega_of_nm(800)
-        kmax = float(dm.index_ordinary(w, bbo29)) * w / C_LIGHT
+        kmax = float(bbo29.sellmeier_o.index_at_omega(w)) * w / C_LIGHT
         kz = dm.kz_signal_grid(w, kmax, 0.0, bbo29)
         assert kz == pytest.approx(0.0, abs=1e-3)
 
@@ -94,13 +103,13 @@ class TestKzSignal:
         # crystal and frequency (the CLI's 400.0 nm pump) are such a case
         crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400.0 * 1e-9)
         w = crystal.pump_center_omega - omega_of_nm(648.4989993328886)
-        kmax = float(dm.index_ordinary(w, crystal)) * w / C_LIGHT
+        kmax = float(crystal.sellmeier_o.index_at_omega(w)) * w / C_LIGHT
         kz = dm.kz_signal_grid(w, np.linspace(0.0, kmax, 512), 0.0, crystal)
         assert kz[-1] == 0.0
 
     def test_evanescent_raises(self, bbo29):
         w = omega_of_nm(800)
-        kmax = float(dm.index_ordinary(w, bbo29)) * w / C_LIGHT
+        kmax = float(bbo29.sellmeier_o.index_at_omega(w)) * w / C_LIGHT
         with pytest.raises(EvanescentMode):
             dm.kz_signal_grid(w, 1.001 * kmax, 0.0, bbo29)
 
@@ -130,7 +139,8 @@ class TestKzPump:
         crystal = dm.make_crystal(theta_cut=1e-9, length=2e-3, pump_wavelength=400e-9)
         w = omega_of_nm(400)
         kz = dm.kz_pump_grid(w, 0.0, 0.0, crystal)
-        assert kz == pytest.approx(float(dm.index_ordinary(w, crystal)) * w / C_LIGHT, rel=1e-9)
+        assert kz == pytest.approx(float(crystal.sellmeier_o.index_at_omega(w)) * w / C_LIGHT,
+                                   rel=1e-9)
 
     def test_effective_index_at_29deg(self, bbo29):
         w = omega_of_nm(400)
@@ -138,7 +148,7 @@ class TestKzPump:
         n_eff = kz * C_LIGHT / w
         assert n_eff == pytest.approx(1.6614, abs=2e-3)
         # degenerate collinear matching: effective pump index ~ n_o(800 nm)
-        assert n_eff == pytest.approx(float(dm.index_ordinary(omega_of_nm(800), bbo29)),
+        assert n_eff == pytest.approx(float(bbo29.sellmeier_o.index_at_omega(omega_of_nm(800))),
                                       abs=2e-3)
 
     def test_root_residual_random_points(self, bbo29):
@@ -152,6 +162,8 @@ class TestKzPump:
         kz = dm.kz_pump_grid(w, kx, ky, bbo29)
         res = pump_dispersion_residual(kz, w, kx, ky, bbo29)
         assert np.max(np.abs(res)) < 1e-9
+        # the backward root solves the relation too; the forward one runs along +z
+        assert np.all(kz > 0)
 
     def test_parity_in_ky(self, bbo29):
         w = omega_of_nm(400)
@@ -201,7 +213,7 @@ class TestDerivatives:
     def _check_slopes_vs_richardson(ray, w, kz, crystal):
         kx, ky = 2e5, 1e5
         beta1, rho_x, rho_y = dm.kz_slopes(ray, w, kx, ky, crystal)
-        kscale = float(dm.index_ordinary(w, crystal)) * w / C_LIGHT
+        kscale = float(crystal.sellmeier_o.index_at_omega(w)) * w / C_LIGHT
         for rel_step in (1e-6, 2e-6):
             fd_w = richardson(lambda x: kz(x, kx, ky, crystal), w, rel_step * w)
             fd_x = richardson(lambda x: kz(w, x, ky, crystal), kx, rel_step * kscale)
@@ -218,8 +230,8 @@ class TestDerivatives:
     def test_pump_walkoff_vs_implicit_differentiation(self, bbo29):
         # oracle: implicit differentiation of the e-ray relation at kx=ky=0
         w = omega_of_nm(400)
-        n_o = float(dm.index_ordinary(w, bbo29))
-        n_e = float(dm.index_extraordinary_principal(w, bbo29))
+        n_o = float(bbo29.sellmeier_o.index_at_omega(w))
+        n_e = float(bbo29.sellmeier_e.index_at_omega(w))
         A, B = 1.0 / n_e**2, 1.0 / n_o**2
         ct, st_ = np.cos(bbo29.theta_cut), np.sin(bbo29.theta_cut)
         oracle = -ct * st_ * (A - B) / (A * st_**2 + B * ct**2)
@@ -244,7 +256,7 @@ class TestMaterialLoading:
         path.write_text(json.dumps(doc))
         crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9, material=path)
         w = omega_of_nm(800)
-        assert dm.index_ordinary(w, crystal) == dm.index_ordinary(w, bbo29)
+        assert crystal.sellmeier_o.index_at_omega(w) == bbo29.sellmeier_o.index_at_omega(w)
 
     def test_data_dir_env_lookup(self, tmp_path, monkeypatch):
         shipped = dm.load_material("bbo")

@@ -327,9 +327,9 @@ def _degenerate_angle():
     degenerate wavelength, from the index mixing formula directly."""
     crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9)
     w_p, w_s = omega_of_nm(400), omega_of_nm(800)
-    n_os = float(dm.index_ordinary(w_s, crystal))
-    n_op = float(dm.index_ordinary(w_p, crystal))
-    n_ep = float(dm.index_extraordinary_principal(w_p, crystal))
+    n_os = float(crystal.sellmeier_o.index_at_omega(w_s))
+    n_op = float(crystal.sellmeier_o.index_at_omega(w_p))
+    n_ep = float(crystal.sellmeier_e.index_at_omega(w_p))
     s2 = (n_os**-2 - n_op**-2) / (n_ep**-2 - n_op**-2)
     return float(np.arcsin(np.sqrt(s2)))
 
@@ -344,4 +344,4 @@ def _ring_mismatch(omega, k, crystal):
 def _k_max(omega, crystal):
     """Light-cone |k| of the lower-frequency photon of the pair at omega."""
     low = np.minimum(omega, crystal.pump_center_omega - omega)
-    return dm.index_ordinary(low, crystal) * low / C_LIGHT
+    return crystal.sellmeier_o.index_at_omega(low) * low / C_LIGHT

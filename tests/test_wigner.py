@@ -23,9 +23,9 @@ def crystal():
 
 def _degenerate_angle():
     crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9)
-    n_os = float(dm.index_ordinary(omega_of_nm(800), crystal))
-    n_op = float(dm.index_ordinary(omega_of_nm(400), crystal))
-    n_ep = float(dm.index_extraordinary_principal(omega_of_nm(400), crystal))
+    n_os = float(crystal.sellmeier_o.index_at_omega(omega_of_nm(800)))
+    n_op = float(crystal.sellmeier_o.index_at_omega(omega_of_nm(400)))
+    n_ep = float(crystal.sellmeier_e.index_at_omega(omega_of_nm(400)))
     s2 = (n_os**-2 - n_op**-2) / (n_ep**-2 - n_op**-2)
     return float(np.arcsin(np.sqrt(s2)))
 
@@ -421,6 +421,29 @@ def first_probe_gain(monkeypatch, target, crystal, pump, grid):
     return probe.value.args[0]
 
 
+def ring_total(crystal, pump, grid):
+    """The closed form's gain-1 total with each grid frequency's transverse
+    sum replaced by its integral over the plane.
+
+    Across the ring the off-surface factor exp(-L^2 dk0^2 / (3B)) is a
+    Gaussian in |k_perp| - k0 of width sqrt(3B) / (L s), with s = d(dk0)/d|k_perp|
+    = k0 (1/kz_s + 1/kz_i) from the signal and idler k_z at k0, so the bracket
+    B cancels from the radial integral: the total is
+    (sqrt(3)/2) w_p^2 tau_p / L * (2 pi / span_t) * sum kz_s kz_i / (kz_s + kz_i)
+    over the grid frequencies where perfect_curve finds a ring.  Near the
+    degenerate cut the ring formula misses the near-collinear modes the
+    closed form counts, so it holds only where the ring is well open.
+    """
+    w, _, _ = wg._mode_frequencies(crystal, grid)
+    k0 = pmm.perfect_curve(w, crystal)
+    on_ring = ~np.isnan(k0)
+    w, k0 = w[on_ring], k0[on_ring]
+    kz_s = dm.kz_signal_grid(w, k0, 0.0, crystal)
+    kz_i = dm.kz_signal_grid(crystal.pump_center_omega - w, k0, 0.0, crystal)
+    return (np.sqrt(3.0) / 2.0 * pump.w_p**2 * pump.tau_p / crystal.length
+            * (2.0 * np.pi / grid.span_t) * np.sum(kz_s * kz_i / (kz_s + kz_i)))
+
+
 class TestPredictedTotal:
     def test_near_the_exact_quadrature_at_29(self, bbo29, pump, seeded_grid):
         # no ring is matched near degeneracy; over every 16th mode the closed
@@ -439,6 +462,15 @@ class TestPredictedTotal:
     def test_independent_of_l_nl(self, bbo29, pump, seeded_grid):
         assert (wg.predicted_total(bbo29, replace(pump, l_nl=1e-3), seeded_grid)
                 == wg.predicted_total(bbo29, pump, seeded_grid))
+
+    @pytest.mark.parametrize("theta_deg, n_xy, span_w", [(31.3, 160, 5.0), (35.0, 256, 6.0)])
+    def test_saturates_at_the_ring_total(self, pump, theta_deg, n_xy, span_w):
+        # windows that hold the whole ring at every grid frequency
+        crystal = dm.make_crystal(np.deg2rad(theta_deg), 2e-3, 400e-9)
+        grid = wg.SimulationGrid(16, n_xy, n_xy, 8 * pump.tau_p, span_w * pump.w_p,
+                                 span_w * pump.w_p, 10)
+        assert wg.predicted_total(crystal, pump, grid) == pytest.approx(
+            ring_total(crystal, pump, grid), rel=1e-3)
 
 
 class TestCalibration:
