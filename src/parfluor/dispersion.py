@@ -109,7 +109,6 @@ class CrystalSpec:
     sellmeier_o: SellmeierSet
     sellmeier_e: SellmeierSet
     pump_center_omega: float
-    name: str = "crystal"
 
     def __post_init__(self):
         if not 0.0 < self.theta_cut < np.pi / 2:
@@ -183,7 +182,6 @@ def make_crystal(theta_cut, length, pump_wavelength, material="bbo") -> CrystalS
         sellmeier_o=mat["sellmeier_o"],
         sellmeier_e=mat["sellmeier_e"],
         pump_center_omega=TWO_PI * C_LIGHT / pump_wavelength,
-        name=mat["name"],
     )
 
 

@@ -138,30 +138,32 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
     kappa_p runs over one lattice, the pump carrier +- half_u by +-half_k by
     +-half_k, for every signal: it is the idler box of each signal, centred
     on its conjugate point, shifted by the signal.  Per level the lattice
-    and its weight are built once, and factor(kappa_p), given the lattice
-    broadcast over three axes, returns the function at(rows) that evaluates
-    the factor of the signals at those flat indices of kappa (a 1-D array),
-    each with the idler kappa_p - kappa implicit: one row per index over
-    the lattice, or over its (omega, kx) plane where the factor does not
-    vary along kappa_p.ky, which is then summed against the weight summed
-    over kappa_p.ky.  Its NaN values (evanescent idlers) count as zero.  A
-    signal with ky = 0 sees only the kappa_p.ky > 0 half of the lattice,
-    each node counted twice, so the factor must be even in kappa_p.ky there.
+    and its weight are built once, and factor(kappa_p, weight), given both
+    broadcast over three axes, returns (at, w): at(rows) evaluates the
+    factor of the signals at those flat indices of kappa (a 1-D array),
+    each with the idler kappa_p - kappa implicit, one row per index paired
+    with the flat weight w: weight.ravel(), or weight.sum(axis=-1).ravel()
+    for a factor constant along kappa_p.ky, evaluated on the (omega, kx)
+    plane.  Its NaN values (evanescent idlers) count as zero.  A signal
+    with ky = 0 sees only the kappa_p.ky > 0 half of the lattice, each node
+    counted twice, so the factor must be even in kappa_p.ky there.
 
     Midpoint rule, doubled for each signal until its Richardson-extrapolated
     value settles within rel_tol; returns ((L / l_nl)^2 * integral,
-    err_rel), each of kappa's shape.  A signal whose idler box reaches zero
-    frequency (lowest_idler_omega) raises OutOfDispersionWindow.
+    err_rel), each of kappa's shape, NaN at the signals it skips, those
+    with a NaN kx or ky (no matched point).  A signal whose idler box
+    reaches zero frequency (lowest_idler_omega) raises OutOfDispersionWindow.
     """
     omega_p = crystal.pump_center_omega
     half_u, half_k = _half_widths(pump)
     shape = np.broadcast(kappa.omega, kappa.kx, kappa.ky).shape
-    omega, _, ky = _columns(kappa)
-    near = lowest_idler_omega(omega, crystal, pump) <= 0.0
-    if np.any(near):
+    omega, kx, ky = (a.ravel() for a in _columns(kappa))
+    todo = np.flatnonzero(~(np.isnan(kx) | np.isnan(ky)))
+    near = todo[lowest_idler_omega(omega[todo], crystal, pump) <= 0.0]
+    if near.size:
         raise OutOfDispersionWindow(f"the idler box of the signal at omega="
-                                    f"{omega[near][0]:.6g} reaches zero frequency")
-    on_axis = ky.ravel() == 0
+                                    f"{omega[near[0]]:.6g} reaches zero frequency")
+    on_axis = ky == 0
 
     def level(n, rows):
         """Midpoint sums at n nodes per axis over the lattice for these rows."""
@@ -177,28 +179,21 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
                                        ((t[n // 2:] if half else t) - 0.5 * n)[None, None, :] * dk)
             weight = pump_spectrum(kappa_p, crystal, pump) ** 2 * (
                 dw * dk * dk * (2.0 if half else 1.0))
-            part = rows[sel]
-            at = factor(kappa_p)
-            # one row first: it shows how many nodes the factor evaluates
-            c, step, w = 0, 1, None
-            while c < part.size:
-                f = at(part[c:c + step])
-                if w is None:
-                    w = (weight.sum(axis=-1) if f.shape[-1] == 1 else weight).ravel()
-                f = f.reshape(-1, w.size)
+            at, w = factor(kappa_p, weight)
+            step = max(1, _CHUNK_NODES // w.size)
+            for c in range(0, sel.size, step):
+                part = sel[c:c + step]
+                f = at(rows[part]).reshape(-1, w.size)
                 # a dot product per row, as a stack of (1, nodes) @ (nodes, 1)
                 # products: each row's sum is the same in any chunk
                 row_sums = np.matmul(f[:, None, :], w[:, None])[:, 0, 0]
                 nan = np.isnan(row_sums)
                 if np.any(nan):
                     row_sums[nan] = np.nansum(f[nan] * w, axis=1)
-                sums[sel[c:c + step]] = row_sums
-                c += step
-                step = max(1, _CHUNK_NODES // w.size)
+                sums[part] = row_sums
         return sums
 
-    flux, err = np.empty((2, omega.size))
-    todo = np.arange(omega.size)
+    flux, err = np.full((2, omega.size), np.nan)
     n = N_INIT
     coarse = level(n, todo)
     for _ in range(MAX_DOUBLINGS):
@@ -215,37 +210,37 @@ def _quadrature(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec, pump: PumpSpec
         raise NotConverged(
             f"quadrature not within {rel_tol:.2g} after {MAX_DOUBLINGS} "
             f"doublings at {todo.size} signal point(s), the first at "
-            f"omega={omega.flat[todo[0]]:.6g}")
+            f"omega={omega[todo[0]]:.6g}")
     return flux.reshape(shape)[()], err.reshape(shape)[()]
 
 
 def flux_quadrature_exact(kappa: dm.SpectralPoint, crystal: dm.CrystalSpec,
                           pump: PumpSpec, rel_tol: float = QUAD_REL_TOL):
     """Exact-sinc^2 quadrature of the pair-generation integral at each signal
-    of kappa; returns (flux, err_rel) of kappa's shape.
+    of kappa; returns (flux, err_rel) of kappa's shape, NaN where kx or ky is.
 
     The signals' k_z is evaluated once per call; per level, the pump's k_z
-    on the lattice every signal shares and the idlers' squared wavenumbers,
-    which vary along kappa_p.omega only; per node, only the idler's k_z at
-    kappa_p - kappa and the sinc^2."""
+    on the lattice every signal shares; per chunk of signals, the idlers'
+    squared wavenumbers, which vary along kappa_p.omega only; per node,
+    only the idler's k_z at kappa_p - kappa and the sinc^2."""
     half_length = 0.5 * crystal.length
     omega, kx, ky = _columns(kappa)
     kz_s = dm.kz_signal_grid(omega, kx, ky, crystal)
 
-    def sinc2(kappa_p):
+    def sinc2(kappa_p, weight):
         kz_p = dm.kz_pump_grid(kappa_p.omega, kappa_p.kx, kappa_p.ky, crystal)
-        k2_i = dm.k_ordinary(kappa_p.omega - omega, crystal) ** 2
 
         def at(rows):
             h = kz_p - kz_s[rows] - dm.kz_signal_grid(
                 None, kappa_p.kx - kx[rows], kappa_p.ky - ky[rows], crystal,
-                allow_evanescent=True, k2=k2_i[rows])
+                allow_evanescent=True,
+                k2=dm.k_ordinary(kappa_p.omega - omega[rows], crystal) ** 2)
             h *= half_length
             h[h == 0.0] = 1e-20  # where sin(h) / h is exactly 1, as in np.sinc
             sinc = np.sin(h)
             sinc /= h
             return np.square(sinc, out=sinc)
-        return at
+        return at, weight.ravel()
 
     return _quadrature(kappa, crystal, pump, rel_tol, sinc2)
 
@@ -263,27 +258,23 @@ def flux_quadrature_gaussianized(coeffs: pmm.LinearizedCoeffs, crystal: dm.Cryst
     + d_rho_px kappa_p.kx: a function of the pump lattice alone, constant
     along kappa_p.ky.
     """
-    table = np.broadcast_arrays(coeffs.k0, coeffs.omega_obs, coeffs.d_beta1,
-                                coeffs.d_rho_px)
-    ok = np.isfinite(table[0])
-    k0, omega, d_beta1, d_rho_px = (a[ok] for a in table)
+    k0, omega, d_beta1, d_rho_px = np.broadcast_arrays(
+        coeffs.k0, coeffs.omega_obs, coeffs.d_beta1, coeffs.d_rho_px)
+    d_beta1, d_rho_px = d_beta1.reshape(-1, 1, 1, 1), d_rho_px.reshape(-1, 1, 1, 1)
 
-    def surrogate(kappa_p):
+    def surrogate(kappa_p, weight):
         du = kappa_p.omega - crystal.pump_center_omega
 
         def at(rows):
-            r = rows[:, None, None, None]
-            x = d_beta1[r] * du + d_rho_px[r] * kappa_p.kx
+            x = d_beta1[rows] * du + d_rho_px[rows] * kappa_p.kx
             x *= crystal.length
             np.square(x, out=x)
             x /= -12.0
             return np.exp(x, out=x)
-        return at
+        return at, weight.sum(axis=-1).ravel()
 
-    flux, err = np.full(ok.shape, np.nan), np.full(ok.shape, np.nan)
-    flux[ok], err[ok] = _quadrature(dm.SpectralPoint(omega, k0, 0.0), crystal, pump,
-                                    rel_tol, surrogate)
-    return flux[()], err[()]
+    return _quadrature(dm.SpectralPoint(omega, k0, 0.0), crystal, pump, rel_tol,
+                       surrogate)
 
 
 METHODS = ("closed_form", "exact", "gaussianized")
@@ -306,10 +297,7 @@ def spectrum_along_curve(lambda_grid_nm, crystal: dm.CrystalSpec, pump: PumpSpec
     alpha, coeffs = pmm.scan_curve(lambda_grid_nm, crystal)
     if method == "gaussianized":
         return (alpha,) + flux_quadrature_gaussianized(coeffs, crystal, pump, rel_tol)
-    flux, err = np.full((2,) + alpha.shape, np.nan)
     if method == "closed_form":
-        return alpha, flux_closed_form(coeffs, crystal, pump), err
-    ok = np.flatnonzero(np.isfinite(coeffs.k0))
-    kappa = dm.SpectralPoint(coeffs.omega_obs[ok], coeffs.k0[ok], 0.0)
-    flux[ok], err[ok] = flux_quadrature_exact(kappa, crystal, pump, rel_tol)
-    return alpha, flux, err
+        return alpha, flux_closed_form(coeffs, crystal, pump), np.full_like(alpha, np.nan)
+    return (alpha,) + flux_quadrature_exact(dm.SpectralPoint(coeffs.omega_obs, coeffs.k0),
+                                            crystal, pump, rel_tol)

@@ -550,6 +550,9 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
                                             first)
     omega0 = _grid_center(crystal)
     alpha = pmm.exterior_angle(omega0, pmm.perfect_curve(omega0, crystal))
+    # the window's transverse half-width; beyond the light cone it reaches 90 deg
+    window = pmm.exterior_angle(omega0, np.pi * min(grid.n_x / grid.span_x,
+                                                    grid.n_y / grid.span_y))
     fmap = azimuthal_average(flux, stderr, crystal, grid, n_lambda, n_alpha)
     fmap.metadata = {
         "gain": crystal.length / l_nl,
@@ -557,7 +560,7 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         "total_photons": total,
         # largest signal phase one split step adds; it wraps at 2 pi
         "max_step_phase_rad": float(np.max(np.abs(prop.phase_sig))) * prop.dz,
-        "window_max_alpha_deg": float(fmap.alpha_edges_deg[-1]),
+        "window_max_alpha_deg": float(np.nan_to_num(np.degrees(window), nan=90.0)),
         # exterior angle of the matched ring at the grid center; None where
         # no matched mode there leaves the crystal (NaN fails the test)
         "matched_alpha_deg": None if np.isnan(alpha) else float(np.degrees(alpha)),

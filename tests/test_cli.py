@@ -567,10 +567,17 @@ class TestWignerCommand:
         filled = [r for r in rows if r[4] != "0"]
         assert all(r[2] and bool(r[3]) == (realizations > 1) for r in filled)
 
-    @pytest.mark.parametrize("theta, warns", [(31.3, True), (29.0, False)])
-    def test_ring_outside_window_warns(self, tmp_path, capsys, theta, warns):
+    # the 4w window: its corner modes reach 7.09 deg, past the 31.3 deg ring's
+    # 7.05, but its half-width at the grid center only 4.59 deg
+    @pytest.mark.parametrize("theta, grid_args, window, warns", [
+        (31.3, TINY_GRID, 0.29, True), (29.0, TINY_GRID, 0.29, False),
+        (31.3, ["--set", "grid.n_t=32", "--set", "grid.n_x=64", "--set", "grid.n_y=64",
+                "--set", "grid.span_xy_factor=4", "--set", "grid.n_z=2"], 4.59, True)],
+        ids=["31.3-True", "29.0-False", "31.3-4w-True"])
+    def test_ring_outside_window_warns(self, tmp_path, capsys, theta, grid_args,
+                                       window, warns):
         out = tmp_path / "out"
-        code = cli.main(["wigner", *TINY_GRID, "--realizations", "1",
+        code = cli.main(["wigner", *grid_args, "--realizations", "1",
                          "--set", f"crystal.theta_deg={theta}",
                          "--set", "wigner.lambda_bins=4",
                          "--set", "wigner.alpha_bins=3", "--out", str(out)])
@@ -578,7 +585,7 @@ class TestWignerCommand:
         err = capsys.readouterr().err
         assert err.count("warning: the phase-matched ring") == (1 if warns else 0)
         run = json.loads((out / "manifest.json").read_text())["run"]
-        assert run["window_max_alpha_deg"] < 1.0
+        assert run["window_max_alpha_deg"] == pytest.approx(window, abs=0.005)
         assert (run["matched_alpha_deg"] is not None) == warns
         assert run["max_step_phase_rad"] > 0
 

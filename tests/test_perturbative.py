@@ -306,6 +306,60 @@ class TestBatchedQuadrature:
                 bbo29, short_pump, self.REL_TOL)
             assert (flux[i], err[i]) == (one[0][0], one[1][0])
 
+    def test_exact_over_a_table_is_nan_where_k0_is(self, bbo29, short_pump):
+        # at theta=29.0 the surface has no point at 800 nm
+        lams = np.array([700.0, 800.0, 900.0])
+        table = pmm.scan_curve(lams, bbo29)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flux, err = pt.flux_quadrature_exact(
+                dm.SpectralPoint(table.omega_obs, table.k0), bbo29, short_pump,
+                self.REL_TOL)
+        gap = np.isnan(table.k0)
+        np.testing.assert_array_equal(gap, [False, True, False])
+        np.testing.assert_array_equal(np.isnan(flux), gap)
+        np.testing.assert_array_equal(np.isnan(err), gap)
+        _, flux_c, err_c = pt.spectrum_along_curve(lams, bbo29, short_pump,
+                                                   method="exact", rel_tol=self.REL_TOL)
+        np.testing.assert_array_equal(flux, flux_c)
+        np.testing.assert_array_equal(err, err_c)
+
+    @pytest.mark.parametrize("route", ["exact", "gaussianized"])
+    def test_nan_rows_leave_the_others_bitwise(self, bbo313, short_pump, route):
+        omega = omega_of_nm(self.LAMS)
+        finite = np.array([True, False, True, False])
+        k0 = np.where(finite, pmm.perfect_curve(omega, bbo313), np.nan)
+        # exact: a NaN kx at 700 nm and a NaN ky at 1150 nm are both skipped
+        kx = np.where(self.LAMS == 1150.0, 0.0, k0)
+        ky = np.where(self.LAMS == 1150.0, np.nan, 0.0)
+
+        def call(keep):
+            if route == "exact":
+                return pt.flux_quadrature_exact(
+                    dm.SpectralPoint(omega[keep], kx[keep], ky[keep]), bbo313,
+                    short_pump, self.REL_TOL)
+            return pt.flux_quadrature_gaussianized(
+                pmm.linearize(omega[keep], k0[keep], bbo313), bbo313, short_pump,
+                self.REL_TOL)
+
+        flux, err = call(slice(None))
+        alone = call(finite)
+        np.testing.assert_array_equal(np.isnan(flux), ~finite)
+        np.testing.assert_array_equal(np.isnan(err), ~finite)
+        np.testing.assert_array_equal(flux[finite], alone[0])
+        np.testing.assert_array_equal(err[finite], alone[1])
+
+    def test_unmatched_rows_reach_no_dispersion_window(self, short_pump):
+        # at theta=20.0 nothing is matched here, and the idler boxes of these
+        # signals reach past the 2600 nm end of the Sellmeier window
+        theta20 = dm.make_crystal(np.deg2rad(20.0), 2e-3, 400e-9)
+        lams = np.array([476.3, 478.0, 480.0])
+        table = pmm.scan_curve(lams, theta20)[1]
+        assert np.all(np.isnan(table.k0))
+        flux, err = pt.flux_quadrature_exact(dm.SpectralPoint(table.omega_obs, table.k0),
+                                             theta20, short_pump)
+        assert np.all(np.isnan(flux)) and np.all(np.isnan(err))
+
     def test_middle_rows_need_another_doubling(self, bbo313, short_pump, monkeypatch):
         monkeypatch.setattr(pt, "MAX_DOUBLINGS", 1)
         for lam in self.LAMS[[0, 3]]:
@@ -387,13 +441,12 @@ class TestHalfBox:
         kappa = dm.SpectralPoint(omega_of_nm(760), k0, ky_frac * k0)
         seen = []
 
-        def factor(kappa_p):
+        def factor(kappa_p, weight):
             def at(rows):
                 # the pump lattice's ky is ky' relative to the idler box center
                 seen.append(kappa_p.ky.ravel())
-                return np.ones((rows.size,) + np.broadcast(
-                    kappa_p.omega, kappa_p.kx, kappa_p.ky).shape)
-            return at
+                return np.ones((rows.size, weight.size))
+            return at, weight.ravel()
 
         pt._quadrature(kappa, bbo313, pump60_80, 1.0, factor)
         assert [len(k) for k in seen] == ([8, 16] if half else [16, 32])

@@ -665,11 +665,21 @@ class TestRunSimulation:
     def test_window_and_matched_angle_recorded(self, pump, grid):
         ens = wg.EnsembleSpec(n_realizations=1, seed=3)
         crystal = dm.make_crystal(np.deg2rad(35.0), 2e-3, 400e-9)
-        meta = wg.run_simulation(crystal, pump, replace(grid, n_z=4), ens,
+        # the narrower axis in k sets the window: the ky Nyquist mode at omega0
+        narrow = replace(grid, n_y=8, n_z=4)
+        meta = wg.run_simulation(crystal, pump, narrow, ens,
                                  n_lambda=4, n_alpha=3).metadata
-        _, alpha = wg._mode_lambda_alpha(crystal, grid)
-        assert meta["window_max_alpha_deg"] == np.nanmax(alpha)
         omega0 = crystal.pump_center_omega / 2.0
+        ky_edge = np.abs(wg._mode_frequencies(crystal, narrow)[2]).max()
+        assert meta["window_max_alpha_deg"] == pytest.approx(
+            np.degrees(pmm.exterior_angle(omega0, ky_edge)), rel=1e-12)
+        # a window beyond the vacuum light cone at omega0 (but inside the
+        # o-ray one, so every mode propagates) reaches 90 deg
+        wide = replace(grid, n_t=8, n_x=8, n_y=8, span_x=2.9e-6, span_y=2.9e-6, n_z=4)
+        assert dm.C_LIGHT * np.pi * 8 / 2.9e-6 > omega0
+        meta_wide = wg.run_simulation(crystal, pump, wide, ens,
+                                      n_lambda=4, n_alpha=3).metadata
+        assert meta_wide["window_max_alpha_deg"] == 90.0
         k0 = float(pmm.perfect_curve(omega0, crystal))
         expected = np.degrees(pmm.exterior_angle(omega0, k0))
         assert meta["matched_alpha_deg"] == pytest.approx(expected, rel=1e-12)
