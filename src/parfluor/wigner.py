@@ -377,39 +377,48 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalS
 # ensemble runs and gain calibration
 
 
+_BATCH_BYTES = 256e6  # the most complex128 field bytes one ensemble batch holds
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the total is checked instead
 def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     """Propagate the ensemble at nonlinear length l_nl with a _Propagator,
     returning per-mode (flux, stderr, total, raw).
 
-    Realizations go through in batches of up to 32 and at most 256 MB of
-    fields; besides one step's tables, a batch of R peaks at 24 R bytes per
-    mode (32 R paired).  raw is the exit-face |a|^2 (float64, one row per
-    realization) of the first batch if that is the whole ensemble, else None.
+    Realizations go through in batches of up to 32 and at most _BATCH_BYTES
+    of fields; besides one step's tables, a batch that propagates R
+    realizations peaks at 24 R bytes per mode (32 R paired).  raw is the
+    exit-face |a|^2 (float64, one row per realization) of the first batch if
+    that is the whole ensemble, else None.
     first, the raw of a smaller ensemble with the same seed at the same l_nl
-    (a calibration probe), opens the first batch in place of propagating
-    those realizations again; their entrance fields are drawn again from
-    vacuum_rng.
+    (a calibration probe), stands in for the ensemble's leading realizations:
+    a batch neither propagates nor holds fields for them, so each holds only
+    its 8-byte exit row per mode, and its entrance field is drawn again from
+    vacuum_rng only where paired reads its |a|^2 (8 more bytes).  Batches
+    split the ensemble where they would without first; one that first covers
+    entirely propagates nothing.
     paired=True subtracts each realization's own input |a|^2 instead of the
     ensemble constant 1/2; identical in expectation (dispersion preserves
     per-mode magnitudes), far lower variance at small gain.
     Raises NotConverged when the photon numbers are not finite.
     """
     grid = prop.grid
-    chunk_size = int(np.clip(256e6 // (16 * grid.n_modes), 1, 32))
+    chunk_size = int(np.clip(_BATCH_BYTES // (16 * grid.n_modes), 1, 32))
     first = np.empty((0,) + grid.shape) if first is None else first
     acc = _FluxAccumulator(grid.shape)
     for r in range(0, ensemble.n_realizations, chunk_size):
         stop = min(r + chunk_size, ensemble.n_realizations)
-        batch = np.empty((stop - r,) + grid.shape, dtype=np.complex128)
-        entrance = np.empty(batch.shape) if paired else None
-        for i, k in enumerate(range(r, stop)):
-            batch[i] = row = sample_vacuum(grid, vacuum_rng(ensemble.seed, k))
-            if paired:  # the entrance |a|^2 of the draw, whose copy batch[i] keeps
+        n_reused = min(max(len(first) - r, 0), stop - r)
+        batch = np.empty((stop - r - n_reused,) + grid.shape, dtype=np.complex128)
+        entrance = np.empty((stop - r,) + grid.shape) if paired else None
+        for i in range(0 if paired else n_reused, stop - r):
+            row = sample_vacuum(grid, vacuum_rng(ensemble.seed, r + i))
+            if i >= n_reused:  # a reused realization holds no field
+                batch[i - n_reused] = row
+            if paired:  # the entrance |a|^2, consuming the draw
                 _mag_squared(row, out=entrance[i])
-        n_reused = max(len(first) - r, 0)
-        done = prop.run_batch(batch[n_reused:], l_nl) if n_reused < len(batch) else batch[:0]
-        mags = np.empty(batch.shape)  # after run_batch, to reuse what its tables held
+        done = prop.run_batch(batch, l_nl) if len(batch) else batch
+        mags = np.empty((stop - r,) + grid.shape)  # after run_batch, to reuse what it held
         mags[:n_reused] = first[r:stop]
         _mag_squared(done, out=mags[n_reused:])
         del batch, done  # the exit field is dead once its |a|^2 exists

@@ -339,6 +339,17 @@ class TestEstimateFlux:
         # accumulator's shift row (8 B per mode)
         assert peaks[2] - peaks[1] <= 8 * grid.n_modes + 1024
 
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_reused_realizations_hold_no_field(self, crystal, pump, grid, paired):
+        # the 2 realizations a probe's exit |a|^2 stands in for hold no
+        # batch row (16 B per mode each) and are not propagated
+        prop = wg._Propagator(crystal, replace(pump, l_nl=2e-3), replace(grid, n_z=4))
+        _, _, _, raw = wg._ensemble_flux(prop, 2e-3, wg.EnsembleSpec(2, seed=3), True)
+        ens = wg.EnsembleSpec(4, seed=3)
+        fresh = _traced_peak(wg._ensemble_flux, prop, 2e-3, ens, paired)
+        reusing = _traced_peak(wg._ensemble_flux, prop, 2e-3, ens, paired, raw)
+        assert fresh - reusing >= 2 * 16 * grid.n_modes - 1024
+
     def test_accumulator_stable_at_large_mean(self):
         # sum(x^2) - sum(x)^2/n loses every digit of a unit spread at 1e9
         rng = np.random.default_rng(5)
@@ -558,7 +569,8 @@ class TestCalibratedReuse:
     def small(self, grid):
         return replace(grid, n_t=16, n_x=8, n_y=8, n_z=10)
 
-    def _counted_run(self, monkeypatch, crystal, pump, grid, ens, target=TARGET):
+    def _counted_run(self, monkeypatch, crystal, pump, grid, ens, target=TARGET,
+                     paired=False):
         """A calibrated run_simulation, with the _Propagator builds and the
         fields each run_batch propagated."""
         builds, fields = [], []
@@ -574,8 +586,22 @@ class TestCalibratedReuse:
 
         monkeypatch.setattr(wg, "_Propagator", Counting)
         fmap = wg.run_simulation(crystal, pump, grid, ens, n_lambda=6, n_alpha=4,
-                                 target_photons=target)
+                                 target_photons=target, paired_subtraction=paired)
         return fmap, builds, fields
+
+    def _assert_matches_uncalibrated(self, got, crystal, pump, grid, ens, paired):
+        """got equals the uncalibrated run at the calibration's l_nl."""
+        cal = wg.calibrate_gain(self.TARGET, crystal, pump, grid, ens)
+        want = wg.run_simulation(crystal, replace(pump, l_nl=cal.l_nl), grid, ens,
+                                 n_lambda=6, n_alpha=4, paired_subtraction=paired)
+        for key in ("flux", "stderr"):
+            np.testing.assert_allclose(getattr(got, key), getattr(want, key),
+                                       rtol=1e-12, atol=0, err_msg=key)
+        np.testing.assert_array_equal(got.n_modes, want.n_modes)
+        assert got.metadata["total_photons"] == pytest.approx(
+            want.metadata["total_photons"], rel=1e-12)
+        assert got.metadata["calibration"]["reused_realizations"] == min(
+            2, ens.n_realizations)
 
     def test_probe_is_a_fresh_propagation_at_the_returned_l_nl(self, crystal, pump,
                                                                 small):
@@ -591,19 +617,21 @@ class TestCalibratedReuse:
     def test_matches_uncalibrated_run_at_the_returned_l_nl(self, crystal, pump, small,
                                                             paired, n_real):
         ens = wg.EnsembleSpec(n_realizations=n_real, seed=41)
-        opts = dict(n_lambda=6, n_alpha=4, paired_subtraction=paired)
-        got = wg.run_simulation(crystal, pump, small, ens, target_photons=self.TARGET,
-                                **opts)
-        cal = wg.calibrate_gain(self.TARGET, crystal, pump, small, ens)
-        want = wg.run_simulation(crystal, replace(pump, l_nl=cal.l_nl), small, ens,
-                                 **opts)
-        for key in ("flux", "stderr"):
-            np.testing.assert_allclose(getattr(got, key), getattr(want, key),
-                                       rtol=1e-12, atol=0, err_msg=key)
-        np.testing.assert_array_equal(got.n_modes, want.n_modes)
-        assert got.metadata["total_photons"] == pytest.approx(
-            want.metadata["total_photons"], rel=1e-12)
-        assert got.metadata["calibration"]["reused_realizations"] == min(2, n_real)
+        got = wg.run_simulation(crystal, pump, small, ens, n_lambda=6, n_alpha=4,
+                                target_photons=self.TARGET, paired_subtraction=paired)
+        self._assert_matches_uncalibrated(got, crystal, pump, small, ens, paired)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_a_first_batch_of_reused_realizations_propagates_nothing(
+            self, monkeypatch, crystal, pump, small, paired):
+        # batches of 2: the first holds the probe's two realizations alone
+        monkeypatch.setattr(wg, "_BATCH_BYTES", 2 * 16 * small.n_modes)
+        ens = wg.EnsembleSpec(n_realizations=5, seed=41)
+        got, _, fields = self._counted_run(monkeypatch, crystal, pump, small, ens,
+                                           paired=paired)
+        n_probes = got.metadata["calibration"]["n_probes"]
+        assert fields == [2] * n_probes + [2, 1]
+        self._assert_matches_uncalibrated(got, crystal, pump, small, ens, paired)
 
     @pytest.mark.parametrize("seeded", [False, True])
     @pytest.mark.parametrize("n_real", [1, 2, 5])
@@ -623,6 +651,39 @@ class TestCalibratedReuse:
         assert seeded or n_probes >= 2
         reused = min(2, n_real)
         assert sum(fields) == n_probes * reused + n_real - reused
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_final_ensemble_draws_only_what_it_reads(self, monkeypatch, crystal, pump,
+                                                     small, bbo29, seeded_grid, seeded,
+                                                     paired):
+        # the realization index of every sample_vacuum draw, in order
+        drawn, streams = [], {}
+        vacuum_rng, sample_vacuum = wg.vacuum_rng, wg.sample_vacuum
+
+        def indexed_rng(seed, realization):
+            rng = vacuum_rng(seed, realization)
+            streams[id(rng)] = realization
+            return rng
+
+        def recorded_sample(grid, rng):
+            drawn.append(streams[id(rng)])
+            return sample_vacuum(grid, rng)
+
+        monkeypatch.setattr(wg, "vacuum_rng", indexed_rng)
+        monkeypatch.setattr(wg, "sample_vacuum", recorded_sample)
+        ens = wg.EnsembleSpec(n_realizations=5, seed=41)
+        if seeded:
+            fmap, _, _ = self._counted_run(monkeypatch, bbo29, pump, seeded_grid, ens,
+                                           SEEDED_TARGET, paired)
+        else:
+            fmap, _, _ = self._counted_run(monkeypatch, crystal, pump, small, ens,
+                                           paired=paired)
+        n_probes = fmap.metadata["calibration"]["n_probes"]
+        # each probe draws its two realizations, which run_batch consumes; the
+        # final ensemble draws the reused two only for their entrance |a|^2
+        assert drawn[:2 * n_probes] == [0, 1] * n_probes
+        assert drawn[2 * n_probes:] == list(range(0 if paired else 2, 5))
 
     def test_builds_one_propagator(self, monkeypatch, crystal, pump, small):
         ens = wg.EnsembleSpec(n_realizations=3, seed=41)
