@@ -157,12 +157,14 @@ def _pump_spectrum0(pump: pt.PumpSpec, grid: SimulationGrid) -> np.ndarray:
 class _Propagator:
     """The split-step loop for one configuration, and what its tables are
     built from: the phase rates phase_sig and phase_pmp [rad/m] of every
-    mode in the common reference frame, and the entrance pump spectrum
-    pump0.  None depends on pump.l_nl, which each propagation passes."""
+    mode in the common reference frame, its only field-sized arrays
+    (16 B per mode together), and the pump, whose entrance spectrum each
+    propagation rebuilds.  None depends on pump.l_nl, which each
+    propagation passes."""
 
     def __init__(self, crystal: dm.CrystalSpec, pump: pt.PumpSpec,
                  grid: SimulationGrid):
-        self.grid = grid
+        self.grid, self.pump = grid, pump
         self.dz = crystal.length / grid.n_z
 
         omega0, omega_p = _grid_center(crystal), crystal.pump_center_omega
@@ -191,7 +193,6 @@ class _Propagator:
         self.phase_pmp = (kz_pmp - 2.0 * k_ref
                           - beta_ref * (w_pmp[:, None, None] - omega_p)
                           - rho_ref * kx3)
-        self.pump0 = _pump_spectrum0(pump, grid)
 
     def _phase_factor(self, coef, phase):
         """np.exp(coef * phase * dz) to the bit, built in one buffer."""
@@ -203,7 +204,11 @@ class _Propagator:
         nonlinear length l_nl for each of the n_z steps: g_dz = g dz is the
         pump's position field at z = (j + 1/2) dz, where step j samples it,
         times dz/l_nl, and m = |g_dz|; the second is (g/|g|) sinh(|g| dz)."""
-        pump_spec = self.pump0 * self._phase_factor(0.5j, self.phase_pmp)
+        # bound to a name first: with two temporaries numpy may write the
+        # product into one of them in place, which rounds some entries apart
+        pump0 = _pump_spectrum0(self.pump, self.grid)
+        pump_spec = pump0 * self._phase_factor(0.5j, self.phase_pmp)
+        del pump0  # read only here: dead before the steps' tables exist
         pump_step = self._phase_factor(1.0j, self.phase_pmp)
         for step in range(self.grid.n_z):
             if step:
@@ -226,7 +231,8 @@ class _Propagator:
         the exit field comes back in its memory.  The FFTs write into their
         input and the pointwise step runs field by field, so besides it a
         step holds one field of scratch for alpha*, the linear table, the
-        stepped pump and one step's tables: about 6 fields at any batch size.
+        stepped pump and its step factor and one step's tables: about 97 B
+        per mode at any batch size, 113 with the propagator's phase rates.
         """
         batch *= self._phase_factor(0.5j, self.phase_sig)
         full_linear = self._phase_factor(1.0j, self.phase_sig)
@@ -269,17 +275,20 @@ class _FluxAccumulator:
     sum(x^2) - sum(x)^2/n would instead cancel catastrophically where the
     mean is large against the spread, as at high gain; the shift keeps the
     merged means small there, so their rounding does not enter M2 either.
+    Its three rows (8 B per mode each) exist from the first add on, so none
+    is held while the first batch propagates.
     """
 
     def __init__(self, shape):
         self.n = 0
-        self.shift = None
-        self.dev_mean = np.zeros(shape)
-        self.m2 = np.zeros(shape)
+        self.shape = shape
+        self.shift = self.dev_mean = self.m2 = None
 
     def add(self, values: np.ndarray) -> None:
         if self.shift is None:
             self.shift = values[0].copy()
+            self.dev_mean = np.zeros(self.shape)
+            self.m2 = np.zeros(self.shape)
         dev = values - self.shift
         n_chunk = dev.shape[0]
         mean_chunk = dev.mean(axis=0)
@@ -386,10 +395,16 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     returning per-mode (flux, stderr, total, raw).
 
     Realizations go through in batches of up to 32 and at most _BATCH_BYTES
-    of fields; besides one step's tables, a batch that propagates R
-    realizations peaks at 24 R bytes per mode (32 R paired).  raw is the
-    exit-face |a|^2 (float64, one row per realization) of the first batch if
-    that is the whole ensemble, else None.
+    of fields.  A batch of R realizations propagates with no draw and no
+    accumulator row live: its 16 R bytes per mode (and paired its 8 R of
+    entrance |a|^2) sit beside run_batch's scratch, about 113 B per mode
+    with the phase rates.  Its exit |a|^2 (8 R) is taken before it is
+    dropped, and only the accumulator's three rows (8 B per mode each)
+    outlive it into the next batch.  Measured on a 2-vCPU host, the default
+    wigner run at n_z 4 (128x64x64, R 10) peaks at 192.9 MB RSS, and one
+    pair on the ring-holding 128x144x144 grid at 5 w_p at 423.2 MB.  raw
+    is the exit-face |a|^2 (float64, one row per realization) of the first
+    batch if that is the whole ensemble, else None.
     first, the raw of a smaller ensemble with the same seed at the same l_nl
     (a calibration probe), stands in for the ensemble's leading realizations:
     a batch neither propagates nor holds fields for them, so each holds only
@@ -417,6 +432,7 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
                 batch[i - n_reused] = row
             if paired:  # the entrance |a|^2, consuming the draw
                 _mag_squared(row, out=entrance[i])
+            del row  # dead before the next draw, and before the batch propagates
         done = prop.run_batch(batch, l_nl) if len(batch) else batch
         mags = np.empty((stop - r,) + grid.shape)  # after run_batch, to reuse what it held
         mags[:n_reused] = first[r:stop]
@@ -513,11 +529,12 @@ def calibrate_gain(target_photons: float, crystal: dm.CrystalSpec,
     last_x, last_total = x, 0.0  # the previous probe; a total <= 0 has no secant
     for _ in range(_MAX_PROBES):
         l_nl = crystal.length / float(np.exp(x))
-        _, _, total, probe = _ensemble_flux(prop, l_nl, probe_ens, paired=True)
+        total, probe = _ensemble_flux(prop, l_nl, probe_ens, paired=True)[2:]
         trace.append({"gain": crystal.length / l_nl, "total": total})
         if total > 0 and abs(total - target_photons) <= _CALIB_REL_TOL * target_photons:
             return CalibrationResult(l_nl, total, len(trace), tuple(trace), predicted,
                                      prop, probe)
+        del probe  # a rejected probe's exit rows: freed before the next propagates
         if total < target_photons:
             lo = x
         else:

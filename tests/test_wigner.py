@@ -55,10 +55,11 @@ def _reference_strang(prop, batch, l_nl):
     cosh(|g| dz), at complex128; each step's pump takes its whole phase
     from the entrance face at once."""
     half_linear = np.exp(0.5j * prop.phase_sig * prop.dz)
+    pump0 = wg._pump_spectrum0(prop.pump, prop.grid)
     a = batch.astype(np.complex128) * half_linear
     for step in range(prop.grid.n_z):
         z = (step + 0.5) * prop.dz
-        g = wg.to_position(prop.pump0 * np.exp(1j * prop.phase_pmp * z)) / l_nl
+        g = wg.to_position(pump0 * np.exp(1j * prop.phase_pmp * z)) / l_nl
         m = np.abs(g) * prop.dz
         with np.errstate(invalid="ignore", divide="ignore"):
             phase = np.where(m > 0, g / np.where(m > 0, np.abs(g), 1.0), 1.0 + 0j)
@@ -88,9 +89,10 @@ def _traced_peak(fn, *args):
 def _pump_fields(prop):
     """The pump's position field at z = (j + 1/2) dz for each of the n_z
     steps, each phased from the entrance face at once, with no stepping."""
+    pump0 = wg._pump_spectrum0(prop.pump, prop.grid)
     for step in range(prop.grid.n_z):
         z = (step + 0.5) * prop.dz
-        yield wg.to_position(prop.pump0 * np.exp(1j * prop.phase_pmp * z))
+        yield wg.to_position(pump0 * np.exp(1j * prop.phase_pmp * z))
 
 
 class TestGrid:
@@ -246,6 +248,13 @@ class TestPropagate:
         assert np.shares_memory(got, batch)  # propagated in place
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-12
 
+    def test_holds_only_the_phase_rates(self, crystal, pump, grid):
+        # the entrance pump spectrum is rebuilt by each propagation
+        prop = wg._Propagator(crystal, pump, grid)
+        arrays = {k: v for k, v in vars(prop).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == ["phase_pmp", "phase_sig"]
+        assert sum(a.nbytes for a in arrays.values()) == 16 * grid.n_modes
+
     def test_phase_tables_match_the_expression_to_the_bit(self, crystal, pump, grid):
         prop = wg._Propagator(crystal, pump, grid)
         for phase in (prop.phase_sig, prop.phase_pmp):
@@ -331,13 +340,19 @@ class TestEstimateFlux:
         # largest batch, 32, these outweigh the fixed scratch of a step, and
         # the 1 kB allows for per-realization Python objects
         prop = wg._Propagator(crystal, replace(pump, l_nl=2e-3), replace(grid, n_z=4))
+        one = wg.sample_vacuum(grid, wg.vacuum_rng(3, 0))[None]
+        scratch = _traced_peak(prop.run_batch, one, 2e-3)
         peaks = [_traced_peak(wg._ensemble_flux, prop, 2e-3,
                               wg.EnsembleSpec(n_real, seed=3), paired)
                  for n_real in (1, 32, 64)]
+        # a batch of one holds its row and paired its entrance |a|^2 row
+        # beside run_batch's scratch: no draw and no accumulator row is live
+        # while it propagates
+        assert peaks[0] <= (16 + 8 * paired) * grid.n_modes + scratch + 1024
         assert (peaks[1] - peaks[0]) / 31 <= row_bytes * grid.n_modes + 1024
         # a second batch of 32 finds nothing of the first but the
-        # accumulator's shift row (8 B per mode)
-        assert peaks[2] - peaks[1] <= 8 * grid.n_modes + 1024
+        # accumulator's three rows (8 B per mode each)
+        assert peaks[2] - peaks[1] <= 24 * grid.n_modes + 1024
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_reused_realizations_hold_no_field(self, crystal, pump, grid, paired):
@@ -551,6 +566,25 @@ class TestCalibration:
         lo = wg.calibrate_gain(1e4, crystal, pump, grid, ens)
         hi = wg.calibrate_gain(2e4, crystal, pump, grid, ens)
         assert 1.0 / hi.l_nl > 1.0 / lo.l_nl
+
+    def test_rejected_probes_are_freed(self, bbo29, pump, grid):
+        # a rejected probe's exit rows (8 B per mode per realization) are
+        # dead: the next probe propagates without them, so three probes peak
+        # as one does.  The untraced first runs fill the one-time caches, and
+        # the least of three peaks drops the few hundred bytes by which one
+        # call's peak moves from run to run
+        ens = wg.EnsembleSpec(n_realizations=2, seed=1)
+        n_probes = {}
+
+        def calibrate(target):
+            n_probes[target] = wg.calibrate_gain(target, bbo29, pump, grid, ens).n_probes
+
+        for target in (80.0, 2e3):
+            calibrate(target)
+        one, many = (min(_traced_peak(calibrate, target) for _ in range(3))
+                     for target in (80.0, 2e3))
+        assert n_probes == {80.0: 1, 2e3: 3}
+        assert many <= one + 1024
 
     def test_not_converged(self, crystal, pump, grid, monkeypatch):
         monkeypatch.setattr(wg, "_MAX_PROBES", 1)
@@ -899,8 +933,9 @@ class TestPairOracle:
     def test_run_batch_matches_pair_recursion(self, crystal, grid, gain):
         wide = pt.PumpSpec(tau_p=np.inf, w_p=np.inf, l_nl=crystal.length / gain)
         prop = wg._Propagator(crystal, wide, grid)
-        peak = prop.pump0.flat[0]
-        assert np.max(np.abs(prop.pump0.ravel()[1:])) <= 1e-15 * abs(peak)
+        pump0 = wg._pump_spectrum0(wide, grid)
+        peak = pump0.flat[0]
+        assert np.max(np.abs(pump0.ravel()[1:])) <= 1e-15 * abs(peak)
 
         probes = np.ones((2,) + grid.shape) * np.array([1.0, 1j])[:, None, None, None]
         half_linear = np.exp(0.5j * prop.phase_sig * prop.dz)
