@@ -17,7 +17,6 @@ shipped BBO can be substituted.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -29,7 +28,6 @@ from .errors import EvanescentMode, NoRealRoot, OutOfDispersionWindow
 
 C_LIGHT = 299_792_458.0  # m/s, exact in SI (scipy.constants.c)
 TWO_PI = 2.0 * np.pi
-DATA_DIR_ENV = "PARFLUOR_DATA_DIR"
 # a point on a light cone can square to a radicand a few ulp below zero
 _CONE_RTOL = 8.0 * np.finfo(float).eps
 
@@ -130,26 +128,21 @@ def _finite_numbers(values, what: str) -> tuple:
 
 
 def load_material(source) -> dict:
-    """Read and check a crystal material document (path or material name).
+    """Read and check a crystal material document.
 
-    The document is a JSON object {"name", "sellmeier_o", "sellmeier_e",
-    "window_nm"}: each Sellmeier set holds exactly the numbers b0, b1, c1
-    and b2, and window_nm, [180, 2600] if absent, is [low, high] in nm with
-    0 < low < high.  A name resolves to an existing ".json" path, then to
-    $PARFLUOR_DATA_DIR/<name>.json, then to the shipped parfluor/data; "bbo"
-    is the default beta-barium-borate coefficient sets.  A document of
+    A source whose suffix is ".json" is read as that file; any other source,
+    case-folded, names a document shipped in parfluor/data: "bbo" is the
+    default beta-barium-borate coefficient sets.  The document is a JSON
+    object {"sellmeier_o", "sellmeier_e", "window_nm"}: each Sellmeier set
+    holds exactly the numbers b0, b1, c1 and b2, and window_nm, [180, 2600]
+    if absent, is [low, high] in nm with 0 < low < high.  A document of
     another shape raises ValueError (so does malformed JSON), a missing
-    Sellmeier set KeyError.
+    Sellmeier set KeyError, a missing file or name FileNotFoundError.
     """
     path = Path(source)
-    data_dir = os.environ.get(DATA_DIR_ENV)
-    if data_dir and not (path.suffix == ".json" and path.exists()):
-        path = Path(data_dir) / f"{source}.json"
-    if path.suffix == ".json" and path.exists():
-        doc = json.loads(path.read_text())
-    else:
-        ref = resources.files("parfluor").joinpath(f"data/{str(source).lower()}.json")
-        doc = json.loads(ref.read_text())
+    if path.suffix != ".json":
+        path = resources.files("parfluor") / f"data/{str(source).lower()}.json"
+    doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise ValueError("a material document must be a JSON object")
     sets = ("sellmeier_o", "sellmeier_e")
@@ -160,7 +153,7 @@ def load_material(source) -> dict:
     if len(window) != 2 or not 0 < window[0] < window[1]:
         raise ValueError(f"'window_nm' must be [low, high] with 0 < low < high, "
                          f"got {list(window)}")
-    material = {"name": doc.get("name", "crystal")}
+    material = {}
     for key in sets:
         coeffs = doc[key]
         names = ("b0", "b1", "c1", "b2")  # SellmeierSet's order

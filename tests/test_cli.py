@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from parfluor import cli
-from parfluor import dispersion as dm
 
 
 TINY_GRID = [
@@ -308,13 +307,61 @@ class TestConfigHandling:
             importlib.import_module(f"parfluor.{modules[alias]}"), name)]
         assert missing == []
 
-    def test_env_var_data_dir(self, tmp_path, monkeypatch):
-        (tmp_path / "mybbo.json").write_text(json.dumps(BBO_DOC))
-        monkeypatch.setenv(dm.DATA_DIR_ENV, str(tmp_path))
-        out = tmp_path / "out"
-        code = cli.main(["phasematch", "--set", "crystal.material=mybbo",
-                         "--set", "phasematch.n_points=5", "--out", str(out)])
-        assert code == 0
+    def test_missing_material_path_exits_2_naming_it(self, tmp_path, capsys):
+        # a .json path is read as that file, never looked up as a shipped name
+        path = tmp_path / "nothere.json"
+        code = cli.main(["phasematch", "--set", f"crystal.material={path}",
+                         "--set", "phasematch.n_points=5", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{path}'" in err
+        assert ".json.json" not in err
+
+
+def output_bytes(out):
+    """The bytes of each CSV and PGM a command wrote into out, by name."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.suffix in (".csv", ".pgm")}
+
+
+class TestReproducibility:
+    """The manifest's config is all a run depends on."""
+
+    WIGNER = ["wigner", "--set", "grid.n_t=16", "--set", "grid.n_x=8",
+              "--set", "grid.n_y=8", "--set", "grid.n_z=10", "--realizations", "2",
+              "--set", "wigner.lambda_bins=6", "--set", "wigner.alpha_bins=4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["phasematch", "--set", "phasematch.n_points=5"], WIGNER,
+    ], ids=["phasematch", "wigner"])
+    def test_environment_does_not_change_the_outputs(self, tmp_path, monkeypatch,
+                                                     argv):
+        # a bbo.json with another ordinary index, in a directory an
+        # environment variable names: only the config picks the material
+        edited = {**BBO_DOC, "sellmeier_o": {**BBO_DOC["sellmeier_o"], "b0": 2.75}}
+        (tmp_path / "bbo.json").write_text(json.dumps(edited))
+        assert cli.main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("PARFLUOR_DATA_DIR", str(tmp_path))
+        assert cli.main([*argv, "--out", str(tmp_path / "env")]) == 0
+        want = output_bytes(tmp_path / "plain")
+        assert want and output_bytes(tmp_path / "env") == want
+
+    @pytest.mark.parametrize("argv", [
+        ["phasematch", "--set", "phasematch.n_points=5"],
+        *(["pert-flux", "--method", method, "--set", "pert_flux.n_points=3"]
+          for method in ("closed_form", "gaussianized", "exact")),
+        [*WIGNER, "--target-photons", "5"],
+    ], ids=["phasematch", "closed_form", "gaussianized", "exact", "wigner-calibrated"])
+    def test_manifest_config_reproduces_every_file(self, tmp_path, argv):
+        first = tmp_path / "first"
+        assert cli.main([*argv, "--out", str(first)]) == 0
+        config = tmp_path / "config.json"
+        manifest = json.loads((first / "manifest.json").read_text())
+        config.write_text(json.dumps(manifest["config"]))
+        again = tmp_path / "again"
+        assert cli.main([argv[0], "--config", str(config), "--out", str(again)]) == 0
+        want = output_bytes(first)
+        assert want and output_bytes(again) == want
 
 
 class TestPhasematchCommand:

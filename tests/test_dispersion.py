@@ -257,21 +257,10 @@ class TestMaterialLoading:
         crystal = dm.make_crystal(np.deg2rad(29.0), 2e-3, 400e-9, material=path)
         w = omega_of_nm(800)
         assert crystal.sellmeier_o.index_at_omega(w) == bbo29.sellmeier_o.index_at_omega(w)
-
-    def test_data_dir_env_lookup(self, tmp_path, monkeypatch):
-        shipped = dm.load_material("bbo")
-        (tmp_path / "envbbo.json").write_text(json.dumps({
-            "name": "BBO-env",
-            "sellmeier_o": {"b0": 2.7405, "b1": 0.0184, "c1": 0.0179, "b2": 0.0155},
-            "sellmeier_e": {"b0": 2.3730, "b1": 0.0128, "c1": 0.0156, "b2": 0.0044},
-        }))
-        monkeypatch.setenv(dm.DATA_DIR_ENV, str(tmp_path))
-        assert dm.load_material("envbbo")["name"] == "BBO-env"
-        # names absent from the directory fall through to the shipped data
-        assert dm.load_material("bbo") == shipped
-        monkeypatch.delenv(dm.DATA_DIR_ENV)
-        with pytest.raises(FileNotFoundError):
-            dm.load_material("envbbo")
+        # a source without the .json suffix names a shipped document, never a file
+        for name in ("nosuchcrystal", tmp_path / "mat"):
+            with pytest.raises(FileNotFoundError):
+                dm.load_material(name)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -623,8 +623,10 @@ class TestCalibratedReuse:
                                  target_photons=target, paired_subtraction=paired)
         return fmap, builds, fields
 
-    def _assert_matches_uncalibrated(self, got, crystal, pump, grid, ens, paired):
-        """got equals the uncalibrated run at the calibration's l_nl."""
+    def _assert_matches_uncalibrated(self, got, crystal, pump, grid, ens, paired,
+                                     reused=2):
+        """got equals the uncalibrated run at the calibration's l_nl, and took
+        up to reused realizations from its last probe."""
         cal = wg.calibrate_gain(self.TARGET, crystal, pump, grid, ens)
         want = wg.run_simulation(crystal, replace(pump, l_nl=cal.l_nl), grid, ens,
                                  n_lambda=6, n_alpha=4, paired_subtraction=paired)
@@ -635,7 +637,7 @@ class TestCalibratedReuse:
         assert got.metadata["total_photons"] == pytest.approx(
             want.metadata["total_photons"], rel=1e-12)
         assert got.metadata["calibration"]["reused_realizations"] == min(
-            2, ens.n_realizations)
+            reused, ens.n_realizations)
 
     def test_probe_is_a_fresh_propagation_at_the_returned_l_nl(self, crystal, pump,
                                                                 small):
@@ -666,6 +668,18 @@ class TestCalibratedReuse:
         n_probes = got.metadata["calibration"]["n_probes"]
         assert fields == [2] * n_probes + [2, 1]
         self._assert_matches_uncalibrated(got, crystal, pump, small, ens, paired)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_a_probe_of_two_batches_is_not_reused(self, monkeypatch, crystal, pump,
+                                                   small, paired):
+        # batches of one: the probe keeps no exit rows, so the run propagates
+        # every realization afresh
+        monkeypatch.setattr(wg, "_BATCH_BYTES", 16 * small.n_modes)
+        ens = wg.EnsembleSpec(n_realizations=3, seed=41)
+        got = wg.run_simulation(crystal, pump, small, ens, n_lambda=6, n_alpha=4,
+                                target_photons=self.TARGET, paired_subtraction=paired)
+        self._assert_matches_uncalibrated(got, crystal, pump, small, ens, paired,
+                                          reused=0)
 
     @pytest.mark.parametrize("seeded", [False, True])
     @pytest.mark.parametrize("n_real", [1, 2, 5])
