@@ -219,9 +219,10 @@ class _Propagator:
             sh = np.sinh(m)
             # where m = 0, g_dz is 0 too, so the skipped entries never matter
             g_dz *= np.divide(sh, m, out=sh, where=m > 0)
+            del sh  # dead once g_dz holds it, so not held across the step
             ch = np.cosh(m, out=m)  # m's last use: ch takes its buffer
             yield ch, g_dz
-            del ch, g_dz, m, sh  # dropped before the next step's tables are built
+            del ch, g_dz, m  # dropped before the next step's tables are built
 
     def run_batch(self, batch: np.ndarray, l_nl: float) -> np.ndarray:
         """Propagate a (realizations, n_t, n_x, n_y) complex128 spectral
@@ -260,21 +261,23 @@ class _Propagator:
 
 
 def _mag_squared(data: np.ndarray, out=None) -> np.ndarray:
-    """|a|^2 as re^2 + im^2 (no sqrt roundtrip), into out if given.  The
-    input is consumed: its real and imaginary parts are squared in place."""
+    """|a|^2 as re^2 + im^2 (no sqrt roundtrip), consuming data: its parts
+    are squared in place, and summed into out if given, else its even ones."""
     parts = data.view(data.real.dtype)
     np.square(parts, out=parts)
-    return np.add(parts[..., 0::2], parts[..., 1::2], out=out)
+    re = parts[..., 0::2]
+    return np.add(re, parts[..., 1::2], out=re if out is None else out)
 
 
 class _FluxAccumulator:
     """Streaming per-mode mean and standard error over realizations.
 
-    Works on deviations from each mode's first value, whose per-chunk means
-    and sums of squared deviations (M2) are merged by Chan's parallel update.
-    sum(x^2) - sum(x)^2/n would instead cancel catastrophically where the
-    mean is large against the spread, as at high gain; the shift keeps the
-    merged means small there, so their rounding does not enter M2 either.
+    add folds in one realization's row, which it consumes, by Welford's
+    update (Technometrics 4, 419 (1962)) on its deviation from each mode's
+    first value, allocating nothing; the mean is kept as the deviations'
+    plain sum.  sum(x^2) - sum(x)^2/n would instead cancel catastrophically
+    where the mean is large against the spread, as at high gain; the shift
+    keeps the sum small there, so its rounding does not enter M2 either.
     Its three rows (8 B per mode each) exist from the first add on, so none
     is held while the first batch propagates.
     """
@@ -282,26 +285,25 @@ class _FluxAccumulator:
     def __init__(self, shape):
         self.n = 0
         self.shape = shape
-        self.shift = self.dev_mean = self.m2 = None
+        self.shift = self.dev_sum = self.m2 = None
 
-    def add(self, values: np.ndarray) -> None:
-        if self.shift is None:
-            self.shift = values[0].copy()
-            self.dev_mean = np.zeros(self.shape)
-            self.m2 = np.zeros(self.shape)
-        dev = values - self.shift
-        n_chunk = dev.shape[0]
-        mean_chunk = dev.mean(axis=0)
-        dev -= mean_chunk
-        m2_chunk = np.square(dev, out=dev).sum(axis=0)
-        n = self.n + n_chunk
-        delta = mean_chunk - self.dev_mean
-        self.dev_mean += delta * (n_chunk / n)
-        self.m2 += m2_chunk + delta * delta * (self.n * n_chunk / n)
-        self.n = n
+    def add(self, row: np.ndarray) -> None:
+        self.n += 1
+        if self.shift is None:  # the first row's deviations are zero
+            self.shift = row.copy()
+            self.dev_sum, self.m2 = np.zeros(self.shape), np.zeros(self.shape)
+            return
+        dev = np.subtract(row, self.shift, out=row)
+        self.dev_sum += dev
+        # M2 gains delta^2 (n - 1)/n, delta the deviation less the previous
+        # mean: (n - 1) delta = n dev - dev_sum
+        dev *= self.n
+        dev -= self.dev_sum
+        self.m2 += np.multiply(np.square(dev, out=dev), 1.0 / (self.n * (self.n - 1)),
+                               out=dev)
 
     def mean(self):
-        return self.shift + self.dev_mean
+        return self.shift + self.dev_sum / self.n
 
     def stderr(self):
         if self.n < 2:
@@ -386,7 +388,8 @@ def azimuthal_average(flux: np.ndarray, stderr: np.ndarray, crystal: dm.CrystalS
 # ensemble runs and gain calibration
 
 
-_BATCH_BYTES = 256e6  # the most complex128 field bytes one ensemble batch holds
+_BATCH_BYTES = 256e6  # the most field bytes a batch holds, 16 per mode per realization
+_PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the total is checked instead
@@ -398,20 +401,20 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     of fields.  A batch of R realizations propagates with no draw and no
     accumulator row live: its 16 R bytes per mode (and paired its 8 R of
     entrance |a|^2) sit beside run_batch's scratch, about 113 B per mode
-    with the phase rates.  Its exit |a|^2 (8 R) is taken before it is
-    dropped, and only the accumulator's three rows (8 B per mode each)
-    outlive it into the next batch.  Measured on a 2-vCPU host, the default
-    wigner run at n_z 4 (128x64x64, R 10) peaks at 192.9 MB RSS, and one
-    pair on the ring-holding 128x144x144 grid at 5 w_p at 423.2 MB.  raw
-    is the exit-face |a|^2 (float64, one row per realization) of the first
-    batch if that is the whole ensemble, else None.
+    with the phase rates.  Each realization leaves it by one path: its exit
+    |a|^2, taken into the even float slots of its own field, is folded into
+    the accumulator, so the exit adds no batch-sized array and only the
+    accumulator's three rows (8 B per mode each) outlive the batch.
+    Measured on a 2-vCPU host, the default wigner run at n_z 4 (128x64x64,
+    R 10) peaks at 192.9 MB RSS, and one pair on the ring-holding
+    128x144x144 grid at 5 w_p at 423.2 MB.  raw, the exit |a|^2 (float64,
+    one row per realization), is kept by any ensemble no larger than a
+    calibration probe, however its batches split; else it is None.
     first, the raw of a smaller ensemble with the same seed at the same l_nl
-    (a calibration probe), stands in for the ensemble's leading realizations:
-    a batch neither propagates nor holds fields for them, so each holds only
-    its 8-byte exit row per mode, and its entrance field is drawn again from
-    vacuum_rng only where paired reads its |a|^2 (8 more bytes).  Batches
-    split the ensemble where they would without first; one that first covers
-    entirely propagates nothing.
+    (a calibration probe), is consumed standing in for the ensemble's leading
+    realizations: no batch propagates or holds their fields, and paired
+    draws them again for their entrance |a|^2 alone.  Batches split the
+    ensemble where they would without first.
     paired=True subtracts each realization's own input |a|^2 instead of the
     ensemble constant 1/2; identical in expectation (dispersion preserves
     per-mode magnitudes), far lower variance at small gain.
@@ -421,6 +424,7 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
     chunk_size = int(np.clip(_BATCH_BYTES // (16 * grid.n_modes), 1, 32))
     first = np.empty((0,) + grid.shape) if first is None else first
     acc = _FluxAccumulator(grid.shape)
+    raw = [] if ensemble.n_realizations <= _PROBE_REALIZATIONS else None
     for r in range(0, ensemble.n_realizations, chunk_size):
         stop = min(r + chunk_size, ensemble.n_realizations)
         n_reused = min(max(len(first) - r, 0), stop - r)
@@ -434,22 +438,20 @@ def _ensemble_flux(prop, l_nl, ensemble, paired=False, first=None):
                 _mag_squared(row, out=entrance[i])
             del row  # dead before the next draw, and before the batch propagates
         done = prop.run_batch(batch, l_nl) if len(batch) else batch
-        mags = np.empty((stop - r,) + grid.shape)  # after run_batch, to reuse what it held
-        mags[:n_reused] = first[r:stop]
-        _mag_squared(done, out=mags[n_reused:])
-        del batch, done  # the exit field is dead once its |a|^2 exists
-        raw = mags if len(mags) == ensemble.n_realizations else None
-        acc.add(np.subtract(mags, entrance, out=entrance) if paired else mags)
-        del mags, entrance  # nothing of this batch outlives it
+        for i in range(stop - r):  # a reused realization's exit |a|^2 is its probe row
+            mag = first[r + i] if i < n_reused else _mag_squared(done[i - n_reused])
+            if raw is not None:  # a probe keeps its exit rows
+                raw.append(mag.copy())
+            acc.add(np.subtract(mag, entrance[i], out=mag) if paired else mag)
+        del batch, done, entrance, mag  # nothing of this batch outlives it
     flux = acc.mean() - (0.0 if paired else 0.5)
     total = float(flux.sum())
     if not np.isfinite(total):  # NaN or inf in any mode mean reaches the total
         raise NotConverged(f"gain L/l_nl = {prop.dz * grid.n_z / l_nl:.4g} overflows "
                            "the amplified field: the photon numbers are not finite")
-    return flux, acc.stderr(), total, raw
+    return flux, acc.stderr(), total, raw if raw is None else np.stack(raw)
 
 
-_PROBE_REALIZATIONS = 2  # ensemble size of one calibration probe
 _CALIB_REL_TOL = 0.2  # accepted relative distance of a probe's total from the target
 _MAX_PROBES = 30
 _MAX_JUMP = 2.0  # largest step of the log-gain search, also from gain 1 to its start
@@ -480,7 +482,7 @@ class CalibrationResult:
     predicted_total: float | None  # predicted_total(), None where it raised
     # the _Propagator of all probes, and the last probe's raw _ensemble_flux
     propagator: _Propagator = field(repr=False, compare=False)
-    probe: np.ndarray | None = field(repr=False, compare=False)
+    probe: np.ndarray = field(repr=False, compare=False)
 
     def summary(self) -> dict:
         """The manifest's calibration block: the accepted gain and total,
@@ -592,8 +594,6 @@ def run_simulation(crystal: dm.CrystalSpec, pump: pt.PumpSpec,
         "matched_alpha_deg": None if np.isnan(alpha) else float(np.degrees(alpha)),
     }
     if calibration is not None:
-        # the probe's raw is None where its two realizations took two batches
-        fmap.metadata["calibration"] = {
-            **calibration.summary(),
-            "reused_realizations": 0 if first is None else len(first)}
+        fmap.metadata["calibration"] = {**calibration.summary(),
+                                        "reused_realizations": len(first)}
     return fmap

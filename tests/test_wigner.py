@@ -316,7 +316,7 @@ class TestEstimateFlux:
         # 0.5 + 0.5j has |a|^2 = 0.5 exactly in binary floating point
         data = np.full(grid.shape, 0.5 + 0.5j, dtype=complex)
         acc = wg._FluxAccumulator(grid.shape)
-        acc.add(wg._mag_squared(data[None]))
+        acc.add(wg._mag_squared(data))
         assert np.all(acc.mean() - 0.5 == 0.0)
         assert np.all(np.isnan(acc.stderr()))
 
@@ -333,12 +333,12 @@ class TestEstimateFlux:
         assert wg._mag_squared(data, out=out) is out
         np.testing.assert_array_equal(out, want)
 
-    @pytest.mark.parametrize("paired, row_bytes", [(False, 24), (True, 32)])
+    @pytest.mark.parametrize("paired, row_bytes", [(False, 16), (True, 24)])
     def test_memory_per_realization(self, crystal, pump, grid, paired, row_bytes):
-        # an extra realization holds its batch row (16 B per mode) and its
-        # exit |a|^2 row (8), and paired its entrance |a|^2 row (8); at the
-        # largest batch, 32, these outweigh the fixed scratch of a step, and
-        # the 1 kB allows for per-realization Python objects
+        # an extra realization holds its batch row (16 B per mode), and
+        # paired its entrance |a|^2 row (8); its exit |a|^2 takes its batch
+        # row's own memory, and the 1 kB allows for per-realization Python
+        # objects
         prop = wg._Propagator(crystal, replace(pump, l_nl=2e-3), replace(grid, n_z=4))
         one = wg.sample_vacuum(grid, wg.vacuum_rng(3, 0))[None]
         scratch = _traced_peak(prop.run_batch, one, 2e-3)
@@ -350,6 +350,9 @@ class TestEstimateFlux:
         # while it propagates
         assert peaks[0] <= (16 + 8 * paired) * grid.n_modes + scratch + 1024
         assert (peaks[1] - peaks[0]) / 31 <= row_bytes * grid.n_modes + 1024
+        # nor does the exit of one batch of 32 add a batch-sized array: it
+        # peaks at most one 8 B per mode row above the propagation
+        assert peaks[1] <= 32 * row_bytes * grid.n_modes + scratch + 8 * grid.n_modes + 1024
         # a second batch of 32 finds nothing of the first but the
         # accumulator's three rows (8 B per mode each)
         assert peaks[2] - peaks[1] <= 24 * grid.n_modes + 1024
@@ -370,8 +373,8 @@ class TestEstimateFlux:
         rng = np.random.default_rng(5)
         values = 1e9 + rng.standard_normal((40, 6, 5))
         acc = wg._FluxAccumulator(values.shape[1:])
-        for chunk in np.array_split(values, [7, 8, 25]):
-            acc.add(chunk)
+        for row in values:
+            acc.add(row.copy())  # add consumes its row
         expected = values.std(axis=0, ddof=1) / np.sqrt(len(values))
         np.testing.assert_allclose(acc.stderr(), expected, rtol=1e-9, atol=0)
         np.testing.assert_allclose(acc.mean(), values.mean(axis=0), rtol=1e-15)
@@ -623,10 +626,9 @@ class TestCalibratedReuse:
                                  target_photons=target, paired_subtraction=paired)
         return fmap, builds, fields
 
-    def _assert_matches_uncalibrated(self, got, crystal, pump, grid, ens, paired,
-                                     reused=2):
+    def _assert_matches_uncalibrated(self, got, crystal, pump, grid, ens, paired):
         """got equals the uncalibrated run at the calibration's l_nl, and took
-        up to reused realizations from its last probe."""
+        up to two realizations from its last probe."""
         cal = wg.calibrate_gain(self.TARGET, crystal, pump, grid, ens)
         want = wg.run_simulation(crystal, replace(pump, l_nl=cal.l_nl), grid, ens,
                                  n_lambda=6, n_alpha=4, paired_subtraction=paired)
@@ -637,7 +639,7 @@ class TestCalibratedReuse:
         assert got.metadata["total_photons"] == pytest.approx(
             want.metadata["total_photons"], rel=1e-12)
         assert got.metadata["calibration"]["reused_realizations"] == min(
-            reused, ens.n_realizations)
+            2, ens.n_realizations)
 
     def test_probe_is_a_fresh_propagation_at_the_returned_l_nl(self, crystal, pump,
                                                                 small):
@@ -670,16 +672,17 @@ class TestCalibratedReuse:
         self._assert_matches_uncalibrated(got, crystal, pump, small, ens, paired)
 
     @pytest.mark.parametrize("paired", [False, True])
-    def test_a_probe_of_two_batches_is_not_reused(self, monkeypatch, crystal, pump,
-                                                   small, paired):
-        # batches of one: the probe keeps no exit rows, so the run propagates
-        # every realization afresh
+    def test_a_probe_of_two_batches_is_reused(self, monkeypatch, crystal, pump,
+                                               small, paired):
+        # batches of one: the probe keeps its exit rows all the same, so the
+        # run propagates only its third realization
         monkeypatch.setattr(wg, "_BATCH_BYTES", 16 * small.n_modes)
         ens = wg.EnsembleSpec(n_realizations=3, seed=41)
-        got = wg.run_simulation(crystal, pump, small, ens, n_lambda=6, n_alpha=4,
-                                target_photons=self.TARGET, paired_subtraction=paired)
-        self._assert_matches_uncalibrated(got, crystal, pump, small, ens, paired,
-                                          reused=0)
+        got, _, fields = self._counted_run(monkeypatch, crystal, pump, small, ens,
+                                           paired=paired)
+        n_probes = got.metadata["calibration"]["n_probes"]
+        assert fields == [1, 1] * n_probes + [1]
+        self._assert_matches_uncalibrated(got, crystal, pump, small, ens, paired)
 
     @pytest.mark.parametrize("seeded", [False, True])
     @pytest.mark.parametrize("n_real", [1, 2, 5])
